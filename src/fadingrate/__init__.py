@@ -15,10 +15,6 @@ from .model import (
     RaisedCosine,
     Rectangular,
     Tabulated,
-    autocorr,
-    integrated_power,
-    psd_eval,
-    spectral_l2,
 )
 from .quadrature import (
     EULER_GAMMA,
@@ -60,7 +56,6 @@ from .rates import (
     prelog_estimate,
     rate_gap_pg_rect,
     rate_lower_pg,
-    rate_upper_peak_rect,
     rate_upper_pg_rect,
     rate_upper_pred_peak,
     rate_upper_pred_pg,
@@ -77,7 +72,6 @@ from .mcrates import (
 )
 from .simulate import (
     FadingRealization,
-    SimConfig,
     empirical_coherent_mi,
     empirical_pred_error,
     gen_fading,
@@ -93,8 +87,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # channel and spectra
-    "ChannelParams", "PsdModel", "Rectangular", "Jakes", "RaisedCosine",
-    "Tabulated", "psd_eval", "autocorr", "spectral_l2", "integrated_power",
+    "ChannelParams", "PsdModel", "Rectangular", "Jakes", "RaisedCosine", "Tabulated",
     # quadrature and randomness
     "QuadratureConfig", "McEstimate", "EULER_GAMMA", "make_rng",
     "g_logmoment", "g_logmoment_gauss", "szego_log_integral", "mc_expectation",
@@ -107,14 +100,13 @@ __all__ = [
     "convexity_check",
     # deterministic bounds
     "BoundValue", "PeakConstraint", "coherent_capacity", "rate_lower_pg",
-    "rate_upper_pg_rect", "rate_gap_pg_rect", "prelog_estimate",
-    "rate_upper_peak_rect", "alpha_opt_conditions", "rate_upper_pred_pg",
-    "rate_upper_pred_peak", "sethuraman_upper", "lapidoth_asymptotes",
+    "rate_upper_pg_rect", "rate_gap_pg_rect", "prelog_estimate", "alpha_opt_conditions",
+    "rate_upper_pred_pg", "rate_upper_pred_peak", "sethuraman_upper", "lapidoth_asymptotes",
     "sd_rate_bounds", "sd_optimal_L", "sd_max_spacing", "iid_low_snr_conditions",
     # Monte Carlo bounds
     "coherent_mi_cm", "rate_lower_cm", "rate_lower_cm_timeshare", "sethuraman_lower",
     # simulation
-    "FadingRealization", "SimConfig", "gen_fading", "gen_fading_batch",
+    "FadingRealization", "gen_fading", "gen_fading_batch",
     "simulate_channel", "empirical_pred_error", "empirical_coherent_mi",
     "write_fading_dump", "read_fading_dump",
     # verification

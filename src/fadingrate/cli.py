@@ -15,6 +15,8 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from .rates import (
     coherent_capacity,
     lapidoth_asymptotes,
     rate_lower_pg,
-    rate_upper_peak_rect,
     rate_upper_pg_rect,
     rate_upper_pred_pg,
     rate_upper_pred_peak,
@@ -41,14 +42,8 @@ from .verify import run_suite
 
 _LN2 = math.log(2.0)
 
-# bounds that exist only under the flat density, and those needing a peak ratio
-_RECT_ONLY = {"upper_pg", "upper_peak"}
-_NEEDS_BETA = {"upper_peak", "sethuraman_upper", "upper_pred_peak",
-               "lower_cm_ts", "sethuraman_lower_ts"}
-_KNOWN_BOUNDS = _RECT_ONLY | _NEEDS_BETA | {
-    "lower_pg", "coherent", "upper_pred_pg", "lower_cm",
-    "sethuraman_lower", "sd", "lapidoth",
-}
+# largest grid a sweep may request; the shipped sweeps and figures stay below 700 rows
+_MAX_ROWS = 100_000
 
 
 class _UsageError(Exception):
@@ -85,129 +80,158 @@ def _parse_float_list(text, flag):
         raise _UsageError(f"{flag} expects a comma-separated list of numbers, got {text!r}")
     if not vals:
         raise _UsageError(f"{flag} is empty")
+    if not all(math.isfinite(v) for v in vals):
+        raise _UsageError(f"{flag} values must be finite, got {text!r}")
     return vals
 
 
-def _parse_snr_grid(text):
+def _parse_snr_grid(text, max_count):
+    """SNR values in dB from lo:hi:step or one value; refuses more than
+    max_count values before building the list."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise _UsageError(f"--snr-db expects lo:hi:step or a single value, got {text!r}")
     try:
-        lo, hi, step = (float(p) for p in parts)
+        nums = [float(p) for p in parts]
     except ValueError:
         raise _UsageError(f"--snr-db expects numbers, got {text!r}")
+    if not all(math.isfinite(v) for v in nums):
+        raise _UsageError(f"--snr-db values must be finite, got {text!r}")
+    lo, hi, step = nums if len(nums) == 3 else (nums[0], nums[0], 1.0)
     if step <= 0 or hi < lo:
         raise _UsageError("--snr-db needs step > 0 and hi >= lo")
+    try:
+        10.0 ** (hi / 10.0)
+    except OverflowError:
+        raise _UsageError(f"--snr-db {hi:g} dB overflows the input power")
+    if (hi - lo) / step + 1e-9 >= max_count:
+        raise _UsageError(f"--snr-db {text!r} over the --fd list exceeds {_MAX_ROWS} rows")
+    if len(nums) == 1:
+        return nums
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + k * step for k in range(count)]
 
 
-def _columns_for(name):
-    """Column layout (name, is_rate) contributed by one bound selector."""
-    if name in ("lower_pg", "upper_pg", "upper_pred_pg"):
-        return [(name, True), (name + "_clamped", False)]
-    if name == "coherent":
-        return [("coherent", True)]
-    if name in ("upper_peak", "sethuraman_upper", "upper_pred_peak"):
-        return [(name, True), (name + "_clamped", False), (name + "_alpha", False)]
-    if name == "lower_cm":
-        return [(name, True), (name + "_stderr", True), (name + "_clamped", False)]
-    if name == "lower_cm_ts":
-        return [(name, True), (name + "_stderr", True), (name + "_clamped", False),
-                (name + "_alpha", False)]
-    if name == "sethuraman_lower":
-        return [(name, True), (name + "_stderr", True)]
-    if name == "sethuraman_lower_ts":
-        return [(name, True), (name + "_stderr", True), (name + "_alpha", False)]
-    if name == "sd":
-        return [("sd_lower", True), ("sd_upper", True), ("sd_L", False)]
-    if name == "lapidoth":
-        return [("lap_upper", True), ("lap_lower", True)]
-    raise _UsageError(f"unknown bound {name!r}")
+@dataclass(frozen=True)
+class Bound:
+    """One --bounds entry: its CSV columns as (name, is_rate) pairs and
+    evaluate(params, model, peak, seed=, n=) returning one cell per column.
+    seed and n matter to Monte Carlo entries only."""
+
+    columns: tuple
+    evaluate: Callable
+    rect_only: bool = False
+    needs_beta: bool = False
+    monte_carlo: bool = False
 
 
-def _eval_bound(name, params, model, peak, rng, mc_n):
-    if name == "lower_pg":
-        b = rate_lower_pg(params, model)
-        return [b.value, int(b.clamped)]
-    if name == "upper_pg":
-        b = rate_upper_pg_rect(params)
-        return [b.value, int(b.clamped)]
-    if name == "upper_pred_pg":
-        b = rate_upper_pred_pg(params, model)
-        return [b.value, int(b.clamped)]
-    if name == "coherent":
-        return [coherent_capacity(params.rho).value]
-    if name == "upper_peak":
-        b = rate_upper_peak_rect(params, peak)
-        return [b.value, int(b.clamped), b.alpha_used]
-    if name == "sethuraman_upper":
-        b = sethuraman_upper(params, model, peak)
-        return [b.value, int(b.clamped), b.alpha_used]
-    if name == "upper_pred_peak":
-        b = rate_upper_pred_peak(params, model, peak)
-        return [b.value, int(b.clamped), b.alpha_used]
-    if name == "lower_cm":
-        b = rate_lower_cm(params, model, seed=int(rng.integers(0, 2**63)), n=mc_n)
-        return [b.value, b.stderr, int(b.clamped)]
-    if name == "lower_cm_ts":
-        b = rate_lower_cm_timeshare(params, model, peak,
-                                    seed=int(rng.integers(0, 2**63)), n=mc_n)
-        return [b.value, b.stderr, int(b.clamped), b.alpha_used]
-    if name == "sethuraman_lower":
-        b = sethuraman_lower(params, model, seed=int(rng.integers(0, 2**63)), n=mc_n)
-        return [b.value, b.stderr]
-    if name == "sethuraman_lower_ts":
-        b = sethuraman_lower(params, model, timeshare=True, peak=peak,
-                             seed=int(rng.integers(0, 2**63)), n=mc_n)
-        return [b.value, b.stderr, b.alpha_used]
-    if name == "sd":
-        best_l, table = sd_optimal_L(params, model)
-        if best_l is None:
-            return [None, None, None]
-        entry = table[best_l]
-        return [entry["lower"], entry["upper"], best_l]
-    if name == "lapidoth":
-        asym = lapidoth_asymptotes(params, model)
-        return [asym["upper"], asym["lower"]]
-    raise _UsageError(f"unknown bound {name!r}")
+# BoundValue field behind each column suffix, and whether the column is a rate
+_SUFFIX_FIELDS = {"": ("value", True), "_stderr": ("stderr", True),
+                  "_clamped": ("clamped", False), "_alpha": ("alpha_used", False)}
 
 
-def _check_bounds(names, psd_kind, have_beta):
+def _fields(name, suffixes, evaluate, **kinds):
+    """Entry for an evaluator returning a BoundValue: column name+suffix
+    carries the field the suffix names."""
+    fields = [_SUFFIX_FIELDS[s][0] for s in suffixes]
+
+    def cells(*args, **kwargs):
+        b = evaluate(*args, **kwargs)
+        return [getattr(b, f) for f in fields]
+
+    return Bound(tuple((name + s, _SUFFIX_FIELDS[s][1]) for s in suffixes), cells, **kinds)
+
+
+def _sd_cells(params, model, peak, **_):
+    best_l, table = sd_optimal_L(params, model)
+    if best_l is None:
+        return [None, None, None]
+    return [table[best_l]["lower"], table[best_l]["upper"], best_l]
+
+
+def _lapidoth_cells(params, model, peak, **_):
+    asym = lapidoth_asymptotes(params, model)
+    return [asym["upper"], asym["lower"]]
+
+
+# Evaluators look the bound functions up by name at call time, so a wrapper
+# installed on this module's globals (a tracer, a test double) sees every call.
+_PG = ("", "_clamped")
+_PEAK = ("", "_clamped", "_alpha")
+BOUNDS = {
+    "lower_pg": _fields("lower_pg", _PG, lambda p, m, peak, **_: rate_lower_pg(p, m)),
+    "upper_pg": _fields("upper_pg", _PG, lambda p, m, peak, **_: rate_upper_pg_rect(p),
+                        rect_only=True),
+    "upper_pred_pg": _fields("upper_pred_pg", _PG,
+                             lambda p, m, peak, **_: rate_upper_pred_pg(p, m)),
+    "coherent": _fields("coherent", ("",), lambda p, m, peak, **_: coherent_capacity(p.rho)),
+    # the flat-density peak bound is the spectral one on Rectangular(f_d)
+    "upper_peak": _fields("upper_peak", _PEAK, lambda p, m, peak, **_: sethuraman_upper(p, m, peak),
+                          rect_only=True, needs_beta=True),
+    "sethuraman_upper": _fields("sethuraman_upper", _PEAK,
+                                lambda p, m, peak, **_: sethuraman_upper(p, m, peak),
+                                needs_beta=True),
+    "upper_pred_peak": _fields("upper_pred_peak", _PEAK,
+                               lambda p, m, peak, **_: rate_upper_pred_peak(p, m, peak),
+                               needs_beta=True),
+    "lower_cm": _fields("lower_cm", ("", "_stderr", "_clamped"),
+                        lambda p, m, peak, **mc: rate_lower_cm(p, m, **mc), monte_carlo=True),
+    "lower_cm_ts": _fields("lower_cm_ts", ("", "_stderr", "_clamped", "_alpha"),
+                           lambda p, m, peak, **mc: rate_lower_cm_timeshare(p, m, peak, **mc),
+                           needs_beta=True, monte_carlo=True),
+    "sethuraman_lower": _fields("sethuraman_lower", ("", "_stderr"),
+                                lambda p, m, peak, **mc: sethuraman_lower(p, m, **mc),
+                                monte_carlo=True),
+    "sethuraman_lower_ts": _fields(
+        "sethuraman_lower_ts", ("", "_stderr", "_alpha"),
+        lambda p, m, peak, **mc: sethuraman_lower(p, m, timeshare=True, peak=peak, **mc),
+        needs_beta=True, monte_carlo=True),
+    "sd": Bound((("sd_lower", True), ("sd_upper", True), ("sd_L", False)), _sd_cells),
+    "lapidoth": Bound((("lap_upper", True), ("lap_lower", True)), _lapidoth_cells),
+}
+
+
+def _check_bounds(names, psd_kind, betas, mc_n):
+    """Refuse bound selections and inputs the table cannot evaluate."""
     for name in names:
-        if name not in _KNOWN_BOUNDS:
-            raise _UsageError(
-                f"unknown bound {name!r}; choose from {', '.join(sorted(_KNOWN_BOUNDS))}"
-            )
-        if name in _RECT_ONLY and psd_kind != "rect":
+        if name not in BOUNDS:
+            raise _UsageError(f"unknown bound {name!r}; choose from {', '.join(BOUNDS)}")
+        bound = BOUNDS[name]
+        if bound.rect_only and psd_kind != "rect":
             raise _UsageError(f"bound {name!r} is defined for --psd rect only")
-        if name in _NEEDS_BETA and not have_beta:
+        if bound.needs_beta and betas[0] is None:
             raise _UsageError(f"bound {name!r} requires --beta")
+        if bound.monte_carlo and mc_n is not None and mc_n < 2:
+            raise _UsageError(f"bound {name!r} needs --mc-n >= 2 for a standard error")
+    if not all(b is None or (math.isfinite(b) and b >= 1.0) for b in betas):
+        raise _UsageError(f"--beta must be a finite peak-to-average ratio >= 1, got {betas[0]}")
 
 
-def _evaluate_grid(bound_names, psd_kind, rolloff, fds, snrs, betas, scalar_beta, seed, mc_n):
+def _evaluate_grid(bound_names, psd_kind, rolloff, fds, snrs, betas, seed, mc_n,
+                   beta_axis=False):
     """Rows in deterministic grid order (f_d, then SNR, then beta when it is
-    an axis); Monte Carlo bounds at row k draw from stream (seed, k)."""
+    an axis); Monte Carlo bounds at row k draw their seeds, one per bound in
+    bound_names order, from stream (seed, k)."""
+    _check_bounds(bound_names, psd_kind, betas, mc_n)
+    bounds = [BOUNDS[name] for name in bound_names]
     models = {f_d: _make_model(psd_kind, rolloff, f_d) for f_d in fds}
-    beta_axis = betas is not None
     columns = [("f_d", False), ("snr_db", False)]
     if beta_axis:
         columns.append(("beta", False))
-    for name in bound_names:
-        columns.extend(_columns_for(name))
+    for bound in bounds:
+        columns.extend(bound.columns)
     rows = []
     idx = 0
     for f_d in fds:
         for db in snrs:
-            for beta in (betas if beta_axis else (scalar_beta,)):
+            for beta in betas:
                 params = ChannelParams(f_d=f_d, sigma_x2=10.0 ** (db / 10.0))
                 peak = PeakConstraint(beta) if beta is not None else None
                 rng = make_rng(seed, idx)
                 vals = [f_d, db] + ([beta] if beta_axis else [])
-                for name in bound_names:
-                    vals.extend(_eval_bound(name, params, models[f_d], peak, rng, mc_n))
+                for bound in bounds:
+                    sub = int(rng.integers(0, 2**63)) if bound.monte_carlo else None
+                    vals.extend(bound.evaluate(params, models[f_d], peak, seed=sub, n=mc_n))
                 rows.append(vals)
                 idx += 1
     return columns, rows
@@ -224,31 +248,33 @@ def _cell(value, is_rate, units):
     return f"{value:.17g}"
 
 
-def _emit_csv(out, flags_line, seed, columns, rows, units):
-    out.write(f"# fadingrate {__version__}\n")
-    out.write(f"# flags: {flags_line}\n")
-    out.write(f"# seed: {seed}\n")
-    out.write(",".join(name for name, _ in columns) + "\n")
-    for row in rows:
-        out.write(",".join(_cell(v, r, units) for v, (_, r) in zip(row, columns)) + "\n")
-
-
-def _open_out(path):
-    return open(path, "w") if path else sys.stdout
+def _write_csv(args, flags, columns, rows):
+    """CSV to --out or stdout: metadata lines, header, 17-digit cells."""
+    out = open(args.out, "w") if args.out else sys.stdout
+    try:
+        out.write(f"# fadingrate {__version__}\n")
+        out.write(f"# flags: {flags}\n")
+        out.write(f"# seed: {args.seed}\n")
+        out.write(",".join(name for name, _ in columns) + "\n")
+        for row in rows:
+            out.write(",".join(_cell(v, r, args.units) for v, (_, r) in zip(row, columns)) + "\n")
+    finally:
+        if out is not sys.stdout:
+            out.close()
+    return 0
 
 
 def cmd_sweep(args):
     psd_kind, rolloff = _parse_psd(args.psd)
     fds = _parse_float_list(args.fd, "--fd")
-    snrs = _parse_snr_grid(args.snr_db)
+    snrs = _parse_snr_grid(args.snr_db, _MAX_ROWS // len(fds))
     if args.bounds:
         bound_names = [b.strip() for b in args.bounds.split(",") if b.strip()]
     else:
         bound_names = ["lower_pg", "upper_pg", "coherent"] if psd_kind == "rect" else [
             "lower_pg", "coherent"]
-    _check_bounds(bound_names, psd_kind, args.beta is not None)
     columns, rows = _evaluate_grid(
-        bound_names, psd_kind, rolloff, fds, snrs, None, args.beta, args.seed, args.mc_n
+        bound_names, psd_kind, rolloff, fds, snrs, [args.beta], args.seed, args.mc_n
     )
     flags = (
         f"sweep --psd {args.psd} --fd {args.fd} --snr-db {args.snr_db}"
@@ -256,43 +282,31 @@ def cmd_sweep(args):
         + f" --bounds {','.join(bound_names)} --units {args.units} --seed {args.seed}"
         + (f" --mc-n {args.mc_n}" if args.mc_n else "")
     )
-    out = _open_out(args.out)
-    try:
-        _emit_csv(out, flags, args.seed, columns, rows, args.units)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
+    return _write_csv(args, flags, columns, rows)
 
 
 _FD_FINE = [round(f, 3) for f in np.arange(0.005, 0.4951, 0.005)]
 _FD_COARSE = [round(f, 2) for f in np.arange(0.01, 0.4901, 0.01)]
 
 
+# figure number -> (bounds, f_d values, SNR values in dB, beta values, beta is an axis)
+_FIGURES = {
+    1: (["lower_pg", "upper_pg"], _FD_FINE, [0.0, 6.0, 12.0], [None], False),
+    2: (["upper_pg", "upper_peak", "lower_cm"], _FD_COARSE, [0.0, 12.0], [1.0, 2.0, 4.0], True),
+    3: (["lower_pg", "upper_pg", "lapidoth", "coherent"], [0.1, 0.3],
+        [float(d) for d in range(-10, 51, 2)], [None], False),
+    4: (["sethuraman_upper", "upper_pred_peak", "sethuraman_lower", "sethuraman_lower_ts",
+         "coherent"], [0.001, 0.01, 0.1], [float(d) for d in range(-10, 31, 5)], [2.0], False),
+    5: (["lower_pg", "upper_pg", "upper_pred_pg", "coherent"], _FD_FINE, [0.0, 6.0, 12.0],
+        [None], False),
+    6: (["lower_pg", "upper_pg", "sd"], _FD_FINE, [0.0, 6.0, 12.0], [None], False),
+}
+
+
 def _figure_rows(n, seed, mc_n):
-    if n == 1:
-        return _evaluate_grid(["lower_pg", "upper_pg"], "rect", None,
-                              _FD_FINE, [0.0, 6.0, 12.0], None, None, seed, mc_n)
-    if n == 2:
-        return _evaluate_grid(["upper_pg", "upper_peak", "lower_cm"], "rect", None,
-                              _FD_COARSE, [0.0, 12.0], [1.0, 2.0, 4.0], None, seed, mc_n)
-    if n == 3:
-        snrs = [float(d) for d in range(-10, 51, 2)]
-        return _evaluate_grid(["lower_pg", "upper_pg", "lapidoth", "coherent"], "rect", None,
-                              [0.1, 0.3], snrs, None, None, seed, mc_n)
-    if n == 4:
-        snrs = [float(d) for d in range(-10, 31, 5)]
-        return _evaluate_grid(
-            ["sethuraman_upper", "upper_pred_peak", "sethuraman_lower",
-             "sethuraman_lower_ts", "coherent"],
-            "rect", None, [0.001, 0.01, 0.1], snrs, None, 2.0, seed, mc_n,
-        )
-    if n == 5:
-        return _evaluate_grid(["lower_pg", "upper_pg", "upper_pred_pg", "coherent"],
-                              "rect", None, _FD_FINE, [0.0, 6.0, 12.0], None, None, seed, mc_n)
-    if n == 6:
-        return _evaluate_grid(["lower_pg", "upper_pg", "sd"], "rect", None,
-                              _FD_FINE, [0.0, 6.0, 12.0], None, None, seed, mc_n)
+    if n in _FIGURES:
+        names, fds, snrs, betas, beta_axis = _FIGURES[n]
+        return _evaluate_grid(names, "rect", None, fds, snrs, betas, seed, mc_n, beta_axis)
     if n == 7:
         columns = [("snr_db", False), ("delta_hy", True), ("delta_hy_refined", True),
                    ("delta_hy_refined_err", True), ("euler_gamma", True)]
@@ -313,13 +327,7 @@ def cmd_figure(args):
         f"figure {args.n} --units {args.units} --seed {args.seed}"
         + (f" --mc-n {args.mc_n}" if args.mc_n else "")
     )
-    out = _open_out(args.out)
-    try:
-        _emit_csv(out, flags, args.seed, columns, rows, args.units)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
+    return _write_csv(args, flags, columns, rows)
 
 
 def cmd_verify(args):
@@ -387,7 +395,8 @@ def _build_parser():
     p.add_argument("--fd", required=True, help="comma-separated Doppler values")
     p.add_argument("--snr-db", required=True, help="lo:hi:step grid in dB, or one value")
     p.add_argument("--beta", type=float, default=None, help="nominal peak-to-average ratio")
-    p.add_argument("--bounds", default=None, help="comma-separated bound names")
+    p.add_argument("--bounds", default=None,
+                   help="comma-separated bound names: " + ", ".join(BOUNDS))
     common_output(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -15,15 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .model import ChannelParams, PsdModel
-from .quadrature import (
-    EULER_GAMMA,
-    QuadratureConfig,
-    _laggauss,
-    g_logmoment,
-    szego_log_integral,
-)
-from .model import Rectangular
+from .model import ChannelParams, PsdModel, _check_model
+from .quadrature import EULER_GAMMA, g_logmoment, szego_log_integral
 
 __all__ = [
     "EntropyRate",
@@ -89,7 +82,7 @@ def _magnitude_density(m, rho, sigma_n2, s_hi):
     return 2.0 * m / (rho * sigma_n2) * val
 
 
-def h_y_upper_refined(params: ChannelParams, cfg: QuadratureConfig | None = None) -> EntropyRate:
+def h_y_upper_refined(params: ChannelParams) -> EntropyRate:
     """Refined upper bound on h'(y): the exact marginal entropy h(y_k) for a
     proper Gaussian input.
 
@@ -100,7 +93,6 @@ def h_y_upper_refined(params: ChannelParams, cfg: QuadratureConfig | None = None
     1e-14 of its peak.  err_bound adds the analytic tail of the truncated
     integral to the achieved quadrature tolerance.
     """
-    cfg = cfg or QuadratureConfig()
     rho = params.rho
     sigma_n2 = params.sigma_n2
     if rho == 0.0:
@@ -178,10 +170,7 @@ def h_y_upper_refined(params: ChannelParams, cfg: QuadratureConfig | None = None
 def h_yx_upper(params: ChannelParams, model: PsdModel) -> EntropyRate:
     """Upper bound on the conditional entropy rate h'(y|x) for i.d. inputs of
     power sigma_x2: the spectral log integral at SNR rho plus the noise floor."""
-    if not math.isclose(model.sigma_h2, params.sigma_h2, rel_tol=1e-9):
-        raise ValueError(
-            f"model power {model.sigma_h2} does not match channel sigma_h2 {params.sigma_h2}"
-        )
+    _check_model(params, model)
     return EntropyRate(
         value=szego_log_integral(model, params.rho) + noise_entropy(params.sigma_n2),
         kind="hyx_upper",
@@ -208,11 +197,7 @@ def h_yx_lower_rect(params: ChannelParams, input_dist="pg") -> EntropyRate:
             kind="hyx_lower_rect",
         )
     if isinstance(input_dist, str) and input_dist == "cm":
-        rho = params.rho
-        return EntropyRate(
-            value=two_fd * math.log1p(rho / two_fd) + floor,
-            kind="hyx_lower_rect",
-        )
+        input_dist = ("cm", params.sigma_x2)
     if isinstance(input_dist, tuple) and len(input_dist) == 2 and input_dist[0] == "cm":
         c = float(input_dist[1]) * params.sigma_h2 / params.sigma_n2
         return EntropyRate(

@@ -11,15 +11,16 @@ search objective is smooth.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .entropy import noise_entropy
-from .model import ChannelParams, PsdModel
+from .model import ChannelParams, PsdModel, _check_model
 from .prediction import pred_error_cm_infinite
-from .quadrature import McEstimate, QuadratureConfig, make_rng, szego_log_integral
-from .rates import BoundValue, PeakConstraint, _check_model
+from .quadrature import McEstimate, QuadratureConfig, _mean_stderr, make_rng, szego_log_integral
+from .rates import BoundValue, PeakConstraint
 
 __all__ = [
     "coherent_mi_cm",
@@ -45,10 +46,10 @@ def _draw_base(seed, n, task_index=0):
     return z, w
 
 
-def _mean_stderr(vals):
-    mean = float(np.mean(vals))
-    var = float(np.var(vals))
-    return mean, math.sqrt(var / len(vals))
+def _check_stderr(stderr, stderr_tol, n):
+    if stderr_tol is not None and stderr > stderr_tol:
+        raise RuntimeError(f"estimate did not converge: achieved stderr {stderr:.3e} "
+                           f"exceeds tolerance {stderr_tol:.3e} at n = {n}")
 
 
 def _cm_mi_samples(z, w, snr, xs):
@@ -67,8 +68,7 @@ def _cm_mi_samples(z, w, snr, xs):
     return out
 
 
-def coherent_mi_cm(rho, m_points=100, cfg: QuadratureConfig | None = None,
-                   seed=0, n=None, stderr_tol=None) -> McEstimate:
+def coherent_mi_cm(rho, m_points=100, seed=0, n=None, stderr_tol=None) -> McEstimate:
     """Mutual information of an m-point uniform-phase constant-modulus
     constellation over the coherent channel, in nats.
 
@@ -80,15 +80,10 @@ def coherent_mi_cm(rho, m_points=100, cfg: QuadratureConfig | None = None,
     if rho < 0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
     xs = _phases(m_points)
-    cfg = cfg or QuadratureConfig()
-    n = int(n) if n is not None else cfg.mc_default_n
+    n = int(n) if n is not None else QuadratureConfig().mc_default_n
     z, w = _draw_base(seed, n)
     mean, stderr = _mean_stderr(_cm_mi_samples(z, w, rho, xs))
-    if stderr_tol is not None and stderr > stderr_tol:
-        raise RuntimeError(
-            f"estimate did not converge: achieved stderr {stderr:.3e} "
-            f"exceeds tolerance {stderr_tol:.3e} at n = {n}"
-        )
+    _check_stderr(stderr, stderr_tol, n)
     return McEstimate(mean=mean, stderr=stderr, n=n, seed=int(seed))
 
 
@@ -124,29 +119,16 @@ def _timeshare_argmax(objective, beta, n):
 
 
 def rate_lower_cm(params: ChannelParams, model: PsdModel, m_points=100,
-                  cfg: QuadratureConfig | None = None, seed=0, n=None) -> BoundValue:
+                  seed=0, n=None) -> BoundValue:
     """Achievable rate with i.i.d. constant-modulus inputs: the coherent
-    constellation information minus the spectral log integral, clamped at 0."""
-    _check_model(params, model)
-    xs = _phases(m_points)
-    cfg = cfg or QuadratureConfig()
-    n = int(n) if n is not None else cfg.mc_default_n
-    z, w = _draw_base(seed, n)
-    rho = params.rho
-    mean, stderr = _mean_stderr(_cm_mi_samples(z, w, rho, xs))
-    raw = mean - szego_log_integral(model, rho)
-    return BoundValue(
-        value=max(0.0, raw),
-        kind="lower_cm",
-        clamped=raw < 0.0,
-        unclamped=raw,
-        stderr=stderr,
-    )
+    constellation information minus the spectral log integral, clamped at 0.
+    This is the time-sharing bound without peak headroom (beta = 1)."""
+    b = rate_lower_cm_timeshare(params, model, PeakConstraint(1.0), m_points, seed, n)
+    return replace(b, kind="lower_cm")
 
 
 def rate_lower_cm_timeshare(params: ChannelParams, model: PsdModel, peak: PeakConstraint,
-                            m_points=100, cfg: QuadratureConfig | None = None,
-                            seed=0, n=None) -> BoundValue:
+                            m_points=100, seed=0, n=None) -> BoundValue:
     """Time-sharing variant of the constant-modulus lower bound: transmit a
     fraction 1/gamma of the time at power gamma sigma_x2, maximized over
     gamma in [1, beta] (common random numbers keep the search smooth).
@@ -155,8 +137,7 @@ def rate_lower_cm_timeshare(params: ChannelParams, model: PsdModel, peak: PeakCo
     """
     _check_model(params, model)
     xs = _phases(m_points)
-    cfg = cfg or QuadratureConfig()
-    n = int(n) if n is not None else cfg.mc_default_n
+    n = int(n) if n is not None else QuadratureConfig().mc_default_n
     z, w = _draw_base(seed, n)
     rho = params.rho
 
@@ -200,8 +181,7 @@ def _sd_entropy_samples(z, w, hat_var, amp, sigma_eff2, xs, sigma_n2):
 
 def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
                      timeshare=False, peak: PeakConstraint | None = None,
-                     cfg: QuadratureConfig | None = None, seed=0, n=None,
-                     stderr_tol=None) -> BoundValue:
+                     seed=0, n=None, stderr_tol=None) -> BoundValue:
     """Achievable-rate lower bound for constant-modulus inputs decoded
     against the infinite-past channel prediction.
 
@@ -213,8 +193,7 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
     """
     _check_model(params, model)
     xs = _phases(cm_points)
-    cfg = cfg or QuadratureConfig()
-    n = int(n) if n is not None else cfg.mc_default_n
+    n = int(n) if n is not None else QuadratureConfig().mc_default_n
     if timeshare and peak is None:
         raise ValueError("time-sharing variant needs the peak constraint")
     z, w = _draw_base(seed, n)
@@ -222,7 +201,8 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
     sigma_h2 = params.sigma_h2
     sigma_n2 = params.sigma_n2
 
-    def samples(gamma, count):
+    def rate(gamma, count):
+        # rate at boost gamma over a 1/gamma duty cycle, with its stderr
         power = gamma * params.sigma_x2
         s2 = pred_error_cm_infinite(model, power, sigma_n2)
         hat_var = max(sigma_h2 - s2, 0.0)
@@ -230,26 +210,16 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
         vals = _sd_entropy_samples(
             z[:count], w[:count], hat_var, math.sqrt(power), sigma_eff2, xs, sigma_n2
         )
-        return _mean_stderr(vals)
-
-    def c_l1(gamma, count):
-        mean, _ = samples(gamma, count)
-        return mean - noise_entropy(sigma_n2) - szego_log_integral(model, gamma * rho)
+        mean, stderr = _mean_stderr(vals)
+        c_l1 = mean - noise_entropy(sigma_n2) - szego_log_integral(model, gamma * rho)
+        return c_l1 / gamma, stderr / gamma
 
     if timeshare and peak.beta > 1.0:
-        gamma_opt = _timeshare_argmax(lambda g, c: c_l1(g, c) / g, peak.beta, n)
+        gamma_opt = _timeshare_argmax(lambda g, c: rate(g, c)[0], peak.beta, n)
     else:
         gamma_opt = 1.0
-    mean, stderr = samples(gamma_opt, n)
-    raw = (
-        mean - noise_entropy(sigma_n2) - szego_log_integral(model, gamma_opt * rho)
-    ) / gamma_opt
-    stderr /= gamma_opt
-    if stderr_tol is not None and stderr > stderr_tol:
-        raise RuntimeError(
-            f"estimate did not converge: achieved stderr {stderr:.3e} "
-            f"exceeds tolerance {stderr_tol:.3e} at n = {n}"
-        )
+    raw, stderr = rate(gamma_opt, n)
+    _check_stderr(stderr, stderr_tol, n)
     return BoundValue(
         value=raw,
         kind="sethuraman_lower_ts" if timeshare else "sethuraman_lower",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 __all__ = [
     "ChannelParams",
@@ -28,10 +28,6 @@ __all__ = [
     "Jakes",
     "RaisedCosine",
     "Tabulated",
-    "psd_eval",
-    "autocorr",
-    "spectral_l2",
-    "integrated_power",
 ]
 
 # Adaptive quadrature settings shared by the spectral integrals below.
@@ -92,6 +88,13 @@ class ChannelParams:
     def with_power(self, sigma_x2) -> "ChannelParams":
         """Same channel with a different average input power."""
         return ChannelParams(self.sigma_h2, self.sigma_n2, sigma_x2, self.f_d)
+
+
+def _check_model(params: ChannelParams, model: PsdModel):
+    if not math.isclose(model.sigma_h2, params.sigma_h2, rel_tol=1e-9):
+        raise ValueError(
+            f"model power {model.sigma_h2} does not match channel sigma_h2 {params.sigma_h2}"
+        )
 
 
 class PsdModel:
@@ -177,13 +180,10 @@ class Jakes(PsdModel):
         return self.sigma_h2 / (math.pi * math.sqrt(self.f_d**2 - fa**2))
 
     def autocorr(self, lag):
-        # inverse transform via the sine substitution:
-        # r(l) = sigma_h2 * (2/pi) * int_0^{pi/2} cos(2 pi f_d l sin t) dt
+        # the inverse transform of the density is the Bessel function
+        # r(l) = sigma_h2 J_0(2 pi f_d l)
         x = 2.0 * math.pi * self.f_d * abs(float(lag))
-        val, _ = integrate.quad(
-            lambda t: math.cos(x * math.sin(t)), 0.0, math.pi / 2.0, **_QUAD_OPTS
-        )
-        return self.sigma_h2 * (2.0 / math.pi) * val
+        return self.sigma_h2 * float(special.j0(x))
 
     def transform(self, phi):
         fd = self.f_d
@@ -344,23 +344,3 @@ class Tabulated(PsdModel):
             sv = np.interp(x, f, v)
             total += half * float(np.dot(weights, [phi(s) for s in sv]))
         return total
-
-
-def psd_eval(model, f):
-    """Spectral density of `model` at normalized frequency f in [-1/2, 1/2]."""
-    return model.psd(f)
-
-
-def autocorr(model, lag):
-    """Autocorrelation r_h(lag) of the fading process described by `model`."""
-    return model.autocorr(lag)
-
-
-def spectral_l2(model):
-    """Integral of the squared spectral density (diverges for Jakes)."""
-    return model.spectral_l2()
-
-
-def integrated_power(model):
-    """Numerically integrated total power; should equal model.sigma_h2."""
-    return model.transform(lambda s: s)

@@ -34,22 +34,12 @@ EULER_GAMMA = 0.5772156649015329
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tunable orders for the deterministic and Monte Carlo integrators.
+    """Sample count Monte Carlo estimators fall back to when the caller does
+    not pass one."""
 
-    laguerre_order controls Gauss-Laguerre rules used for exponential-weight
-    integrals (>= 16); mc_default_n is the sample count Monte Carlo
-    estimators fall back to when the caller does not pass one.
-    """
-
-    laguerre_order: int = 96
     mc_default_n: int = 100_000
 
     def __post_init__(self):
-        if not 16 <= self.laguerre_order <= 180:
-            raise ValueError(
-                "laguerre_order must lie in [16, 180]; the weight recurrence "
-                "overflows beyond 180"
-            )
         if self.mc_default_n < 1:
             raise ValueError("mc_default_n must be positive")
 
@@ -179,6 +169,13 @@ def szego_log_integral(model, c):
         return _szego_rect(model.f_d, c)
     s2 = model.sigma_h2
     return model.transform(lambda s: math.log1p(c * s / s2))
+
+
+def _mean_stderr(vals):
+    # sample mean and its standard error from the biased sample variance
+    mean = float(np.mean(vals))
+    var = float(np.var(vals))
+    return mean, math.sqrt(var / len(vals))
 
 
 def mc_expectation(sampler, integrand, n, seed, task_index=0, chunk=1 << 18):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import entropy_gaps
-from .model import ChannelParams, PsdModel, Rectangular
+from .model import ChannelParams, PsdModel, _check_model
 from .prediction import pred_error_cm_infinite
 from .quadrature import EULER_GAMMA, _szego_rect, g_logmoment, szego_log_integral
 
@@ -27,7 +27,6 @@ __all__ = [
     "rate_upper_pg_rect",
     "rate_gap_pg_rect",
     "prelog_estimate",
-    "rate_upper_peak_rect",
     "alpha_opt_conditions",
     "rate_upper_pred_pg",
     "rate_upper_pred_peak",
@@ -74,13 +73,6 @@ class PeakConstraint:
             raise ValueError(f"beta must be at least 1, got {self.beta}")
 
 
-def _check_model(params: ChannelParams, model: PsdModel):
-    if not math.isclose(model.sigma_h2, params.sigma_h2, rel_tol=1e-9):
-        raise ValueError(
-            f"model power {model.sigma_h2} does not match channel sigma_h2 {params.sigma_h2}"
-        )
-
-
 def coherent_capacity(rho) -> BoundValue:
     """Capacity with the fading known at the receiver: E[log(1 + rho |h|^2/sigma_h2)]."""
     rho = float(rho)
@@ -106,11 +98,7 @@ def rate_upper_pg_rect(params: ChannelParams) -> BoundValue:
     rho = params.rho
     two_fd = 2.0 * params.f_d
     raw = math.log1p(rho) - two_fd * g_logmoment(rho / two_fd)
-    coh = g_logmoment(rho)
-    clamped = raw > coh
-    return BoundValue(
-        value=min(raw, coh), kind="upper_pg", clamped=clamped, unclamped=raw
-    )
+    return _capped(raw, rho, "upper_pg")
 
 
 def rate_gap_pg_rect(params: ChannelParams) -> float:
@@ -120,36 +108,31 @@ def rate_gap_pg_rect(params: ChannelParams) -> float:
     return gap_y + gap_yx
 
 
-def prelog_estimate(bound, params: ChannelParams, snr_window=(60.0, 80.0)) -> float:
+def prelog_estimate(evaluate, params: ChannelParams, snr_window=(60.0, 80.0)) -> float:
     """High-SNR slope of a bound with respect to ln(rho).
 
-    bound is "lower_pg", "upper_pg", "coherent", or a callable mapping a
-    ChannelParams to a rate in nats.  The window is in dB and must start
-    at 40 dB or above, where the O(1/rho) terms are negligible; the slope
-    comes from a least-squares fit on a 2 dB grid.
+    evaluate maps a ChannelParams to a rate in nats.  The window is in dB
+    and must start at 40 dB or above, where the O(1/rho) terms are
+    negligible; the slope comes from a least-squares fit on a 2 dB grid.
     """
     lo, hi = float(snr_window[0]), float(snr_window[1])
     if lo < 40.0:
         raise ValueError("slope window must start at 40 dB or above")
     if hi <= lo:
         raise ValueError("empty slope window")
-    if callable(bound):
-        evaluate = bound
-    elif bound == "lower_pg":
-        model = Rectangular(f_d=params.f_d, sigma_h2=params.sigma_h2)
-        evaluate = lambda p: rate_lower_pg(p, model).value
-    elif bound == "upper_pg":
-        evaluate = lambda p: rate_upper_pg_rect(p).value
-    elif bound == "coherent":
-        evaluate = lambda p: coherent_capacity(p.rho).value
-    else:
-        raise ValueError(f"unknown bound selector {bound!r}")
     db = np.arange(lo, hi + 1e-9, 2.0)
     log_rho = db * (math.log(10.0) / 10.0)
     scale = params.sigma_n2 / params.sigma_h2
     vals = [evaluate(params.with_power(math.exp(lr) * scale)) for lr in log_rho]
     slope, _ = np.polyfit(log_rho, vals, 1)
     return float(slope)
+
+
+def _capped(raw, rho, kind, alpha=1.0) -> BoundValue:
+    # upper bounds are capped by the coherent capacity g(rho)
+    coh = g_logmoment(rho)
+    return BoundValue(value=min(raw, coh), kind=kind, clamped=raw > coh, alpha_used=alpha,
+                      unclamped=raw)
 
 
 def _peak_core(rho, info, beta, kind) -> BoundValue:
@@ -162,29 +145,7 @@ def _peak_core(rho, info, beta, kind) -> BoundValue:
     if alpha < 0.0:
         alpha = 0.0
     raw = math.log1p(alpha * rho) - (alpha / beta) * info
-    coh = g_logmoment(rho)
-    clamped = raw > coh
-    return BoundValue(
-        value=min(raw, coh),
-        kind=kind,
-        clamped=clamped,
-        alpha_used=alpha,
-        unclamped=raw,
-    )
-
-
-def rate_upper_peak_rect(params: ChannelParams, peak: PeakConstraint) -> BoundValue:
-    """Peak-power-constrained capacity upper bound for the flat density.
-
-    The transmit strategy behind the bound is on-off: active a fraction
-    alpha of the time at power beta sigma_x2.  alpha_used records the
-    maximizing fraction.
-    """
-    rho = params.rho
-    if rho == 0.0:
-        return BoundValue(value=0.0, kind="upper_peak", alpha_used=1.0, unclamped=0.0)
-    info = _szego_rect(params.f_d, rho * peak.beta)
-    return _peak_core(rho, info, peak.beta, "upper_peak")
+    return _capped(raw, rho, kind, alpha)
 
 
 def alpha_opt_conditions(params: ChannelParams, peak: PeakConstraint) -> dict:
@@ -215,11 +176,7 @@ def rate_upper_pred_pg(params: ChannelParams, model: PsdModel) -> BoundValue:
     rho = params.rho
     s2 = pred_error_cm_infinite(model, params.sigma_x2, params.sigma_n2)
     raw = math.log1p(rho) - g_logmoment(rho * s2 / model.sigma_h2)
-    coh = g_logmoment(rho)
-    clamped = raw > coh
-    return BoundValue(
-        value=min(raw, coh), kind="upper_pred_pg", clamped=clamped, unclamped=raw
-    )
+    return _capped(raw, rho, "upper_pred_pg")
 
 
 def rate_upper_pred_peak(params: ChannelParams, model: PsdModel, peak: PeakConstraint) -> BoundValue:
@@ -228,8 +185,6 @@ def rate_upper_pred_peak(params: ChannelParams, model: PsdModel, peak: PeakConst
     average power, for any compact-support density."""
     _check_model(params, model)
     rho = params.rho
-    if rho == 0.0:
-        return BoundValue(value=0.0, kind="upper_pred_peak", alpha_used=1.0, unclamped=0.0)
     s2 = pred_error_cm_infinite(model, params.sigma_x2, params.sigma_n2)
     info = math.log1p(rho * peak.beta * s2 / model.sigma_h2)
     return _peak_core(rho, info, peak.beta, "upper_pred_peak")
@@ -237,11 +192,15 @@ def rate_upper_pred_peak(params: ChannelParams, model: PsdModel, peak: PeakConst
 
 def sethuraman_upper(params: ChannelParams, model: PsdModel, peak: PeakConstraint) -> BoundValue:
     """Peak-constrained capacity upper bound for a general compact-support
-    density; coincides with rate_upper_peak_rect when the density is flat."""
+    density.
+
+    The transmit strategy behind the bound is on-off: active a fraction
+    alpha of the time at power beta sigma_x2.  alpha_used records the
+    maximizing fraction.  Under the flat density the spectral integral is
+    the closed form alpha_opt_conditions evaluates.
+    """
     _check_model(params, model)
     rho = params.rho
-    if rho == 0.0:
-        return BoundValue(value=0.0, kind="sethuraman_upper", alpha_used=1.0, unclamped=0.0)
     info = szego_log_integral(model, rho * peak.beta)
     return _peak_core(rho, info, peak.beta, "sethuraman_upper")
 

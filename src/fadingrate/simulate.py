@@ -22,11 +22,10 @@ from scipy.special import logsumexp
 
 from .model import PsdModel
 from .prediction import PowerProfile, ToeplitzCov
-from .quadrature import McEstimate, make_rng, mc_expectation
+from .quadrature import McEstimate, _mean_stderr, make_rng, mc_expectation
 
 __all__ = [
     "FadingRealization",
-    "SimConfig",
     "gen_fading",
     "gen_fading_batch",
     "simulate_channel",
@@ -50,25 +49,6 @@ class FadingRealization:
     seed: int
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Plumbing for batch simulation runs.
-
-    input_kind is "pg" (proper Gaussian), ("cm", m_points), or "onoff".
-    """
-
-    n_symbols: int = 1024
-    n_realizations: int = 100
-    seed: int = 0
-    input_kind: object = "pg"
-
-    def __post_init__(self):
-        if self.n_symbols < 2:
-            raise ValueError("n_symbols must be at least 2")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be positive")
-
-
 @lru_cache(maxsize=8)
 def _embedding_spectrum(model: PsdModel, n: int):
     """Eigenvalues of the circulant embedding of the length-n Toeplitz
@@ -90,9 +70,13 @@ def _embedding_spectrum(model: PsdModel, n: int):
     return np.maximum(lam, 0.0), m
 
 
+def _complex_normal(rng, size):
+    # unit-variance proper complex Gaussian draws
+    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
+
+
 def _fading_from_spectrum(lam, m, n, rng):
-    xi = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
-    return (np.fft.ifft(np.sqrt(lam) * xi) * math.sqrt(m))[:n]
+    return (np.fft.ifft(np.sqrt(lam) * _complex_normal(rng, m)) * math.sqrt(m))[:n]
 
 
 @lru_cache(maxsize=4)
@@ -102,54 +86,37 @@ def _fading_cholesky_factor(model: PsdModel, n: int):
     return linalg.cholesky(cov.matrix() + jitter * np.eye(n), lower=True)
 
 
-def gen_fading(model: PsdModel, n: int, seed, method="embedding") -> FadingRealization:
-    """Draw one stationary zero-mean proper Gaussian trace of length n whose
-    covariance is the Toeplitz matrix of the model's autocorrelation.
+def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embedding") -> np.ndarray:
+    """Stack of `count` independent traces shaped (count, n); trace i draws
+    from stream (seed, i).
 
     method "embedding" synthesizes through the circulant spectrum;
     "cholesky" (n <= 2048) factors the covariance directly and serves as an
     independent oracle for the embedding path.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    rng = make_rng(seed, 0)
-    if method == "embedding":
-        lam, m = _embedding_spectrum(model, n)
-        h = _fading_from_spectrum(lam, m, n, rng)
-    elif method == "cholesky":
-        if n > 2048:
-            raise ValueError("cholesky path supports n <= 2048")
-        chol = _fading_cholesky_factor(model, n)
-        xi = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-        h = chol @ xi
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return FadingRealization(h=h, model=model, seed=int(seed))
-
-
-def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embedding") -> np.ndarray:
-    """Stack of `count` independent traces shaped (count, n); trace i draws
-    from stream (seed, i), so row 0 coincides with gen_fading(model, n, seed)."""
     if count < 1:
         raise ValueError("count must be positive")
     if n < 2:
         raise ValueError("n must be at least 2")
     if method == "embedding":
         lam, m = _embedding_spectrum(model, n)
-        return np.stack(
-            [_fading_from_spectrum(lam, m, n, make_rng(seed, i)) for i in range(count)]
-        )
-    if method == "cholesky":
+        draw = lambda rng: _fading_from_spectrum(lam, m, n, rng)
+    elif method == "cholesky":
         if n > 2048:
             raise ValueError("cholesky path supports n <= 2048")
         chol = _fading_cholesky_factor(model, n)
-        out = np.empty((count, n), dtype=complex)
-        for i in range(count):
-            rng = make_rng(seed, i)
-            xi = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-            out[i] = chol @ xi
-        return out
-    raise ValueError(f"unknown method {method!r}")
+        draw = lambda rng: chol @ _complex_normal(rng, n)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return np.stack([draw(make_rng(seed, i)) for i in range(count)])
+
+
+def gen_fading(model: PsdModel, n: int, seed, method="embedding") -> FadingRealization:
+    """Draw one stationary zero-mean proper Gaussian trace of length n whose
+    covariance is the Toeplitz matrix of the model's autocorrelation: row 0
+    of gen_fading_batch(model, n, 1, seed, method)."""
+    h = gen_fading_batch(model, n, 1, seed, method)[0]
+    return FadingRealization(h=h, model=model, seed=int(seed))
 
 
 def simulate_channel(real: FadingRealization, inputs, sigma_n2, seed) -> np.ndarray:
@@ -200,15 +167,13 @@ def empirical_pred_error(model: PsdModel, z: PowerProfile, sigma_n2,
     errs = np.empty(n_realizations)
     for i in range(n_realizations):
         rng = make_rng(seed, i)
-        xi = (rng.standard_normal(horizon) + 1j * rng.standard_normal(horizon)) / math.sqrt(2.0)
-        h = chol @ xi
+        h = chol @ _complex_normal(rng, horizon)
         target = h[-1]
         h_past = h[-2::-1]  # h_past[k] is k+1 steps before the target
         noise = (rng.standard_normal(past) + 1j * rng.standard_normal(past)) * math.sqrt(sigma_n2 / 2.0)
         y = s * h_past + noise
         errs[i] = abs(target - weights @ y) ** 2
-    mean = float(errs.mean())
-    stderr = math.sqrt(float(errs.var()) / n_realizations)
+    mean, stderr = _mean_stderr(errs)
     return McEstimate(mean=mean, stderr=stderr, n=n_realizations, seed=int(seed))
 
 

@@ -36,7 +36,6 @@ from .rates import (
     prelog_estimate,
     rate_gap_pg_rect,
     rate_lower_pg,
-    rate_upper_peak_rect,
     rate_upper_pg_rect,
     rate_upper_pred_peak,
     sd_max_spacing,
@@ -103,9 +102,10 @@ def check_prelog(seed=0) -> CheckResult:
     t0 = time.perf_counter()
     devs = []
     for f_d in (0.1, 0.25):
-        slope = prelog_estimate("lower_pg", ChannelParams(f_d=f_d))
+        model = Rectangular(f_d)
+        slope = prelog_estimate(lambda p: rate_lower_pg(p, model).value, ChannelParams(f_d=f_d))
         devs.append(abs(slope - (1.0 - 2.0 * f_d)))
-    coh = prelog_estimate("coherent", ChannelParams(f_d=0.1))
+    coh = prelog_estimate(lambda p: coherent_capacity(p.rho).value, ChannelParams(f_d=0.1))
     devs.append(abs(coh - 1.0))
     worst = max(devs)
     return _finish(
@@ -273,7 +273,7 @@ def check_alpha_opt(seed=0) -> CheckResult:
         conds = alpha_opt_conditions(params, peak)
         if conds["cond1"] or conds["cond2"]:
             hits += 1
-            if rate_upper_peak_rect(params, peak).alpha_used != 1.0:
+            if sethuraman_upper(params, Rectangular(params.f_d), peak).alpha_used != 1.0:
                 violations += 1
     ok = violations == 0 and hits > 0
     return _finish(
@@ -537,22 +537,13 @@ ACCEPTANCE_CHECKS = (
     check_sd_bounds,
 )
 
+# module invariants first, then every acceptance check that runs in seconds
 FAST_CHECKS = (
     check_quadrature_routes,
     check_entropy_ordering,
     check_infinite_pred_identity,
     check_sim_laws,
-    check_gap_envelope,
-    check_prelog,
-    check_euler_limit,
-    check_spot_values,
-    check_pred_convergence,
-    check_beta1_coincidence,
-    check_alpha_opt,
-    check_prediction_convexity,
-    check_mc_crosschecks,
-    check_sd_bounds,
-)
+) + tuple(chk for chk in ACCEPTANCE_CHECKS if chk is not check_peak_bound_ordering)
 
 FULL_CHECKS = FAST_CHECKS + (
     check_peak_bound_ordering,

@@ -10,6 +10,7 @@ from fadingrate.cli import main
 from fadingrate.prediction import PowerProfile, ToeplitzCov, pred_error_finite
 from fadingrate.quadrature import g_logmoment
 from fadingrate.simulate import read_fading_dump
+from fadingrate import verify
 from fadingrate.verify import CheckResult
 
 SWEEP = ["sweep", "--psd", "rect", "--fd", "0.1,0.2", "--snr-db", "0:10:5"]
@@ -115,15 +116,103 @@ def test_out_file_matches_stdout(tmp_path, capsys):
         ["predict", "--psd", "rect", "--fd", "0.1", "--infinite"],
         ["predict", "--psd", "rect", "--fd", "0.1"],
         ["simulate", "--psd", "jakes", "--fd", "0.2", "--n", "64", "--out", "/dev/null"],
+        ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "nan"],
+        ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "ten"],
+        ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "4000"],
+        ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0:1e9:1e-9"],
+        ["sweep", "--psd", "rect", "--fd", "nan", "--snr-db", "0"],
+        ["sweep", "--psd", "rect", "--fd", "1e999", "--snr-db", "0"],
+        ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0", "--beta", "nan",
+         "--bounds", "upper_peak"],
+        ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0", "--beta", "0.5",
+         "--bounds", "upper_peak"],
+        ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0", "--beta", "inf",
+         "--bounds", "upper_peak"],
+        ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0", "--mc-n", "0",
+         "--bounds", "lower_cm"],
+        ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0", "--mc-n", "-5",
+         "--bounds", "lower_cm"],
+        ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0", "--mc-n", "1",
+         "--bounds", "lower_cm"],
+        ["figure", "4", "--mc-n", "1"],
     ],
     ids=["rect-only-bound", "peak-needs-beta", "bad-psd", "bad-rolloff", "bad-grid",
          "unknown-bound", "bad-fd", "bad-figure", "infinite-needs-power",
-         "missing-powers", "infeasible-embedding"],
+         "missing-powers", "infeasible-embedding", "snr-nan", "snr-not-a-number",
+         "snr-overflow", "grid-over-row-cap", "fd-nan", "fd-overflow", "beta-nan",
+         "beta-below-one", "beta-inf", "mc-n-zero", "mc-n-negative", "mc-n-one",
+         "figure-mc-n-one"],
 )
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+# the columns each --bounds entry contributes, in order; flags, on-fractions
+# and the pilot spacing are not rates, everything else is
+HEADERS = {
+    "lower_pg": ["lower_pg", "lower_pg_clamped"],
+    "upper_pg": ["upper_pg", "upper_pg_clamped"],
+    "upper_pred_pg": ["upper_pred_pg", "upper_pred_pg_clamped"],
+    "coherent": ["coherent"],
+    "upper_peak": ["upper_peak", "upper_peak_clamped", "upper_peak_alpha"],
+    "sethuraman_upper": ["sethuraman_upper", "sethuraman_upper_clamped",
+                         "sethuraman_upper_alpha"],
+    "upper_pred_peak": ["upper_pred_peak", "upper_pred_peak_clamped", "upper_pred_peak_alpha"],
+    "lower_cm": ["lower_cm", "lower_cm_stderr", "lower_cm_clamped"],
+    "lower_cm_ts": ["lower_cm_ts", "lower_cm_ts_stderr", "lower_cm_ts_clamped",
+                    "lower_cm_ts_alpha"],
+    "sethuraman_lower": ["sethuraman_lower", "sethuraman_lower_stderr"],
+    "sethuraman_lower_ts": ["sethuraman_lower_ts", "sethuraman_lower_ts_stderr",
+                            "sethuraman_lower_ts_alpha"],
+    "sd": ["sd_lower", "sd_upper", "sd_L"],
+    "lapidoth": ["lap_upper", "lap_lower"],
+}
+NOT_RATES = {"sd_L"} | {c for cols in HEADERS.values() for c in cols
+                        if c.endswith(("_clamped", "_alpha"))}
+
+
+@pytest.mark.parametrize("name", list(cli.BOUNDS))
+def test_bound_header_contract(name, capsys):
+    argv = ["sweep", "--psd", "rect", "--fd", "0.05", "--snr-db", "10", "--beta", "2",
+            "--bounds", name, "--mc-n", "50"]
+    _, nat = _run(capsys, argv)
+    _, bit = _run(capsys, argv + ["--units", "bit"])
+    _, header, rows_n = _parse_csv(nat)
+    _, _, rows_b = _parse_csv(bit)
+    assert header == ["f_d", "snr_db"] + HEADERS[name]
+    for col, vn, vb in zip(header[2:], rows_n[0][2:], rows_b[0][2:]):
+        if col in NOT_RATES:
+            assert vb == vn
+        else:
+            assert float(vb) == pytest.approx(float(vn) / math.log(2.0), rel=1e-15)
+
+
+def test_bounds_help_and_error_list_every_bound(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert ", ".join(HEADERS) in help_text
+    assert main(["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0",
+                 "--bounds", "magic"]) == 2
+    err = capsys.readouterr().err
+    assert err.split("choose from ")[1].strip().split(", ") == list(HEADERS)
+
+
+def test_verify_levels_pin_check_order():
+    fast = [chk.__name__ for chk in verify.FAST_CHECKS]
+    assert fast == [
+        "check_quadrature_routes", "check_entropy_ordering", "check_infinite_pred_identity",
+        "check_sim_laws", "check_gap_envelope", "check_prelog", "check_euler_limit",
+        "check_spot_values", "check_pred_convergence", "check_beta1_coincidence",
+        "check_alpha_opt", "check_prediction_convexity", "check_mc_crosschecks",
+        "check_sd_bounds",
+    ]
+    assert [chk.__name__ for chk in verify.FULL_CHECKS] == fast + [
+        "check_peak_bound_ordering", "check_pred_convergence_deep", "check_periodogram",
+        "check_mc_pg_ten_million",
+    ]
 
 
 def test_default_bounds_depend_on_density(capsys):

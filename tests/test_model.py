@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+import mpmath
+from scipy import integrate
 
 from fadingrate.model import (
     ChannelParams,
@@ -12,10 +13,6 @@ from fadingrate.model import (
     RaisedCosine,
     Rectangular,
     Tabulated,
-    autocorr,
-    integrated_power,
-    psd_eval,
-    spectral_l2,
 )
 
 
@@ -59,12 +56,19 @@ def test_rect_psd_height_and_support():
 
 def test_jakes_autocorr_matches_bessel():
     """The dense-scatterer autocorrelation is the zeroth Bessel function;
-    scipy's j0 is an independent route to the same quadrature."""
-    for f_d in (0.05, 0.2, 0.45):
-        m = Jakes(f_d, sigma_h2=1.7)
-        for lag in (0, 1, 3, 10):
-            expect = 1.7 * special.j0(2.0 * math.pi * f_d * lag)
-            assert m.autocorr(lag) == pytest.approx(expect, abs=1e-12)
+    mpmath's arbitrary-precision J_0 is the independent oracle, out to lags
+    where adaptive quadrature of the inverse transform lost two digits.
+    The tolerance covers rounding 2 pi f_d l to double (about 1e-16 of an
+    argument up to 3e5, times an amplitude near 1e-3)."""
+    for f_d, sigma_h2 in ((0.05, 1.7), (0.11, 1.0), (0.2, 1.7), (0.45, 0.6)):
+        m = Jakes(f_d, sigma_h2=sigma_h2)
+        for lag in (0, 1, 3, 10, 16384, 54321, 100_000):
+            x = 2 * mpmath.pi * mpmath.mpf(f_d) * lag
+            expect = sigma_h2 * float(mpmath.besselj(0, x))
+            assert m.autocorr(lag) == pytest.approx(expect, abs=1e-13)
+            assert m.autocorr(-lag) == m.autocorr(lag)
+    # the quadrature route returned 0.0321 here
+    assert Jakes(0.11).autocorr(16384) == pytest.approx(0.00562, abs=5e-6)
 
 
 def test_jakes_spectral_l2_diverges():
@@ -81,7 +85,7 @@ def test_density_integrates_to_power(model):
         -model.support_edge, model.support_edge])
     assert mass == pytest.approx(model.sigma_h2, rel=1e-8)
     assert model.autocorr(0) == pytest.approx(model.sigma_h2, rel=1e-12)
-    assert integrated_power(model) == pytest.approx(model.sigma_h2, rel=1e-8)
+    assert model.transform(lambda s: s) == pytest.approx(model.sigma_h2, rel=1e-8)
 
 
 def test_raised_cosine_frozen_values():
@@ -152,13 +156,6 @@ def test_tabulated_renormalizes_to_unit_power():
 def test_tabulated_rejects_bad_tables(freqs, values):
     with pytest.raises(ValueError):
         Tabulated(freqs, values)
-
-
-def test_free_function_wrappers():
-    m = Rectangular(0.1)
-    assert psd_eval(m, 0.05) == m.psd(0.05)
-    assert autocorr(m, 2) == m.autocorr(2)
-    assert spectral_l2(m) == m.spectral_l2()
 
 
 def test_psd_is_even():

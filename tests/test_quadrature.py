@@ -10,7 +10,6 @@ from fadingrate.model import Jakes, Rectangular, Tabulated
 from fadingrate.quadrature import (
     EULER_GAMMA,
     McEstimate,
-    QuadratureConfig,
     g_logmoment,
     g_logmoment_gauss,
     make_rng,
@@ -72,14 +71,6 @@ def test_gauss_route_agrees_where_it_converges():
     for a in (0.1, 0.5, 1.0, 3.0):
         assert g_logmoment_gauss(a) == pytest.approx(g_logmoment(a), abs=1e-10)
     assert g_logmoment_gauss(10.0, order=180) == pytest.approx(g_logmoment(10.0), abs=1e-8)
-
-
-def test_quadrature_config_order_limits():
-    QuadratureConfig(laguerre_order=180)
-    with pytest.raises(ValueError):
-        QuadratureConfig(laguerre_order=181)
-    with pytest.raises(ValueError):
-        QuadratureConfig(laguerre_order=8)
 
 
 def test_szego_rect_closed_form():

@@ -17,7 +17,6 @@ from fadingrate.rates import (
     prelog_estimate,
     rate_gap_pg_rect,
     rate_lower_pg,
-    rate_upper_peak_rect,
     rate_upper_pg_rect,
     rate_upper_pred_peak,
     rate_upper_pred_pg,
@@ -77,13 +76,23 @@ class TestGaussianInputBounds:
             rate_lower_pg(_params(0.1, 1.0), Rectangular(0.1, sigma_h2=2.0))
 
 
+def _lower_pg_flat(p):
+    return rate_lower_pg(p, Rectangular(p.f_d)).value
+
+
+def _coherent(p):
+    return coherent_capacity(p.rho).value
+
+
 class TestPrelog:
     def test_lower_slope_matches_bandwidth_deficit(self):
-        assert prelog_estimate("lower_pg", ChannelParams(f_d=0.1)) == pytest.approx(0.8, abs=0.02)
-        assert prelog_estimate("upper_pg", ChannelParams(f_d=0.25)) == pytest.approx(0.5, abs=0.02)
+        lower = prelog_estimate(_lower_pg_flat, ChannelParams(f_d=0.1))
+        assert lower == pytest.approx(0.8, abs=0.02)
+        upper = prelog_estimate(lambda p: rate_upper_pg_rect(p).value, ChannelParams(f_d=0.25))
+        assert upper == pytest.approx(0.5, abs=0.02)
 
     def test_coherent_slope_is_one(self):
-        assert prelog_estimate("coherent", ChannelParams(f_d=0.1)) == pytest.approx(1.0, abs=0.02)
+        assert prelog_estimate(_coherent, ChannelParams(f_d=0.1)) == pytest.approx(1.0, abs=0.02)
 
     def test_callable_bound(self):
         slope = prelog_estimate(lambda p: math.log1p(p.rho), ChannelParams(f_d=0.1))
@@ -92,40 +101,46 @@ class TestPrelog:
     def test_window_validation(self):
         p = ChannelParams(f_d=0.1)
         with pytest.raises(ValueError):
-            prelog_estimate("coherent", p, snr_window=(20.0, 60.0))
+            prelog_estimate(_coherent, p, snr_window=(20.0, 60.0))
         with pytest.raises(ValueError):
-            prelog_estimate("coherent", p, snr_window=(60.0, 60.0))
-        with pytest.raises(ValueError):
-            prelog_estimate("nonsense", p)
+            prelog_estimate(_coherent, p, snr_window=(60.0, 60.0))
+
+
+def _peak_flat(p, beta):
+    return sethuraman_upper(p, Rectangular(p.f_d), PeakConstraint(beta))
 
 
 class TestPeakBounds:
     def test_alpha_shrinks_for_fast_fading_at_high_snr(self):
-        b = rate_upper_peak_rect(_params(0.25, 100.0), PeakConstraint(1.0))
+        b = _peak_flat(_params(0.25, 100.0), 1.0)
         assert 0.0 < b.alpha_used < 1.0
 
     def test_alpha_one_under_sufficient_conditions(self):
         p = _params(0.1, 2.0)
         conds = alpha_opt_conditions(p, PeakConstraint(2.0))
         assert conds["cond1"]
-        assert rate_upper_peak_rect(p, PeakConstraint(2.0)).alpha_used == 1.0
+        assert _peak_flat(p, 2.0).alpha_used == 1.0
 
     def test_cond2_low_snr(self):
         p = _params(0.05, 0.5)
         conds = alpha_opt_conditions(p, PeakConstraint(1.0))
         assert conds["cond2"]
-        assert rate_upper_peak_rect(p, PeakConstraint(1.0)).alpha_used == 1.0
+        assert _peak_flat(p, 1.0).alpha_used == 1.0
 
-    def test_sethuraman_is_bitwise_peak_rect_on_flat_density(self):
+    def test_sethuraman_flat_density_matches_closed_form(self):
+        # flat density: the on-off bound with the spectral integral in closed
+        # form, 2 f_d log(1 + rho beta / (2 f_d)), and the coherent cap
         rng = make_rng(31)
         for _ in range(25):
             f_d = float(rng.uniform(0.02, 0.49))
             p = _params(f_d, float(10.0 ** rng.uniform(-2, 3)))
-            peak = PeakConstraint(float(rng.uniform(1.0, 4.0)))
-            a = rate_upper_peak_rect(p, peak)
-            b = sethuraman_upper(p, Rectangular(f_d), peak)
-            assert a.value == b.value
-            assert a.alpha_used == b.alpha_used
+            beta = float(rng.uniform(1.0, 4.0))
+            info = 2.0 * f_d * math.log1p(p.rho * beta / (2.0 * f_d))
+            alpha = max(0.0, min(1.0, beta / info - 1.0 / p.rho))
+            expect = min(math.log1p(alpha * p.rho) - (alpha / beta) * info, g_logmoment(p.rho))
+            b = _peak_flat(p, beta)
+            assert b.value == expect
+            assert b.alpha_used == alpha
 
     def test_beta1_prediction_and_spectral_coincide(self):
         rng = make_rng(32)
@@ -141,7 +156,6 @@ class TestPeakBounds:
     def test_zero_snr_bounds_vanish(self):
         p = ChannelParams(f_d=0.1, sigma_x2=0.0)
         peak = PeakConstraint(2.0)
-        assert rate_upper_peak_rect(p, peak).value == 0.0
         assert sethuraman_upper(p, Rectangular(0.1), peak).value == 0.0
         assert rate_upper_pred_peak(p, Rectangular(0.1), peak).value == 0.0
 

@@ -11,7 +11,6 @@ from fadingrate.quadrature import g_logmoment
 from fadingrate.mcrates import coherent_mi_cm
 from fadingrate.simulate import (
     FadingRealization,
-    SimConfig,
     empirical_coherent_mi,
     empirical_pred_error,
     gen_fading,
@@ -218,11 +217,3 @@ def test_dump_rejects_corruption(tmp_path):
     with pytest.raises(ValueError, match="truncated"):
         read_fading_dump(truncated)
 
-
-def test_sim_config_validation():
-    cfg = SimConfig()
-    assert cfg.n_symbols == 1024 and cfg.input_kind == "pg"
-    with pytest.raises(ValueError):
-        SimConfig(n_symbols=1)
-    with pytest.raises(ValueError):
-        SimConfig(n_realizations=0)
