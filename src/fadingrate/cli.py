@@ -6,7 +6,8 @@ canonical flags, seed) ahead of the header; numbers carry 17 significant
 digits so files round-trip through float64 exactly.  Cells that do not
 apply at a grid point (an asymptote below its validity range, no
 admissible pilot spacing) are left empty.  Exit codes: 0 on success, 1
-when verification fails, 2 on usage errors.
+when verification fails, 2 on usage errors and on grid points a bound
+cannot evaluate.
 """
 
 from __future__ import annotations
@@ -229,9 +230,16 @@ def _evaluate_grid(bound_names, psd_kind, rolloff, fds, snrs, betas, seed, mc_n,
                 peak = PeakConstraint(beta) if beta is not None else None
                 rng = make_rng(seed, idx)
                 vals = [f_d, db] + ([beta] if beta_axis else [])
-                for bound in bounds:
+                for name, bound in zip(bound_names, bounds):
                     sub = int(rng.integers(0, 2**63)) if bound.monte_carlo else None
-                    vals.extend(bound.evaluate(params, models[f_d], peak, seed=sub, n=mc_n))
+                    try:
+                        cells = bound.evaluate(params, models[f_d], peak, seed=sub, n=mc_n)
+                        if not all(v is None or math.isfinite(v) for v in cells):
+                            raise ArithmeticError("non-finite value")
+                    except (ValueError, ArithmeticError) as exc:
+                        raise _UsageError(f"bound {name!r} cannot be evaluated at f_d {f_d:g}, "
+                                          f"SNR {db:g} dB: {exc}")
+                    vals.extend(cells)
                 rows.append(vals)
                 idx += 1
     return columns, rows

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "ChannelParams",
@@ -30,8 +30,16 @@ __all__ = [
     "Tabulated",
 ]
 
-# Adaptive quadrature settings shared by the spectral integrals below.
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
+# Graded Gauss-Legendre rule on u in [0, pi/2], singular at u = 0: panels of
+# _PANEL_ORDER nodes, each 1/_PANEL_RATIO the width of the next, down to a
+# panel [0, edge] with edge below _PANEL_FLOOR (25 panels, 400 nodes).  An
+# ungraded rule loses up to 1e-6 relative where the log transition of
+# log1p(c S) sits deep inside the edge layer (c near 1e-8 or 1e10).
+_PANEL_ORDER = 16
+_PANEL_RATIO = 4.0
+_PANEL_FLOOR = 1e-14
+# Gauss-Legendre order per segment of a tabulated density
+_SEGMENT_ORDER = 48
 
 
 def _check_freq(f):
@@ -97,13 +105,31 @@ def _check_model(params: ChannelParams, model: PsdModel):
         )
 
 
+def _panel_rule(edges, order):
+    # Gauss-Legendre nodes and weights on each panel [edges[k], edges[k+1]]
+    x, w = np.polynomial.legendre.leggauss(order)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return (0.5 * (hi + lo) + half * x).ravel(), (half * w).ravel()
+
+
+@lru_cache(maxsize=1)
+def _graded_rule():
+    """Nodes and weights on [0, pi/2], graded toward the singular end u = 0."""
+    edges = [math.pi / 2.0]
+    while edges[-1] >= _PANEL_FLOOR:
+        edges.append(edges[-1] / _PANEL_RATIO)
+    return _panel_rule(np.array([0.0] + edges[::-1]), _PANEL_ORDER)
+
+
 class PsdModel:
     """Base class for symmetric compact-support spectral densities.
 
     Subclasses provide point evaluation ``psd``, the autocorrelation
-    ``autocorr`` and the spectral functional ``transform`` which integrates
-    phi(S_h(f)) over one frequency period.  ``transform`` is the single
-    integration entry point that the Szego-type functionals build on.
+    ``autocorr`` and the node/weight ``rule`` (S_k, w_k) with
+    int phi(S_h(f)) df = sum_k w_k phi(S_k) over one frequency period.
+    ``transform`` applies the rule and is the single integration entry
+    point that the Szego-type functionals build on.
     """
 
     sigma_h2: float
@@ -120,8 +146,27 @@ class PsdModel:
     def autocorr(self, lag):
         raise NotImplementedError
 
-    def transform(self, phi):
+    def _band_rule(self):
+        """Nodes and weights covering |f| <= support_edge."""
         raise NotImplementedError
+
+    @cached_property
+    def rule(self):
+        """Density values S_k and weights w_k of the model's quadrature rule:
+        the band nodes plus one zero node of weight 1 - 2 support_edge."""
+        s, w = self._band_rule()
+        return np.append(s, 0.0), np.append(w, 1.0 - 2.0 * self.support_edge)
+
+    def transform(self, phi):
+        """int phi(S_h(f)) df over one period as w @ phi(S); phi maps an
+        array of density values elementwise.  Raises OverflowError when the
+        sum is not finite (phi overflowed at a node near a singular edge)."""
+        s, w = self.rule
+        with np.errstate(over="ignore"):
+            val = float(w @ phi(s))
+        if not math.isfinite(val):
+            raise OverflowError("spectral integral overflows double precision")
+        return val
 
     def spectral_l2(self):
         """Integral of the squared density over one period."""
@@ -146,19 +191,19 @@ class Rectangular(PsdModel):
     def autocorr(self, lag):
         return self.sigma_h2 * float(np.sinc(2.0 * self.f_d * lag))
 
-    def transform(self, phi):
-        height = self.sigma_h2 / (2.0 * self.f_d)
-        return 2.0 * self.f_d * phi(height) + (1.0 - 2.0 * self.f_d) * phi(0.0)
+    def _band_rule(self):
+        return np.array([self.sigma_h2 / (2.0 * self.f_d)]), np.array([2.0 * self.f_d])
 
 
 @dataclass(frozen=True)
 class Jakes(PsdModel):
     """Dense-scatterer density sigma_h2 / (pi sqrt(f_d^2 - f^2)) on |f| < f_d.
 
-    The inverse-square-root band-edge singularities are integrable.  All
-    integrals against this density substitute f = f_d sin(theta), which
-    removes the singularity exactly; point evaluation clamps |f| at
-    f_d - 1e-12 so queries at the edge stay finite.
+    The inverse-square-root band-edge singularities are integrable.  The
+    quadrature rule substitutes f = f_d cos(u), which removes the
+    singularity from the measure, and grades its nodes toward the edge;
+    point evaluation clamps |f| at f_d - 1e-12 so queries at the edge stay
+    finite.
     """
 
     f_d: float
@@ -185,18 +230,12 @@ class Jakes(PsdModel):
         x = 2.0 * math.pi * self.f_d * abs(float(lag))
         return self.sigma_h2 * float(special.j0(x))
 
-    def transform(self, phi):
-        fd = self.f_d
-        s2 = self.sigma_h2
-
-        def integrand(theta):
-            c = math.cos(theta)
-            if c <= 0.0:
-                return 0.0
-            return phi(s2 / (math.pi * fd * c)) * fd * c
-
-        val, _ = integrate.quad(integrand, 0.0, math.pi / 2.0, **_QUAD_OPTS)
-        return 2.0 * val + (1.0 - 2.0 * fd) * phi(0.0)
+    def _band_rule(self):
+        # f = f_d cos(u) turns the density into sigma_h2 / (pi f_d sin u) and
+        # df into f_d sin(u) du; the band edge f = f_d sits at u = 0
+        u, w = _graded_rule()
+        sin_u = np.sin(u)
+        return self.sigma_h2 / (math.pi * self.f_d * sin_u), 2.0 * self.f_d * sin_u * w
 
     def spectral_l2(self):
         raise ValueError(
@@ -252,18 +291,19 @@ class RaisedCosine(PsdModel):
         taper = (math.pi / 2.0) * float(np.sinc((1.0 - u) / 2.0)) / (1.0 + u)
         return self.sigma_h2 * float(np.sinc(2.0 * self.f_d * lag)) * taper
 
-    def transform(self, phi):
-        lo = (1.0 - self.beta_ro) * self.f_d
-        hi = (1.0 + self.beta_ro) * self.f_d
-        flat = 2.0 * lo * phi(self.sigma_h2 / (2.0 * self.f_d))
-        roll, _ = integrate.quad(lambda f: phi(self.psd(f)), lo, hi, **_QUAD_OPTS)
-        return flat + 2.0 * roll + (1.0 - 2.0 * hi) * phi(0.0)
+    def _band_rule(self):
+        # on the roll-off S = h sin^2(u) with h the flat height and
+        # f = (1+beta_ro) f_d - (4 beta_ro f_d / pi) u, so u = 0 is the outer
+        # edge, where log(S) is singular
+        h = self.sigma_h2 / (2.0 * self.f_d)
+        u, w = _graded_rule()
+        flat = 2.0 * ((1.0 - self.beta_ro) * self.f_d)
+        roll = 8.0 * self.beta_ro * self.f_d / math.pi
+        return np.append(h, h * np.sin(u) ** 2), np.append(flat, roll * w)
 
 
-@lru_cache(maxsize=4)
-def _leggauss(order):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+def _trapezoid(v, f):
+    return float(np.sum(np.diff(f) * (v[1:] + v[:-1]) / 2.0))
 
 
 @dataclass(frozen=True)
@@ -297,7 +337,7 @@ class Tabulated(PsdModel):
             raise ValueError("frequency grid must be symmetric about zero")
         if not np.allclose(v, v[::-1], rtol=1e-9, atol=0.0):
             raise ValueError("density values must be symmetric")
-        total = float(integrate.trapezoid(v, f))
+        total = _trapezoid(v, f)
         if total <= 0:
             raise ValueError("density integrates to zero")
         v = v * (self.sigma_h2 / total)
@@ -322,7 +362,7 @@ class Tabulated(PsdModel):
         f, v = self._f, self._v
         lag = abs(float(lag))
         if lag == 0.0:
-            return float(integrate.trapezoid(v, f))
+            return _trapezoid(v, f)
         # exact segment-wise transform of the piecewise-linear density:
         # int (a + b f) cos(w f) df with w = 2 pi lag
         w = 2.0 * math.pi * lag
@@ -333,14 +373,7 @@ class Tabulated(PsdModel):
         term += b * (np.cos(w * f1) - np.cos(w * f0)) / w**2
         return float(np.sum(term))
 
-    def transform(self, phi):
+    def _band_rule(self):
         f, v = self._f, self._v
-        nodes, weights = _leggauss(48)
-        total = (1.0 - (f[-1] - f[0])) * phi(0.0)
-        for k in range(len(f) - 1):
-            half = 0.5 * (f[k + 1] - f[k])
-            mid = 0.5 * (f[k + 1] + f[k])
-            x = mid + half * nodes
-            sv = np.interp(x, f, v)
-            total += half * float(np.dot(weights, [phi(s) for s in sv]))
-        return total
+        x, w = _panel_rule(f, _SEGMENT_ORDER)
+        return np.interp(x, f, v), w

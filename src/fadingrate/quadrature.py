@@ -117,8 +117,9 @@ def g_logmoment(a):
         raise ValueError(f"argument must be nonnegative, got {a}")
     if a == 0.0:
         return 0.0
-    if a <= 1e-3:
-        # alternating moments: a - a^2 + 2a^3 - 6a^4 + 24a^5 + O(a^6)
+    if a <= 1e-4:
+        # alternating moments: a - a^2 + 2a^3 - 6a^4 + 24a^5 - 120a^6 + ...;
+        # the dropped 120a^6 is at most 1.2e-18 relative here
         return a * (1.0 + a * (-1.0 + a * (2.0 + a * (-6.0 + 24.0 * a))))
     x = 1.0 / a
     if x >= 1.0:
@@ -168,7 +169,7 @@ def szego_log_integral(model, c):
     if isinstance(model, Rectangular):
         return _szego_rect(model.f_d, c)
     s2 = model.sigma_h2
-    return model.transform(lambda s: math.log1p(c * s / s2))
+    return model.transform(lambda s: np.log1p(c * s / s2))
 
 
 def _mean_stderr(vals):

@@ -210,19 +210,16 @@ def lapidoth_asymptotes(params: ChannelParams, model: PsdModel) -> dict:
     SNR taken equal to rho.
 
     Returns {"upper", "lower", "eps2_pred"}.  upper is None when rho <= 1
-    (the iterated logarithm is undefined there); eps2_pred is the noisy
-    one-step prediction error of the unit-power process as a function of
-    the noise level delta2.
+    (the iterated logarithm is undefined there), lower is None when the
+    prediction error at noise level 4/rho rounds to 1 (far below 0 dB);
+    eps2_pred is the noisy one-step prediction error of the unit-power
+    process as a function of the noise level delta2.
     """
     _check_model(params, model)
     s_h2 = model.sigma_h2
 
     def eps2_pred(delta2) -> float:
-        delta2 = float(delta2)
-        if delta2 <= 0:
-            raise ValueError("delta2 must be positive")
-        log_int = model.transform(lambda s: math.log(s / s_h2 + delta2))
-        return math.exp(log_int) - delta2
+        return pred_error_cm_infinite(model, 1.0, delta2 * s_h2) / s_h2
 
     rho = params.rho
     if rho > 1.0:
@@ -235,12 +232,15 @@ def lapidoth_asymptotes(params: ChannelParams, model: PsdModel) -> dict:
     else:
         upper = None
     e4 = eps2_pred(4.0 / rho)
-    lower = (
-        math.log(1.0 / (e4 + 8.0 / (5.0 * rho)))
-        - EULER_GAMMA
-        + math.log1p(-e4)
-        - math.log(5.0 * math.e / 6.0)
-    )
+    if e4 >= 1.0:
+        lower = None
+    else:
+        lower = (
+            math.log(1.0 / (e4 + 8.0 / (5.0 * rho)))
+            - EULER_GAMMA
+            + math.log1p(-e4)
+            - math.log(5.0 * math.e / 6.0)
+        )
     return {"upper": upper, "lower": lower, "eps2_pred": eps2_pred}
 
 

@@ -53,19 +53,23 @@ class FadingRealization:
 def _embedding_spectrum(model: PsdModel, n: int):
     """Eigenvalues of the circulant embedding of the length-n Toeplitz
     covariance, doubling the embedding until the spectrum is nonnegative
-    (cap 8n), then flooring what little negative mass remains."""
+    (cap 8n).  Otherwise the size whose negative mass is the smallest share
+    of the trace m r(0) is kept and its negative mass floored, provided
+    that share is at most 1%."""
     r = np.array([model.autocorr(l) for l in range(4 * n + 1)])
+    candidates = []
     for m in (2 * n, 4 * n, 8 * n):
         half = m // 2
         c = np.concatenate([r[: half + 1], r[half - 1 : 0 : -1]])
         lam = np.fft.fft(c).real
         if lam.min() >= 0.0:
             return lam, m
-    neg = -lam[lam < 0.0].sum()
-    if neg > 0.01 * m * r[0]:
+        candidates.append((-lam[lam < 0.0].sum() / (m * r[0]), m, lam))
+    share, m, lam = min(candidates, key=lambda cand: cand[0])
+    if share > 0.01:
         raise ValueError(
             "circulant embedding spectrum has negative mass "
-            f"{neg:.3e} (> 1% of trace); a larger embedding is needed"
+            f"{share:.2%} of the trace at its best size {m} (> 1%)"
         )
     return np.maximum(lam, 0.0), m
 

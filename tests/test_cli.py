@@ -115,7 +115,7 @@ def test_out_file_matches_stdout(tmp_path, capsys):
         ["figure", "9"],
         ["predict", "--psd", "rect", "--fd", "0.1", "--infinite"],
         ["predict", "--psd", "rect", "--fd", "0.1"],
-        ["simulate", "--psd", "jakes", "--fd", "0.2", "--n", "64", "--out", "/dev/null"],
+        ["simulate", "--psd", "jakes", "--fd", "0.1", "--n", "512", "--out", "/dev/null"],
         ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "nan"],
         ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "ten"],
         ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "4000"],
@@ -135,18 +135,48 @@ def test_out_file_matches_stdout(tmp_path, capsys):
         ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0", "--mc-n", "1",
          "--bounds", "lower_cm"],
         ["figure", "4", "--mc-n", "1"],
+        ["sweep", "--psd", "rect", "--fd", "0.01", "--snr-db", "3070", "--beta", "2",
+         "--bounds", "upper_pred_pg"],
+        ["sweep", "--psd", "rect", "--fd", "0.01", "--snr-db", "3070", "--beta", "2",
+         "--bounds", "sethuraman_upper"],
+        ["sweep", "--psd", "rect", "--fd", "0.01", "--snr-db", "3070", "--beta", "2",
+         "--bounds", "upper_pred_peak"],
+        ["sweep", "--psd", "rect", "--fd", "0.01", "--snr-db=-3300", "--bounds", "lapidoth"],
+        ["sweep", "--psd", "jakes", "--fd", "0.01", "--snr-db", "3000", "--beta", "2",
+         "--bounds", "sethuraman_upper"],
     ],
     ids=["rect-only-bound", "peak-needs-beta", "bad-psd", "bad-rolloff", "bad-grid",
          "unknown-bound", "bad-fd", "bad-figure", "infinite-needs-power",
          "missing-powers", "infeasible-embedding", "snr-nan", "snr-not-a-number",
          "snr-overflow", "grid-over-row-cap", "fd-nan", "fd-overflow", "beta-nan",
          "beta-below-one", "beta-inf", "mc-n-zero", "mc-n-negative", "mc-n-one",
-         "figure-mc-n-one"],
+         "figure-mc-n-one", "pred-pg-float-edge", "sethuraman-non-finite",
+         "pred-peak-non-finite", "lapidoth-zero-snr", "jakes-node-overflow"],
 )
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("psd", ["rect", "jakes", "rc:0.2"])
+def test_extreme_snr_exits_cleanly(psd, capsys):
+    """Far outside the plotted range every analytic bound either prints its
+    cells or refuses the grid point with one error line; none raises."""
+    names = [name for name, bound in cli.BOUNDS.items()
+             if not bound.monte_carlo and (psd == "rect" or not bound.rect_only)]
+    for db in (-300, -200, -100, -40, 300, 3000):
+        for name in names:
+            code = main(["sweep", "--psd", psd, "--fd", "0.1", f"--snr-db={db}",
+                         "--beta", "2", "--bounds", name])
+            captured = capsys.readouterr()
+            assert code in (0, 2), (db, name)
+            if code == 2:
+                assert captured.err.startswith(f"error: bound {name!r} cannot be evaluated "
+                                               f"at f_d 0.1, SNR {db} dB")
+                assert captured.err.count("\n") == 1
+            else:
+                assert captured.err == ""
 
 
 # the columns each --bounds entry contributes, in order; flags, on-fractions
@@ -255,6 +285,11 @@ def test_lapidoth_upper_empty_below_unit_snr(capsys):
     assert rows[0][i_up] == ""  # -3 dB
     assert rows[1][i_up] == ""  # 0 dB: iterated log undefined at rho = 1
     assert rows[2][i_up] != ""  # +3 dB
+    # far below 0 dB the prediction error rounds to 1 and lap_lower is undefined
+    _, out = _run(capsys, ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db=-200",
+                           "--bounds", "lapidoth"])
+    _, header, rows = _parse_csv(out)
+    assert rows[0][header.index("lap_lower")] == ""
 
 
 def test_figure_1_rows_and_ordering(capsys):

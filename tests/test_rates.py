@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -209,6 +210,19 @@ class TestLapidothAsymptotes:
         out = lapidoth_asymptotes(_params(0.1, 1e6), model)
         assert out["lower"] < out["upper"]
 
+    def test_lower_matches_mpmath_at_low_snr(self):
+        """At -40 dB the prediction error at noise level 4/rho is close to
+        1; the old exp(int log(S/sigma_h2 + delta)) - delta form cancelled
+        there and was 2.2e-9 relative off."""
+        rho = 1e-4
+        out = lapidoth_asymptotes(_params(0.1, rho), Rectangular(0.1))
+        with mpmath.workdps(30):
+            delta = 4 / mpmath.mpf(rho)
+            e4 = delta * mpmath.expm1(mpmath.mpf("0.2") * mpmath.log1p(1 / (mpmath.mpf("0.2") * delta)))
+            expect = float(-mpmath.log(e4 + 8 / (5 * mpmath.mpf(rho))) - mpmath.euler
+                           + mpmath.log1p(-e4) - mpmath.log(5 * mpmath.e / 6))
+        assert out["lower"] == pytest.approx(expect, rel=1e-13, abs=0.0)
+
     def test_eps2_validation(self):
         out = lapidoth_asymptotes(_params(0.1, 10.0), Rectangular(0.1))
         with pytest.raises(ValueError):
@@ -222,6 +236,18 @@ class TestSynchronizedDetection:
         out = sd_rate_bounds(p, Rectangular(0.05), 2)
         assert out["sigma2_pil"] == pytest.approx(1.0 / 51.0, abs=1e-15)
         assert out["sigma2_pil"] == pytest.approx(0.0196078431372549, abs=1e-13)
+
+    def test_pilot_error_matches_mpmath_for_jakes(self):
+        # after f = f_d sin t the Jakes integrand is smooth:
+        # sigma2_pil = (2/pi) int_0^{pi/2} f_d cos t / (a/pi + f_d cos t) dt, a = rho/L
+        p = _params(0.05, 100.0)
+        out = sd_rate_bounds(p, Jakes(0.05), 4)
+        with mpmath.workdps(30):
+            fd, a = mpmath.mpf(0.05), mpmath.mpf(100.0) / 4
+            expect = float(2 / mpmath.pi * mpmath.quad(
+                lambda t: fd * mpmath.cos(t) / (a / mpmath.pi + fd * mpmath.cos(t)),
+                [0, mpmath.pi / 2]))
+        assert out["sigma2_pil"] == pytest.approx(expect, rel=1e-14, abs=0.0)
 
     def test_frozen_optimum(self):
         p = _params(0.05, 10.0)

@@ -59,8 +59,10 @@ def test_batch_row_zero_matches_single(method):
         (Rectangular(0.15), 256),
         (Jakes(0.2, sigma_h2=1.5), 512),
         (RaisedCosine(0.1, 0.2), 256),
+        # no embedding size is nonnegative here; the best one floors 0.24% of the trace
+        (Jakes(0.1), 4096),
     ],
-    ids=["rect", "jakes", "rc"],
+    ids=["rect", "jakes", "rc", "jakes-floored-embedding"],
 )
 def test_traces_obey_autocorrelation(model, n):
     for attempt, n_real in enumerate((400, 1600)):
@@ -96,7 +98,7 @@ def test_generation_validation():
     with pytest.raises(ValueError):
         gen_fading_batch(model, 64, 0, seed=0)
     with pytest.raises(ValueError, match="negative mass"):
-        gen_fading(Jakes(0.2), 64, 0)  # embedding infeasible at short lengths
+        gen_fading(Jakes(0.1), 512, 0)  # best embedding floors 1.87% of the trace
 
 
 def test_channel_run_noiseless_is_exact():
