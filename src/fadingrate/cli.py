@@ -45,6 +45,12 @@ _LN2 = math.log(2.0)
 
 # largest grid a sweep may request; the shipped sweeps and figures stay below 700 rows
 _MAX_ROWS = 100_000
+# largest --mc-n: the base draws z and w of a grid point take 24 bytes a sample
+_MAX_MC_N = 100_000_000
+# largest simulate request: the embedding of one trace takes a few hundred
+# bytes per sample, and the batch about 50 bytes per sample in flight
+_MAX_TRACE_N = 1 << 20
+_MAX_SIM_SAMPLES = 50_000_000
 
 
 class _UsageError(Exception):
@@ -204,6 +210,8 @@ def _check_bounds(names, psd_kind, betas, mc_n):
             raise _UsageError(f"bound {name!r} requires --beta")
         if bound.monte_carlo and mc_n is not None and mc_n < 2:
             raise _UsageError(f"bound {name!r} needs --mc-n >= 2 for a standard error")
+        if bound.monte_carlo and mc_n is not None and mc_n > _MAX_MC_N:
+            raise _UsageError(f"--mc-n {mc_n} exceeds the cap of {_MAX_MC_N} samples")
     if not all(b is None or (math.isfinite(b) and b >= 1.0) for b in betas):
         raise _UsageError(f"--beta must be a finite peak-to-average ratio >= 1, got {betas[0]}")
 
@@ -374,6 +382,11 @@ def cmd_predict(args):
 def cmd_simulate(args):
     psd_kind, rolloff = _parse_psd(args.psd)
     model = _make_model(psd_kind, rolloff, args.fd, args.sigma_h2)
+    if args.n > _MAX_TRACE_N:
+        raise _UsageError(f"--n {args.n} exceeds the trace-length cap of {_MAX_TRACE_N}")
+    if args.n * args.realizations > _MAX_SIM_SAMPLES:
+        raise _UsageError(f"--n x --realizations = {args.n * args.realizations} exceeds "
+                          f"the cap of {_MAX_SIM_SAMPLES} samples")
     try:
         batch = gen_fading_batch(model, args.n, args.realizations, args.seed, args.method)
     except ValueError as exc:
@@ -395,7 +408,8 @@ def _build_parser():
                        help="rate units in the output (default nat)")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--mc-n", type=int, default=None,
-                       help="Monte Carlo samples per point (default 100000)")
+                       help=f"Monte Carlo samples per point (default 100000, "
+                            f"at most {_MAX_MC_N})")
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     p = sub.add_parser("sweep", help="evaluate bounds over an (f_d, SNR) grid")
@@ -434,8 +448,10 @@ def _build_parser():
     p.add_argument("--psd", required=True)
     p.add_argument("--fd", type=float, required=True)
     p.add_argument("--sigma-h2", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=1024, help="trace length")
-    p.add_argument("--realizations", type=int, default=1)
+    p.add_argument("--n", type=int, default=1024,
+                   help=f"trace length (at most {_MAX_TRACE_N})")
+    p.add_argument("--realizations", type=int, default=1,
+                   help=f"number of traces (n x realizations at most {_MAX_SIM_SAMPLES})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=("embedding", "cholesky"), default="embedding")
     p.add_argument("--out", required=True)

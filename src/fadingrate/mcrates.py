@@ -14,12 +14,13 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .entropy import noise_entropy
 from .model import ChannelParams, PsdModel, _check_model
 from .prediction import pred_error_cm_infinite
-from .quadrature import McEstimate, QuadratureConfig, _mean_stderr, make_rng, szego_log_integral
+from .quadrature import (
+    McEstimate, QuadratureConfig, _log_mix, _mean_stderr, make_rng, szego_log_integral,
+)
 from .rates import BoundValue, PeakConstraint
 
 __all__ = [
@@ -28,8 +29,6 @@ __all__ = [
     "rate_lower_cm_timeshare",
     "sethuraman_lower",
 ]
-
-_CHUNK = 1 << 14
 
 
 def _phases(m_points):
@@ -56,16 +55,8 @@ def _cm_mi_samples(z, w, snr, xs):
     # per-sample coherent mutual information of the unit-power constellation
     # xs at SNR snr: channel magnitude sqrt(snr z), unit-variance noise w,
     # symbol fixed to xs[0] = 1 by symmetry
-    out = np.empty(len(z))
-    logm = math.log(len(xs))
-    for start in range(0, len(z), _CHUNK):
-        sl = slice(start, min(start + _CHUNK, len(z)))
-        h = np.sqrt(snr * z[sl])
-        y = h + w[sl]
-        d2 = np.abs(y[:, None] - h[:, None] * xs[None, :]) ** 2
-        lse = logsumexp(-d2, axis=1)
-        out[sl] = logm - np.abs(w[sl]) ** 2 - lse
-    return out
+    h = np.sqrt(snr * z)
+    return math.log(len(xs)) - np.abs(w) ** 2 - _log_mix(h + w, h, xs, 1.0)
 
 
 def coherent_mi_cm(rho, m_points=100, seed=0, n=None, stderr_tol=None) -> McEstimate:
@@ -163,20 +154,14 @@ def rate_lower_cm_timeshare(params: ChannelParams, model: PsdModel, peak: PeakCo
     )
 
 
-def _sd_entropy_samples(z, w, hat_var, amp, sigma_eff2, xs, sigma_n2):
+def _sd_entropy_samples(z, w, hat_var, amp, sigma_eff2, xs):
     # per-sample -log p(y | h_hat) for the constant-modulus mixture: the
     # receiver knows the one-step prediction h_hat = sqrt(hat_var z) (real
     # by symmetry) and sees y = h_hat * amp + w sqrt(sigma_eff2)
-    out = np.empty(len(z))
-    logm = math.log(len(xs))
+    centers = np.sqrt(hat_var * z) * amp
+    y = centers + w * math.sqrt(sigma_eff2)
     log_norm = math.log(math.pi * sigma_eff2)
-    for start in range(0, len(z), _CHUNK):
-        sl = slice(start, min(start + _CHUNK, len(z)))
-        hhat = np.sqrt(hat_var * z[sl])
-        y = hhat * amp + w[sl] * math.sqrt(sigma_eff2)
-        d2 = np.abs(y[:, None] - (hhat * amp)[:, None] * xs[None, :]) ** 2
-        out[sl] = logm + log_norm - logsumexp(-d2 / sigma_eff2, axis=1)
-    return out
+    return math.log(len(xs)) + log_norm - _log_mix(y, centers, xs, sigma_eff2)
 
 
 def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
@@ -201,24 +186,28 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
     sigma_h2 = params.sigma_h2
     sigma_n2 = params.sigma_n2
 
-    def rate(gamma, count):
-        # rate at boost gamma over a 1/gamma duty cycle, with its stderr
+    def samples(gamma, count):
+        # per-sample conditional output entropy at boost gamma
         power = gamma * params.sigma_x2
         s2 = pred_error_cm_infinite(model, power, sigma_n2)
         hat_var = max(sigma_h2 - s2, 0.0)
         sigma_eff2 = power * s2 + sigma_n2
-        vals = _sd_entropy_samples(
-            z[:count], w[:count], hat_var, math.sqrt(power), sigma_eff2, xs, sigma_n2
-        )
-        mean, stderr = _mean_stderr(vals)
+        return _sd_entropy_samples(z[:count], w[:count], hat_var, math.sqrt(power),
+                                   sigma_eff2, xs)
+
+    def rate(gamma, mean):
+        # rate at boost gamma over a 1/gamma duty cycle
         c_l1 = mean - noise_entropy(sigma_n2) - szego_log_integral(model, gamma * rho)
-        return c_l1 / gamma, stderr / gamma
+        return c_l1 / gamma
 
     if timeshare and peak.beta > 1.0:
-        gamma_opt = _timeshare_argmax(lambda g, c: rate(g, c)[0], peak.beta, n)
+        gamma_opt = _timeshare_argmax(
+            lambda g, c: rate(g, float(np.mean(samples(g, c)))), peak.beta, n)
     else:
         gamma_opt = 1.0
-    raw, stderr = rate(gamma_opt, n)
+    mean, stderr = _mean_stderr(samples(gamma_opt, n))
+    raw = rate(gamma_opt, mean)
+    stderr = stderr / gamma_opt
     _check_stderr(stderr, stderr_tol, n)
     return BoundValue(
         value=raw,

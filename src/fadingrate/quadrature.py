@@ -109,10 +109,12 @@ def _exp1_series(x):
 def g_logmoment(a):
     """E[log(1 + a Z)] for Z ~ Exp(1); equals e^(1/a) E_1(1/a) for a > 0.
 
-    Accepts a >= 0 and is accurate from the linear small-a regime through
-    the log(a) - gamma growth at large a.
+    Accepts finite a >= 0 and is accurate from the linear small-a regime
+    through the log(a) - gamma growth at large a.
     """
     a = float(a)
+    if not math.isfinite(a):
+        raise ValueError(f"argument must be finite, got {a}")
     if a < 0:
         raise ValueError(f"argument must be nonnegative, got {a}")
     if a == 0.0:
@@ -177,6 +179,51 @@ def _mean_stderr(vals):
     mean = float(np.mean(vals))
     var = float(np.var(vals))
     return mean, math.sqrt(var / len(vals))
+
+
+# rows per block of the log-mixture kernel: (rows x points) work buffers
+_CHUNK = 1 << 14
+
+
+def _log_mix(y, centers, xs, scale):
+    """Per row i, log sum_j exp(-|y_i - centers_i xs_j|^2 / scale).
+
+    The split-max log-sum-exp (Blanchard, Higham & Higham 2021), with the
+    operations of scipy.special.logsumexp in its order, so every value is
+    bit for bit what logsumexp(-d2 / scale, axis=1) gives: the row maxima
+    are taken out of the sum and counted, the rest are summed after the
+    shift.  Runs in place on one work buffer per block of _CHUNK rows.  A
+    row whose distances all overflow gives -inf, a NaN distance gives NaN.
+    """
+    # the complex product of logsumexp's operands, with the cast done once
+    centers = np.asarray(centers, dtype=complex)
+    n, m = len(y), len(xs)
+    out = np.empty(n)
+    rows = min(n, _CHUNK)
+    cbuf = np.empty((rows, m), dtype=complex)
+    buf = np.empty((rows, m))
+    mask = np.empty((rows, m), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            k = stop - start
+            c, a, top = cbuf[:k], buf[:k], mask[:k]
+            np.multiply(centers[start:stop, None], xs[None, :], out=c)
+            np.subtract(y[start:stop, None], c, out=c)
+            np.abs(c, out=a)
+            np.square(a, out=a)
+            np.divide(a, -scale, out=a)
+            a_max = a.max(axis=1)
+            np.equal(a, a_max[:, None], out=top)
+            np.subtract(a, a_max[:, None], out=a)
+            np.exp(a, out=a)
+            a[top] = 0.0
+            s = a.sum(axis=1)
+            ties = np.count_nonzero(top, axis=1).astype(float)
+            # logsumexp skips s = 0 here; 0 / ties is 0 as every finite row has a tie
+            s /= ties
+            out[start:stop] = np.log1p(s) + np.log(ties) + a_max
+    return out
 
 
 def mc_expectation(sampler, integrand, n, seed, task_index=0, chunk=1 << 18):

@@ -18,11 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import linalg
-from scipy.special import logsumexp
 
 from .model import PsdModel
 from .prediction import PowerProfile, ToeplitzCov
-from .quadrature import McEstimate, _mean_stderr, make_rng, mc_expectation
+from .quadrature import McEstimate, _log_mix, _mean_stderr, make_rng, mc_expectation
 
 __all__ = [
     "FadingRealization",
@@ -218,9 +217,8 @@ def empirical_coherent_mi(rho, input_kind, n, seed) -> McEstimate:
 
         def integrand(batch):
             h, w, j = batch
-            y = sq * h * xs[j] + w
-            d2 = np.abs(y[:, None] - sq * h[:, None] * xs[None, :]) ** 2
-            return logm - np.abs(w) ** 2 - logsumexp(-d2, axis=1)
+            centers = sq * h
+            return logm - np.abs(w) ** 2 - _log_mix(centers * xs[j] + w, centers, xs, 1.0)
 
         return mc_expectation(sampler, integrand, n, seed, chunk=1 << 14)
     raise ValueError(f"unknown input_kind {input_kind!r}")

@@ -144,6 +144,12 @@ def test_out_file_matches_stdout(tmp_path, capsys):
         ["sweep", "--psd", "rect", "--fd", "0.01", "--snr-db=-3300", "--bounds", "lapidoth"],
         ["sweep", "--psd", "jakes", "--fd", "0.01", "--snr-db", "3000", "--beta", "2",
          "--bounds", "sethuraman_upper"],
+        ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0", "--mc-n", "100000001",
+         "--bounds", "lower_cm"],
+        ["figure", "4", "--mc-n", "1000000000000"],
+        ["simulate", "--psd", "rect", "--fd", "0.1", "--n", "1048577", "--out", "/dev/null"],
+        ["simulate", "--psd", "rect", "--fd", "0.1", "--n", "1024", "--realizations", "48829",
+         "--out", "/dev/null"],
     ],
     ids=["rect-only-bound", "peak-needs-beta", "bad-psd", "bad-rolloff", "bad-grid",
          "unknown-bound", "bad-fd", "bad-figure", "infinite-needs-power",
@@ -151,12 +157,25 @@ def test_out_file_matches_stdout(tmp_path, capsys):
          "snr-overflow", "grid-over-row-cap", "fd-nan", "fd-overflow", "beta-nan",
          "beta-below-one", "beta-inf", "mc-n-zero", "mc-n-negative", "mc-n-one",
          "figure-mc-n-one", "pred-pg-float-edge", "sethuraman-non-finite",
-         "pred-peak-non-finite", "lapidoth-zero-snr", "jakes-node-overflow"],
+         "pred-peak-non-finite", "lapidoth-zero-snr", "jakes-node-overflow", "mc-n-over-cap",
+         "figure-mc-n-over-cap", "sim-n-over-cap", "sim-samples-over-cap"],
 )
-def test_usage_errors_exit_2(argv, capsys):
+def test_usage_errors_exit_2(argv, capsys, request):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    reason = USAGE_REASONS.get(request.node.callspec.id)
+    assert reason is None or err.endswith(reason + "\n"), err
+
+
+# the stated reason of the refusals whose wording is part of the contract
+USAGE_REASONS = {
+    "pred-pg-float-edge": "argument must be finite, got inf",
+    "mc-n-over-cap": "--mc-n 100000001 exceeds the cap of 100000000 samples",
+    "figure-mc-n-over-cap": "--mc-n 1000000000000 exceeds the cap of 100000000 samples",
+    "sim-n-over-cap": "--n 1048577 exceeds the trace-length cap of 1048576",
+    "sim-samples-over-cap": "--n x --realizations = 50000896 exceeds the cap of 50000000 samples",
+}
 
 
 @pytest.mark.parametrize("psd", ["rect", "jakes", "rc:0.2"])

@@ -46,6 +46,25 @@ def test_frozen_unit_snr_estimate():
     assert est.stderr == pytest.approx(0.000811, abs=1e-5)
 
 
+def test_estimates_pinned_to_the_bit():
+    """Seed-fixed values of the three constant-modulus estimators, exact to
+    17 digits.  The time-sharing searches compare objective values, so a
+    kernel change that moves samples by rounding can move gamma_opt and the
+    CSV bytes; it must show here (and per sample in the log-mixture kernel
+    tests), not first in the figures."""
+    model = Rectangular(0.05)
+    ts = sethuraman_lower(ChannelParams(f_d=0.05, sigma_x2=0.25), model, timeshare=True,
+                          peak=PeakConstraint(2.0), seed=11, n=2000)
+    assert (ts.value, ts.stderr, ts.alpha_used) == (
+        0.10832946129167842, 0.011306534400974443, 0.51236505616397143)
+    cm = rate_lower_cm_timeshare(ChannelParams(f_d=0.05, sigma_x2=0.5), model,
+                                 PeakConstraint(2.0), seed=11, n=2000)
+    assert (cm.value, cm.stderr, cm.alpha_used) == (
+        0.17459847365204814, 0.014764661531674184, 0.89757523075929602)
+    mi = coherent_mi_cm(2.0, seed=11, n=2000)
+    assert (mi.mean, mi.stderr) == (0.84683132012094942, 0.020642705835506637)
+
+
 def test_sits_below_coherent_capacity():
     for rho in (0.5, 2.0, 10.0):
         est = coherent_mi_cm(rho, seed=1, n=N_SMALL)

@@ -1,6 +1,7 @@
 """Log-moment evaluation, spectral log integrals, and Monte Carlo plumbing."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,8 +10,10 @@ from scipy import special
 
 from fadingrate.model import Jakes, RaisedCosine, Rectangular, Tabulated
 from fadingrate.quadrature import (
+    _CHUNK,
     EULER_GAMMA,
     McEstimate,
+    _log_mix,
     g_logmoment,
     g_logmoment_gauss,
     make_rng,
@@ -39,6 +42,9 @@ def test_g_logmoment_edge_cases():
     assert g_logmoment(0.0) == 0.0
     with pytest.raises(ValueError):
         g_logmoment(-0.5)
+    for a in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"argument must be finite, got {a}"):
+            g_logmoment(a)
 
 
 def test_g_logmoment_matches_scipy_identity():
@@ -162,3 +168,64 @@ def test_mc_expectation_determinism_and_error_scaling():
     assert isinstance(small, McEstimate) and small.n == 20_000
     assert big.stderr < small.stderr / 3.0  # 16x samples -> ~4x smaller
     assert abs(small.mean - g_logmoment(1.0)) < 4.0 * small.stderr
+
+
+PHASES = np.exp(2j * math.pi * np.arange(100) / 100)
+# recent scipy releases take the row maximum out of the sum and add log1p
+# of the rest; older ones take the log of the whole shifted sum, which
+# loses the 4e-18 below
+SPLIT_MAX = special.logsumexp([0.0, -40.0]) > 0.0
+
+
+def _logsumexp_rows(y, centers, xs, scale):
+    # the log-mixture exactly as the Monte Carlo estimators used to form it
+    d2 = np.abs(y[:, None] - centers[:, None] * xs[None, :]) ** 2
+    return special.logsumexp(-d2 / scale, axis=1)
+
+
+def _log_mix_quiet(*args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _log_mix(*args)
+
+
+@pytest.mark.parametrize("n", [5, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_log_mix_matches_logsumexp(n):
+    """Bit for bit the split-max log-sum-exp, across block edges, for real
+    centers (the symmetry-reduced estimators) and complex ones (the
+    simulation oracle), at unit and non-unit scale."""
+    rng = np.random.default_rng(n)
+    for scale in (1.0, 0.37, 5.25):
+        for complex_centers in (False, True):
+            centers = 3.0 * rng.exponential(size=n)
+            if complex_centers:
+                centers = centers * np.exp(2j * math.pi * rng.random(n))
+            y = centers + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            got = _log_mix_quiet(y, centers, PHASES, scale)
+            want = _logsumexp_rows(y, centers, PHASES, scale)
+            if SPLIT_MAX:
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            else:
+                np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+
+def test_log_mix_all_tied_rows():
+    # zero centers (a vanishing prediction variance) put every point at the
+    # same distance: the sum is log(m) plus the shared exponent
+    y = np.array([0.0, 0.5 - 1.5j, 3.0 + 0.25j])
+    centers = np.zeros(3)
+    got = _log_mix_quiet(y, centers, PHASES, 2.0)
+    assert np.array_equal(got, _logsumexp_rows(y, centers, PHASES, 2.0))
+    assert np.array_equal(got, math.log(100) + -np.abs(y) ** 2 / 2.0)
+
+
+def test_log_mix_overflowing_rows_match_logsumexp():
+    # all distances overflow -> -inf; only the nearest point finite -> its
+    # exponent; an infinite center against an infinite output -> NaN
+    y = np.array([1e200 + 0j, 1e200 + 0j, np.inf + 0j, 1.0 + 0j])
+    centers = np.array([0.0, 1e200, np.inf, 0.5])
+    got = _log_mix_quiet(y, centers, PHASES, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _logsumexp_rows(y, centers, PHASES, 1.0)
+    np.testing.assert_array_equal(got, want)
+    assert got[0] == -np.inf and got[1] == 0.0 and np.isnan(got[2]) and np.isfinite(got[3])
