@@ -19,7 +19,8 @@ from .entropy import noise_entropy
 from .model import ChannelParams, PsdModel, _check_model
 from .prediction import pred_error_cm_infinite
 from .quadrature import (
-    McEstimate, QuadratureConfig, _log_mix, _mean_stderr, make_rng, szego_log_integral,
+    McEstimate, QuadratureConfig, _log_mix, _mean_stderr, _mix_work, make_rng,
+    szego_log_integral,
 )
 from .rates import BoundValue, PeakConstraint
 
@@ -51,12 +52,12 @@ def _check_stderr(stderr, stderr_tol, n):
                            f"exceeds tolerance {stderr_tol:.3e} at n = {n}")
 
 
-def _cm_mi_samples(z, w, snr, xs):
+def _cm_mi_samples(z, w, snr, xs, work=None):
     # per-sample coherent mutual information of the unit-power constellation
     # xs at SNR snr: channel magnitude sqrt(snr z), unit-variance noise w,
     # symbol fixed to xs[0] = 1 by symmetry
     h = np.sqrt(snr * z)
-    return math.log(len(xs)) - np.abs(w) ** 2 - _log_mix(h + w, h, xs, 1.0)
+    return math.log(len(xs)) - np.abs(w) ** 2 - _log_mix(h + w, h, xs, 1.0, work)
 
 
 def coherent_mi_cm(rho, m_points=100, seed=0, n=None, stderr_tol=None) -> McEstimate:
@@ -131,10 +132,11 @@ def rate_lower_cm_timeshare(params: ChannelParams, model: PsdModel, peak: PeakCo
     n = int(n) if n is not None else QuadratureConfig().mc_default_n
     z, w = _draw_base(seed, n)
     rho = params.rho
+    work = _mix_work(n, len(xs))
 
     def objective(gamma, count):
         snr = gamma * rho
-        mi = float(np.mean(_cm_mi_samples(z[:count], w[:count], snr, xs)))
+        mi = float(np.mean(_cm_mi_samples(z[:count], w[:count], snr, xs, work)))
         return (mi - szego_log_integral(model, snr)) / gamma
 
     if peak.beta == 1.0:
@@ -142,7 +144,7 @@ def rate_lower_cm_timeshare(params: ChannelParams, model: PsdModel, peak: PeakCo
     else:
         gamma_opt = _timeshare_argmax(objective, peak.beta, n)
     snr = gamma_opt * rho
-    mean, stderr = _mean_stderr(_cm_mi_samples(z, w, snr, xs))
+    mean, stderr = _mean_stderr(_cm_mi_samples(z, w, snr, xs, work))
     raw = (mean - szego_log_integral(model, snr)) / gamma_opt
     return BoundValue(
         value=max(0.0, raw),
@@ -154,14 +156,14 @@ def rate_lower_cm_timeshare(params: ChannelParams, model: PsdModel, peak: PeakCo
     )
 
 
-def _sd_entropy_samples(z, w, hat_var, amp, sigma_eff2, xs):
+def _sd_entropy_samples(z, w, hat_var, amp, sigma_eff2, xs, work=None):
     # per-sample -log p(y | h_hat) for the constant-modulus mixture: the
     # receiver knows the one-step prediction h_hat = sqrt(hat_var z) (real
     # by symmetry) and sees y = h_hat * amp + w sqrt(sigma_eff2)
     centers = np.sqrt(hat_var * z) * amp
     y = centers + w * math.sqrt(sigma_eff2)
     log_norm = math.log(math.pi * sigma_eff2)
-    return math.log(len(xs)) + log_norm - _log_mix(y, centers, xs, sigma_eff2)
+    return math.log(len(xs)) + log_norm - _log_mix(y, centers, xs, sigma_eff2, work)
 
 
 def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
@@ -185,6 +187,7 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
     rho = params.rho
     sigma_h2 = params.sigma_h2
     sigma_n2 = params.sigma_n2
+    work = _mix_work(n, len(xs))
 
     def samples(gamma, count):
         # per-sample conditional output entropy at boost gamma
@@ -193,7 +196,7 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
         hat_var = max(sigma_h2 - s2, 0.0)
         sigma_eff2 = power * s2 + sigma_n2
         return _sd_entropy_samples(z[:count], w[:count], hat_var, math.sqrt(power),
-                                   sigma_eff2, xs)
+                                   sigma_eff2, xs, work)
 
     def rate(gamma, mean):
         # rate at boost gamma over a 1/gamma duty cycle

@@ -185,24 +185,37 @@ def _mean_stderr(vals):
 _CHUNK = 1 << 14
 
 
-def _log_mix(y, centers, xs, scale):
+def _mix_work(n, m):
+    """Work buffers of _log_mix for up to n rows of m points."""
+    rows = min(n, _CHUNK)
+    return (np.empty((rows, m), dtype=complex), np.empty((rows, m)),
+            np.empty((rows, m), dtype=bool))
+
+
+def _log_mix(y, centers, xs, scale, work=None):
     """Per row i, log sum_j exp(-|y_i - centers_i xs_j|^2 / scale).
 
     The split-max log-sum-exp (Blanchard, Higham & Higham 2021), with the
     operations of scipy.special.logsumexp in its order, so every value is
     bit for bit what logsumexp(-d2 / scale, axis=1) gives: the row maxima
     are taken out of the sum and counted, the rest are summed after the
-    shift.  Runs in place on one work buffer per block of _CHUNK rows.  A
-    row whose distances all overflow gives -inf, a NaN distance gives NaN.
+    shift.  Runs in place on the buffers of work, one block of _CHUNK rows
+    at a time.  A row whose distances all overflow gives -inf, a NaN
+    distance gives NaN.
+
+    work is _mix_work(rows, len(xs)) for at least len(y) rows, made here
+    when not given.  A caller that runs the kernel many times passes one
+    set to every call: buffers of a few hundred KiB allocated per call
+    come back as fresh pages whenever malloc has trimmed the heap in
+    between.  Whether it does depends on the process's heap layout, and
+    where it did the page faults made a gamma search take about three
+    quarters longer.
     """
     # the complex product of logsumexp's operands, with the cast done once
     centers = np.asarray(centers, dtype=complex)
     n, m = len(y), len(xs)
     out = np.empty(n)
-    rows = min(n, _CHUNK)
-    cbuf = np.empty((rows, m), dtype=complex)
-    buf = np.empty((rows, m))
-    mask = np.empty((rows, m), dtype=bool)
+    cbuf, buf, mask = _mix_work(n, m) if work is None else work
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, n, _CHUNK):
             stop = min(start + _CHUNK, n)

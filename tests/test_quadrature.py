@@ -14,6 +14,7 @@ from fadingrate.quadrature import (
     EULER_GAMMA,
     McEstimate,
     _log_mix,
+    _mix_work,
     g_logmoment,
     g_logmoment_gauss,
     make_rng,
@@ -207,6 +208,36 @@ def test_log_mix_matches_logsumexp(n):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
             else:
                 np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+
+def test_log_mix_reused_work_matches_fresh_buffers():
+    """One work set serves calls of any row count up to its size, and what
+    an earlier call left in it does not reach a later one."""
+    rng = np.random.default_rng(7)
+    work = _mix_work(_CHUNK + 3, len(PHASES))
+    for n, scale in ((_CHUNK + 3, 1.0), (400, 0.37), (5, 5.25), (400, 1.0)):
+        centers = 3.0 * rng.exponential(size=n)
+        y = centers + rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got = _log_mix_quiet(y, centers, PHASES, scale, work)
+        want = _log_mix_quiet(y, centers, PHASES, scale)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_log_mix_reused_work_touches_no_new_pages():
+    # a search runs the kernel thousands of times on a few hundred rows;
+    # with one work set the calls after the first fault in no fresh pages
+    # (buffers allocated per call cost from about one fault per call up to
+    # 240 per call when malloc trims the heap in between)
+    resource = pytest.importorskip("resource")
+    rng = np.random.default_rng(3)
+    centers = 3.0 * rng.exponential(size=400)
+    y = centers + rng.standard_normal(400) + 1j * rng.standard_normal(400)
+    work = _mix_work(400, len(PHASES))
+    _log_mix(y, centers, PHASES, 1.0, work)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(200):
+        _log_mix(y, centers, PHASES, 1.0, work)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 20
 
 
 def test_log_mix_all_tied_rows():
