@@ -23,7 +23,6 @@ from .quadrature import (
     g_logmoment,
     g_logmoment_gauss,
     make_rng,
-    mc_expectation,
     szego_log_integral,
 )
 from .entropy import (
@@ -90,7 +89,7 @@ __all__ = [
     "ChannelParams", "PsdModel", "Rectangular", "Jakes", "RaisedCosine", "Tabulated",
     # quadrature and randomness
     "QuadratureConfig", "McEstimate", "EULER_GAMMA", "make_rng",
-    "g_logmoment", "g_logmoment_gauss", "szego_log_integral", "mc_expectation",
+    "g_logmoment", "g_logmoment_gauss", "szego_log_integral",
     # entropy rates
     "EntropyRate", "noise_entropy", "h_y_lower", "h_y_upper",
     "h_y_upper_refined", "h_yx_upper", "h_yx_lower_rect", "entropy_gaps",

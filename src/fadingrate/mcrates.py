@@ -19,8 +19,8 @@ from .entropy import noise_entropy
 from .model import ChannelParams, PsdModel, _check_model
 from .prediction import pred_error_cm_infinite
 from .quadrature import (
-    McEstimate, QuadratureConfig, _log_mix, _mean_stderr, _mix_work, make_rng,
-    szego_log_integral,
+    McEstimate, QuadratureConfig, _complex_normal, _log_mix, _mean_stderr, _mix_work,
+    make_rng, szego_log_integral,
 )
 from .rates import BoundValue, PeakConstraint
 
@@ -42,8 +42,7 @@ def _phases(m_points):
 def _draw_base(seed, n, task_index=0):
     rng = make_rng(seed, task_index)
     z = rng.exponential(size=n)
-    w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-    return z, w
+    return z, _complex_normal(rng, n)
 
 
 def _check_stderr(stderr, stderr_tol, n):
@@ -98,16 +97,31 @@ def _golden_max(fun, lo, hi, tol=1e-6):
     return 0.5 * (a + b)
 
 
-def _timeshare_argmax(objective, beta, n):
-    # coarse scan guards against non-unimodal objectives; golden section
-    # refines within the bracket; both run on a reduced sample count
-    n_small = min(n, 10_000)
-    gammas = np.linspace(1.0, beta, 64)
-    vals = [objective(g, n_small) for g in gammas]
-    k = int(np.argmax(vals))
-    lo = gammas[max(k - 1, 0)]
-    hi = gammas[min(k + 1, len(gammas) - 1)]
-    return _golden_max(lambda g: objective(g, n_small), lo, hi)
+def _timeshared(samples, rate, beta, n):
+    """Time-sharing estimate over the boost gamma in [1, beta].
+
+    samples(gamma, count) gives the per-sample values of the first count
+    common random numbers at boost gamma, and rate(gamma, mean) the rate
+    over a 1/gamma duty cycle from their mean.  A coarse scan guards
+    against non-unimodal objectives and golden section refines within its
+    bracket, both on at most 10^4 samples; at beta = 1 there is no search.
+    Returns (gamma_opt, raw, stderr): the rate from all n samples at
+    gamma_opt and its standard error.
+    """
+    gamma_opt = 1.0
+    if beta > 1.0:
+        n_small = min(n, 10_000)
+
+        def objective(gamma):
+            return rate(gamma, float(np.mean(samples(gamma, n_small))))
+
+        gammas = np.linspace(1.0, beta, 64)
+        k = int(np.argmax([objective(g) for g in gammas]))
+        lo = gammas[max(k - 1, 0)]
+        hi = gammas[min(k + 1, len(gammas) - 1)]
+        gamma_opt = _golden_max(objective, lo, hi)
+    mean, stderr = _mean_stderr(samples(gamma_opt, n))
+    return gamma_opt, rate(gamma_opt, mean), stderr / gamma_opt
 
 
 def rate_lower_cm(params: ChannelParams, model: PsdModel, m_points=100,
@@ -134,25 +148,20 @@ def rate_lower_cm_timeshare(params: ChannelParams, model: PsdModel, peak: PeakCo
     rho = params.rho
     work = _mix_work(n, len(xs))
 
-    def objective(gamma, count):
-        snr = gamma * rho
-        mi = float(np.mean(_cm_mi_samples(z[:count], w[:count], snr, xs, work)))
-        return (mi - szego_log_integral(model, snr)) / gamma
+    def samples(gamma, count):
+        return _cm_mi_samples(z[:count], w[:count], gamma * rho, xs, work)
 
-    if peak.beta == 1.0:
-        gamma_opt = 1.0
-    else:
-        gamma_opt = _timeshare_argmax(objective, peak.beta, n)
-    snr = gamma_opt * rho
-    mean, stderr = _mean_stderr(_cm_mi_samples(z, w, snr, xs, work))
-    raw = (mean - szego_log_integral(model, snr)) / gamma_opt
+    def rate(gamma, mean):
+        return (mean - szego_log_integral(model, gamma * rho)) / gamma
+
+    gamma_opt, raw, stderr = _timeshared(samples, rate, peak.beta, n)
     return BoundValue(
         value=max(0.0, raw),
         kind="lower_cm_ts",
         clamped=raw < 0.0,
         alpha_used=1.0 / gamma_opt,
         unclamped=raw,
-        stderr=stderr / gamma_opt,
+        stderr=stderr,
     )
 
 
@@ -203,14 +212,7 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
         c_l1 = mean - noise_entropy(sigma_n2) - szego_log_integral(model, gamma * rho)
         return c_l1 / gamma
 
-    if timeshare and peak.beta > 1.0:
-        gamma_opt = _timeshare_argmax(
-            lambda g, c: rate(g, float(np.mean(samples(g, c)))), peak.beta, n)
-    else:
-        gamma_opt = 1.0
-    mean, stderr = _mean_stderr(samples(gamma_opt, n))
-    raw = rate(gamma_opt, mean)
-    stderr = stderr / gamma_opt
+    gamma_opt, raw, stderr = _timeshared(samples, rate, peak.beta if timeshare else 1.0, n)
     _check_stderr(stderr, stderr_tol, n)
     return BoundValue(
         value=raw,

@@ -80,8 +80,19 @@ class PowerProfile:
 
 def _past_system(cov: ToeplitzCov):
     r = np.asarray(cov.lags)
-    past = cov.n - 1
-    return r[0], linalg.toeplitz(r[:past]) if past else None, r[1:]
+    return r[0], linalg.toeplitz(r[: cov.n - 1]), r[1:]
+
+
+def _lmmse(cov: ToeplitzCov, z: PowerProfile, sigma_n2):
+    """The one-step LMMSE system of the past: returns (s, b, w) with
+    s = sqrt(z), b = S r and the weights w = (S R S + sigma_n2 I)^{-1} b,
+    S = diag(s).  The prediction from the past observations y is w @ y and
+    its error variance r(0) - b @ w."""
+    _, big_r, r_cross = _past_system(cov)
+    s = np.sqrt(np.asarray(z.z))
+    m = (s[:, None] * s[None, :]) * big_r + sigma_n2 * np.eye(cov.n - 1)
+    b = s * r_cross
+    return s, b, linalg.cho_solve(linalg.cho_factor(m, lower=True), b)
 
 
 def pred_error_finite(cov: ToeplitzCov, z: PowerProfile, sigma_n2) -> float:
@@ -98,13 +109,8 @@ def pred_error_finite(cov: ToeplitzCov, z: PowerProfile, sigma_n2) -> float:
     if len(z.z) != cov.n - 1:
         raise ValueError(f"power profile must have length {cov.n - 1}, got {len(z.z)}")
     cov.validate()
-    r0, big_r, r_cross = _past_system(cov)
-    if big_r is None:
-        return r0
-    s = np.sqrt(np.asarray(z.z))
-    m = (s[:, None] * s[None, :]) * big_r + sigma_n2 * np.eye(cov.n - 1)
-    b = s * r_cross
-    w = linalg.cho_solve(linalg.cho_factor(m, lower=True), b)
+    r0 = cov.lags[0]
+    _, b, w = _lmmse(cov, z, sigma_n2)
     val = r0 - float(b @ w)
     return min(max(val, 0.0), r0)
 
@@ -189,23 +195,6 @@ def pred_rational_exact(cov: ToeplitzCov, z: PowerProfile, sigma_n2, i: int):
     return s0, a, lam
 
 
-def _rational_fit(t, s):
-    # fit s(t) = s0 - a t/(1 + lam t) from the grid: s0 is s(0); the drop
-    # d(t) = s0 - s(t) satisfies t/d(t) = 1/a + (lam/a) t, a line in t
-    s0 = s[0]
-    d = s0 - s[1:]
-    if np.max(np.abs(d)) < 1e-13:
-        return s0, 0.0, 0.0  # flat: the power carries no information
-    j1 = len(t) // 3
-    t1, t2 = t[1:][j1], t[1:][-1]
-    y1, y2 = t1 / d[j1], t2 / d[-1]
-    slope = (y2 - y1) / (t2 - t1)
-    intercept = y1 - slope * t1
-    a = 1.0 / intercept if intercept != 0 else math.inf
-    lam = slope * a
-    return s0, a, lam
-
-
 def convexity_check(cov: ToeplitzCov, z: PowerProfile, x_power, sigma_n2, i: int, trials: int = 50) -> bool:
     """Verify the single-power structure of the prediction error.
 
@@ -213,8 +202,8 @@ def convexity_check(cov: ToeplitzCov, z: PowerProfile, x_power, sigma_n2, i: int
     K(t) = log(1 + (x_power/sigma_n2) sigma2(t)) has nonnegative second
     differences (tolerance -1e-9), that the rational form
     sigma2(t) = s0 - a t/(1 + lam t) reproduces every grid value within
-    1e-8, and that a >= 0.  For horizons up to 16 the (a, lam) pair comes
-    from the exact rank-one decomposition, otherwise from a two-point fit.
+    1e-8, and that a >= 0, with (s0, a, lam) from the exact rank-one
+    decomposition pred_rational_exact at every horizon.
     Raises if the covariance is not PSD; returns False on any violation.
     """
     x_power = float(x_power)
@@ -239,10 +228,7 @@ def convexity_check(cov: ToeplitzCov, z: PowerProfile, x_power, sigma_n2, i: int
     if np.any(np.diff(k_vals, 2) < -1e-9):
         return False
 
-    if cov.n <= 16:
-        s0, a, lam = pred_rational_exact(cov, z, sigma_n2, i)
-    else:
-        s0, a, lam = _rational_fit(t_grid, s_vals)
+    s0, a, lam = pred_rational_exact(cov, z, sigma_n2, i)
     if a < 0 and a > -1e-14:
         a = 0.0
     if a < 0:

@@ -20,8 +20,8 @@ import numpy as np
 from scipy import linalg
 
 from .model import PsdModel
-from .prediction import PowerProfile, ToeplitzCov
-from .quadrature import McEstimate, _log_mix, _mean_stderr, make_rng, mc_expectation
+from .prediction import PowerProfile, ToeplitzCov, _lmmse
+from .quadrature import McEstimate, _complex_normal, _log_mix, _mean_stderr, make_rng
 
 __all__ = [
     "FadingRealization",
@@ -73,11 +73,6 @@ def _embedding_spectrum(model: PsdModel, n: int):
     return np.maximum(lam, 0.0), m
 
 
-def _complex_normal(rng, size):
-    # unit-variance proper complex Gaussian draws
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
-
-
 def _fading_from_spectrum(lam, m, n, rng):
     return (np.fft.ifft(np.sqrt(lam) * _complex_normal(rng, m)) * math.sqrt(m))[:n]
 
@@ -87,6 +82,13 @@ def _fading_cholesky_factor(model: PsdModel, n: int):
     cov = ToeplitzCov.from_model(model, n)
     jitter = 1e-12 * model.sigma_h2
     return linalg.cholesky(cov.matrix() + jitter * np.eye(n), lower=True)
+
+
+def _color(chol, w):
+    # chol @ w for the real factor chol, as two real products: a complex
+    # product would cast the whole factor to complex on every call.  One
+    # vector at a time, so realization i depends only on its own stream.
+    return chol @ w.real + 1j * (chol @ w.imag)
 
 
 def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embedding") -> np.ndarray:
@@ -108,7 +110,7 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
         if n > 2048:
             raise ValueError("cholesky path supports n <= 2048")
         chol = _fading_cholesky_factor(model, n)
-        draw = lambda rng: chol @ _complex_normal(rng, n)
+        draw = lambda rng: _color(chol, _complex_normal(rng, n))
     else:
         raise ValueError(f"unknown method {method!r}")
     return np.stack([draw(make_rng(seed, i)) for i in range(count)])
@@ -133,9 +135,7 @@ def simulate_channel(real: FadingRealization, inputs, sigma_n2, seed) -> np.ndar
         raise ValueError(f"inputs length {x.shape} does not match fading {real.h.shape}")
     y = real.h * x
     if sigma_n2 > 0.0:
-        rng = make_rng(seed, 0)
-        noise = (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
-        y = y + noise * math.sqrt(sigma_n2 / 2.0)
+        y = y + _complex_normal(make_rng(seed, 0), len(x)) * math.sqrt(sigma_n2)
     return y
 
 
@@ -156,25 +156,16 @@ def empirical_pred_error(model: PsdModel, z: PowerProfile, sigma_n2,
     horizon = len(z.z) + 1
     if horizon > 2048:
         raise ValueError("horizon must be at most 2048")
-    cov = ToeplitzCov.from_model(model, horizon)
-    r = np.asarray(cov.lags)
-    zz = np.asarray(z.z)
-    s = np.sqrt(zz)
-    past = horizon - 1
-    weights = np.zeros(past)
-    if past and zz.any():
-        big_r = linalg.toeplitz(r[:past])
-        m_sys = (s[:, None] * s[None, :]) * big_r + sigma_n2 * np.eye(past)
-        weights = linalg.cho_solve(linalg.cho_factor(m_sys, lower=True), s * r[1:])
+    s, _, weights = _lmmse(ToeplitzCov.from_model(model, horizon), z, sigma_n2)
     chol = _fading_cholesky_factor(model, horizon)
+    noise_sd = math.sqrt(sigma_n2)
     errs = np.empty(n_realizations)
     for i in range(n_realizations):
         rng = make_rng(seed, i)
-        h = chol @ _complex_normal(rng, horizon)
+        h = _color(chol, _complex_normal(rng, horizon))
         target = h[-1]
         h_past = h[-2::-1]  # h_past[k] is k+1 steps before the target
-        noise = (rng.standard_normal(past) + 1j * rng.standard_normal(past)) * math.sqrt(sigma_n2 / 2.0)
-        y = s * h_past + noise
+        y = s * h_past + _complex_normal(rng, horizon - 1) * noise_sd
         errs[i] = abs(target - weights @ y) ** 2
     mean, stderr = _mean_stderr(errs)
     return McEstimate(mean=mean, stderr=stderr, n=n_realizations, seed=int(seed))
@@ -194,34 +185,22 @@ def empirical_coherent_mi(rho, input_kind, n, seed) -> McEstimate:
     n = int(n)
     if n < 10_000:
         raise ValueError("need at least 1e4 samples")
+    rng = make_rng(seed, 0)
     if input_kind == "pg":
-        return mc_expectation(
-            lambda rng, size: rng.exponential(size=size),
-            lambda zs: np.log1p(rho * zs),
-            n,
-            seed,
-        )
-    if isinstance(input_kind, tuple) and len(input_kind) == 2 and input_kind[0] == "cm":
+        vals = np.log1p(rho * rng.exponential(size=n))
+    elif isinstance(input_kind, tuple) and len(input_kind) == 2 and input_kind[0] == "cm":
         m_points = int(input_kind[1])
         if m_points < 2:
             raise ValueError("need at least 2 constellation points")
         xs = np.exp(2j * math.pi * np.arange(m_points) / m_points)
-        logm = math.log(m_points)
-        sq = math.sqrt(rho)
-
-        def sampler(rng, size):
-            h = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
-            w = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
-            j = rng.integers(0, m_points, size=size)
-            return h, w, j
-
-        def integrand(batch):
-            h, w, j = batch
-            centers = sq * h
-            return logm - np.abs(w) ** 2 - _log_mix(centers * xs[j] + w, centers, xs, 1.0)
-
-        return mc_expectation(sampler, integrand, n, seed, chunk=1 << 14)
-    raise ValueError(f"unknown input_kind {input_kind!r}")
+        centers = math.sqrt(rho) * _complex_normal(rng, n)
+        w = _complex_normal(rng, n)
+        j = rng.integers(0, m_points, size=n)
+        vals = math.log(m_points) - np.abs(w) ** 2 - _log_mix(centers * xs[j] + w, centers, xs, 1.0)
+    else:
+        raise ValueError(f"unknown input_kind {input_kind!r}")
+    mean, stderr = _mean_stderr(vals)
+    return McEstimate(mean=mean, stderr=stderr, n=n, seed=int(seed))
 
 
 def write_fading_dump(path, realizations, model: PsdModel, seed):

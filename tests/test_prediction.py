@@ -191,12 +191,13 @@ def test_convexity_check_passes(n, i):
     assert convexity_check(cov, z, 2.0, 1.0, i)
 
 
-def test_convexity_check_large_horizon_fit_path():
-    # past 16 the rational parameters come from the grid fit instead of the
-    # exact rank-one decomposition; both must accept the same instances
-    cov = _cov(Rectangular(0.1), 20)
-    z = PowerProfile((1.0,) * 19)
-    assert convexity_check(cov, z, 1.0, 1.0, 5)
+def test_convexity_check_large_horizon_exact_path():
+    # the exact rank-one decomposition serves every horizon, well past the
+    # small systems it is checked on against a direct sweep
+    for n in (20, 128):
+        cov = _cov(Rectangular(0.1), n)
+        z = PowerProfile((1.0,) * (n - 1))
+        assert convexity_check(cov, z, 1.0, 1.0, 5)
 
 
 def test_convexity_check_validation():

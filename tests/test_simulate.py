@@ -7,10 +7,12 @@ import pytest
 
 from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
 from fadingrate.prediction import PowerProfile, ToeplitzCov, pred_error_finite
-from fadingrate.quadrature import g_logmoment
+from fadingrate.quadrature import McEstimate, _complex_normal, g_logmoment, make_rng
 from fadingrate.mcrates import coherent_mi_cm
 from fadingrate.simulate import (
     FadingRealization,
+    _color,
+    _fading_cholesky_factor,
     empirical_coherent_mi,
     empirical_pred_error,
     gen_fading,
@@ -45,12 +47,28 @@ def test_same_seed_reproduces_bitwise(method):
 @pytest.mark.parametrize("method", ["embedding", "cholesky"])
 def test_batch_row_zero_matches_single(method):
     # the slowly decaying Jakes autocorrelation needs a large circulant
-    # embedding, so the short-trace case runs through the direct factor
+    # embedding, so the short-trace case runs through the direct factor.
+    # Realization k depends only on stream (seed, k): row k of a batch is
+    # bit for bit the last row of a (k+1)-row batch, and row 0 the single
+    # trace, so no batched synthesis may round rows differently.
     model = Rectangular(0.25) if method == "embedding" else Jakes(0.2)
-    batch = gen_fading_batch(model, 64, 5, seed=9, method=method)
+    batch = gen_fading_batch(model, 64, 64, seed=9, method=method)
     single = gen_fading(model, 64, 9, method=method)
-    assert batch.shape == (5, 64)
+    assert batch.shape == (64, 64)
     assert np.array_equal(batch[0], single.h)
+    for k in range(64):
+        last = gen_fading_batch(model, 64, k + 1, seed=9, method=method)[-1]
+        assert np.array_equal(batch[k], last)
+
+
+def test_cholesky_coloring_matches_complex_product():
+    # the real factor applied to the real and imaginary parts separately is
+    # the complex product chol @ w up to rounding
+    chol = _fading_cholesky_factor(Rectangular(0.1), 2048)
+    w = _complex_normal(make_rng(4), 2048)
+    want = chol.astype(complex) @ w
+    got = _color(chol, w)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize(
@@ -147,6 +165,16 @@ def test_empirical_prediction_validation():
         empirical_pred_error(model, PowerProfile((1.0,)), 1.0, 1, seed=0)
     with pytest.raises(ValueError):
         empirical_pred_error(model, PowerProfile((1.0,) * 2100), 1.0, 10, seed=0)
+
+
+def test_empirical_pg_determinism_and_error_scaling():
+    small = empirical_coherent_mi(1.0, "pg", 20_000, seed=3)
+    small2 = empirical_coherent_mi(1.0, "pg", 20_000, seed=3)
+    big = empirical_coherent_mi(1.0, "pg", 320_000, seed=4)
+    assert small.mean == small2.mean and small.stderr == small2.stderr
+    assert isinstance(small, McEstimate) and small.n == 20_000 and small.seed == 3
+    assert big.stderr < small.stderr / 3.0  # 16x samples -> ~4x smaller
+    assert abs(small.mean - g_logmoment(1.0)) < 4.0 * small.stderr
 
 
 def test_empirical_pg_capacity():
