@@ -14,7 +14,6 @@ from .model import (
     PsdModel,
     RaisedCosine,
     Rectangular,
-    Tabulated,
 )
 from .quadrature import (
     EULER_GAMMA,
@@ -86,7 +85,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # channel and spectra
-    "ChannelParams", "PsdModel", "Rectangular", "Jakes", "RaisedCosine", "Tabulated",
+    "ChannelParams", "PsdModel", "Rectangular", "Jakes", "RaisedCosine",
     # quadrature and randomness
     "QuadratureConfig", "McEstimate", "EULER_GAMMA", "make_rng",
     "g_logmoment", "g_logmoment_gauss", "szego_log_integral",

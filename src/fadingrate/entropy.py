@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .model import ChannelParams, PsdModel, _check_model
+from .model import _PANEL_ORDER, ChannelParams, PsdModel, _check_model, _panel_rule
 from .quadrature import EULER_GAMMA, g_logmoment, szego_log_integral
 
 __all__ = [
@@ -29,14 +29,17 @@ __all__ = [
 ]
 
 _LOG_PI_E = math.log(math.pi) + 1.0
+# uniform Gauss-Legendre panels of the refined entropy's s-rule
+_S_PANELS = 48
 
 
 @dataclass(frozen=True)
 class EntropyRate:
     """An entropy-rate bound in nats per channel use.
 
-    err_bound is populated only by the refined upper bound, where it
-    carries the proven truncation + tail error of the numerical integral.
+    err_bound is populated only by the refined upper bound, where it is
+    QUADPACK's error estimate for the entropy integral plus the analytic
+    tail beyond its truncation point: an estimate, not a proven bound.
     """
 
     value: float
@@ -68,18 +71,18 @@ def h_y_upper(params: ChannelParams, alpha=1.0) -> EntropyRate:
     return EntropyRate(value=_LOG_PI_E + math.log(power), kind="hy_upper")
 
 
-def _magnitude_density(m, rho, sigma_n2, s_hi):
-    # density of |y| for the proper-Gaussian-input output sample:
+def _s_rule(rho, sigma_n2):
+    """Weights mix_k and variances v_k with which the density of |y| for a
+    proper Gaussian input is f(m) = (2m/sigma_n2) sum_k mix_k exp(-m^2/v_k)."""
     # f(m) = E_z[(2m/v) exp(-m^2/v)], v = sigma_n2 (1 + rho z), z ~ Exp(1).
     # Substituting v = sigma_n2 e^s flattens both the small-z spike at high
     # SNR and the exponential tail:
-    # f(m) = (2m/(rho sigma_n2)) int_0^{s_hi} exp(-(e^s - 1)/rho - m^2 e^{-s}/sigma_n2) ds
-    def integrand(s):
-        es = math.exp(s)
-        return math.exp(-(es - 1.0) / rho - m * m / (sigma_n2 * es))
-
-    val, _ = integrate.quad(integrand, 0.0, s_hi, epsabs=1e-15, epsrel=1e-13, limit=400)
-    return 2.0 * m / (rho * sigma_n2) * val
+    # f(m) = (2m/(rho sigma_n2)) int_0^{s_hi} exp(-(e^s - 1)/rho - m^2 e^{-s}/sigma_n2) ds,
+    # with e^{-(e^s - 1)/rho} < 8.8e-27 beyond s_hi
+    s_hi = math.log1p(60.0 * rho)
+    s, w = _panel_rule(np.linspace(0.0, s_hi, _S_PANELS + 1), _PANEL_ORDER)
+    # expm1: e^s - 1 loses 1e-16 / rho of the exponent at low SNR
+    return w * np.exp(-np.expm1(s) / rho) / rho, sigma_n2 * np.exp(s)
 
 
 def h_y_upper_refined(params: ChannelParams) -> EntropyRate:
@@ -87,11 +90,14 @@ def h_y_upper_refined(params: ChannelParams) -> EntropyRate:
     proper Gaussian input.
 
     The magnitude density f(m) of the output sample is an exponential
-    mixture of Rayleigh densities, evaluated by adaptive quadrature on a
-    log-variance substitution that stays accurate at any SNR; the entropy
-    integral runs over [0, M] with M doubled until the integrand is below
-    1e-14 of its peak.  err_bound adds the analytic tail of the truncated
-    integral to the achieved quadrature tolerance.
+    mixture of Rayleigh densities.  On the log-variance substitution
+    v = sigma_n2 e^s it is a sum over one fixed Gauss-Legendre s-rule
+    (48 uniform 16-node panels on [0, log1p(60 rho)]), which holds 1e-13
+    relative against 30-digit mpmath wherever f is above 1e-16 of its
+    peak.  The entropy integral of -f log f runs over [0, M] by adaptive
+    quadrature, with M doubled until the integrand is below 1e-14 of its
+    peak.  err_bound is QUADPACK's error estimate for that integral plus
+    the analytic tail beyond M; the s-rule's own error is not included.
     """
     rho = params.rho
     sigma_n2 = params.sigma_n2
@@ -100,15 +106,13 @@ def h_y_upper_refined(params: ChannelParams) -> EntropyRate:
         return EntropyRate(
             value=noise_entropy(sigma_n2), kind="hy_upper_refined", err_bound=0.0
         )
-    # e^{-(e^s - 1)/rho} < 8.8e-27 beyond s_hi
-    s_hi = math.log1p(60.0 * rho)
     v_max = sigma_n2 * (1.0 + 60.0 * rho)
-    v_min = sigma_n2
+    mix, v = _s_rule(rho, sigma_n2)
 
     def neg_flogf(m):
         if m <= 0.0:
             return 0.0
-        f = _magnitude_density(m, rho, sigma_n2, s_hi)
+        f = 2.0 * m / sigma_n2 * float(mix @ np.exp(-m * m / v))
         return -f * math.log(f) if f > 0.0 else 0.0
 
     # peak estimate on a coarse grid, then double M until both the entropy
@@ -136,20 +140,12 @@ def h_y_upper_refined(params: ChannelParams) -> EntropyRate:
 
     # analytic tail: the truncated mass p = E_z[exp(-M^2/v)] and truncated
     # second moment q = E_z[(M^2 + v) exp(-M^2/v)] have closed Rayleigh-tail
-    # forms inside the mixture; with f <= 1/e beyond M (checked above), the
-    # maximum-entropy principle bounds the discarded entropy by
-    # p log(1/p) + (p/2) log(2 pi e q / p)
-    def tail_moment(extra):
-        def integrand(s):
-            es = math.exp(s)
-            v = sigma_n2 * es
-            return math.exp(-(es - 1.0) / rho - m_top * m_top / v) * extra(v)
-
-        val_s, _ = integrate.quad(integrand, 0.0, s_hi, epsabs=1e-300, epsrel=1e-12, limit=400)
-        return val_s / rho
-
-    p_tail = tail_moment(lambda v: 1.0) + math.exp(-60.0)
-    q_tail = tail_moment(lambda v: m_top * m_top + v) + math.exp(-60.0) * (
+    # forms inside the mixture, summed over the same s-rule; with f <= 1/e
+    # beyond M (checked above), the maximum-entropy principle bounds the
+    # discarded entropy by p log(1/p) + (p/2) log(2 pi e q / p)
+    beyond = mix * np.exp(-m_top * m_top / v)
+    p_tail = float(beyond.sum()) + math.exp(-60.0)
+    q_tail = float(beyond @ (m_top * m_top + v)) + math.exp(-60.0) * (
         m_top * m_top + sigma_n2 * (1.0 + 61.0 * rho)
     )
     tail = p_tail * math.log(1.0 / p_tail)
@@ -205,8 +201,8 @@ def h_yx_lower_rect(params: ChannelParams, input_dist="pg") -> EntropyRate:
             kind="hyx_lower_rect",
         )
     z = np.asarray(input_dist, dtype=float)
-    if z.ndim != 1 or z.size == 0 or np.any(z < 0):
-        raise ValueError("power samples must be a nonempty 1-D nonnegative array")
+    if z.ndim != 1 or z.size == 0 or not np.all((z >= 0) & (z < math.inf)):
+        raise ValueError("power samples must be a nonempty 1-D nonnegative finite array")
     gain = params.sigma_h2 / (two_fd * params.sigma_n2)
     return EntropyRate(
         value=two_fd * float(np.mean(np.log1p(gain * z))) + floor,

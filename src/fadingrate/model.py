@@ -27,7 +27,6 @@ __all__ = [
     "Rectangular",
     "Jakes",
     "RaisedCosine",
-    "Tabulated",
 ]
 
 # Graded Gauss-Legendre rule on u in [0, pi/2], singular at u = 0: panels of
@@ -38,8 +37,6 @@ __all__ = [
 _PANEL_ORDER = 16
 _PANEL_RATIO = 4.0
 _PANEL_FLOOR = 1e-14
-# Gauss-Legendre order per segment of a tabulated density
-_SEGMENT_ORDER = 48
 
 
 def _check_freq(f):
@@ -50,8 +47,8 @@ def _check_freq(f):
 
 
 def _check_power(sigma_h2):
-    if not sigma_h2 > 0:
-        raise ValueError(f"sigma_h2 must be positive, got {sigma_h2}")
+    if not 0 < sigma_h2 < math.inf:
+        raise ValueError(f"sigma_h2 must be positive and finite, got {sigma_h2}")
 
 
 def _check_doppler(f_d):
@@ -66,11 +63,11 @@ class ChannelParams:
     Attributes
     ----------
     sigma_h2 : float
-        Fading power E|h_k|^2 (> 0).
+        Fading power E|h_k|^2 (> 0, finite).
     sigma_n2 : float
-        Additive noise power (> 0).
+        Additive noise power (> 0, finite).
     sigma_x2 : float
-        Maximum average input power (>= 0; zero is the noise-only edge
+        Maximum average input power (>= 0, finite; zero is the noise-only edge
         case used by limit checks).
     f_d : float
         Normalized maximum Doppler frequency, 0 < f_d < 1/2.
@@ -82,10 +79,10 @@ class ChannelParams:
     f_d: float = 0.1
 
     def __post_init__(self):
-        if not self.sigma_h2 > 0 or not self.sigma_n2 > 0:
-            raise ValueError("sigma_h2 and sigma_n2 must be positive")
-        if self.sigma_x2 < 0:
-            raise ValueError("sigma_x2 must be nonnegative")
+        if not (0 < self.sigma_h2 < math.inf and 0 < self.sigma_n2 < math.inf):
+            raise ValueError("sigma_h2 and sigma_n2 must be positive and finite")
+        if not 0 <= self.sigma_x2 < math.inf:
+            raise ValueError("sigma_x2 must be nonnegative and finite")
         _check_doppler(self.f_d)
 
     @property
@@ -300,80 +297,3 @@ class RaisedCosine(PsdModel):
         flat = 2.0 * ((1.0 - self.beta_ro) * self.f_d)
         roll = 8.0 * self.beta_ro * self.f_d / math.pi
         return np.append(h, h * np.sin(u) ** 2), np.append(flat, roll * w)
-
-
-def _trapezoid(v, f):
-    return float(np.sum(np.diff(f) * (v[1:] + v[:-1]) / 2.0))
-
-
-@dataclass(frozen=True)
-class Tabulated(PsdModel):
-    """Piecewise-linear symmetric density given on a frequency grid.
-
-    The grid must be strictly increasing, symmetric about zero, and lie in
-    [-1/2, 1/2]; values must be nonnegative and symmetric.  Values are
-    renormalized on construction so the (trapezoid) integral equals
-    sigma_h2 exactly.  Outside the grid the density is zero, and the grid
-    extent is treated as the band edge f_d.
-    """
-
-    freqs: tuple
-    values: tuple
-    sigma_h2: float = 1.0
-
-    def __post_init__(self):
-        _check_power(self.sigma_h2)
-        f = np.asarray(self.freqs, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if f.ndim != 1 or f.shape != v.shape or len(f) < 2:
-            raise ValueError("freqs and values must be equal-length 1-D grids (>= 2 points)")
-        if np.any(np.diff(f) <= 0):
-            raise ValueError("frequency grid must be strictly increasing")
-        if f[0] < -0.5 or f[-1] > 0.5:
-            raise ValueError("frequency grid must lie inside [-1/2, 1/2]")
-        if np.any(v < 0):
-            raise ValueError("density values must be nonnegative")
-        if not np.allclose(f, -f[::-1], atol=1e-12):
-            raise ValueError("frequency grid must be symmetric about zero")
-        if not np.allclose(v, v[::-1], rtol=1e-9, atol=0.0):
-            raise ValueError("density values must be symmetric")
-        total = _trapezoid(v, f)
-        if total <= 0:
-            raise ValueError("density integrates to zero")
-        v = v * (self.sigma_h2 / total)
-        object.__setattr__(self, "freqs", tuple(float(x) for x in f))
-        object.__setattr__(self, "values", tuple(float(x) for x in v))
-        object.__setattr__(self, "_f", f)
-        object.__setattr__(self, "_v", v)
-
-    @property
-    def f_d(self):
-        return max(abs(self._f[0]), abs(self._f[-1]))
-
-    @property
-    def support_edge(self):
-        return self.f_d
-
-    def psd(self, f):
-        fa = _check_freq(f)
-        return float(np.interp(fa, self._f, self._v, left=0.0, right=0.0))
-
-    def autocorr(self, lag):
-        f, v = self._f, self._v
-        lag = abs(float(lag))
-        if lag == 0.0:
-            return _trapezoid(v, f)
-        # exact segment-wise transform of the piecewise-linear density:
-        # int (a + b f) cos(w f) df with w = 2 pi lag
-        w = 2.0 * math.pi * lag
-        f0, f1 = f[:-1], f[1:]
-        v0, v1 = v[:-1], v[1:]
-        b = (v1 - v0) / (f1 - f0)
-        term = (v1 * np.sin(w * f1) - v0 * np.sin(w * f0)) / w
-        term += b * (np.cos(w * f1) - np.cos(w * f0)) / w**2
-        return float(np.sum(term))
-
-    def _band_rule(self):
-        f, v = self._f, self._v
-        x, w = _panel_rule(f, _SEGMENT_ORDER)
-        return np.interp(x, f, v), w

@@ -64,13 +64,13 @@ class BoundValue:
 
 @dataclass(frozen=True)
 class PeakConstraint:
-    """Nominal peak-to-average power ratio beta = P_peak / sigma_x2 >= 1."""
+    """Nominal peak-to-average power ratio beta = P_peak / sigma_x2, finite and >= 1."""
 
     beta: float
 
     def __post_init__(self):
-        if not self.beta >= 1.0:
-            raise ValueError(f"beta must be at least 1, got {self.beta}")
+        if not 1.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and at least 1, got {self.beta}")
 
 
 def coherent_capacity(rho) -> BoundValue:

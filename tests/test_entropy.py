@@ -1,12 +1,15 @@
 """Differential entropy rates of the channel output."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from fadingrate.entropy import (
     EntropyRate,
+    _s_rule,
     entropy_gaps,
     h_y_lower,
     h_y_upper,
@@ -60,6 +63,51 @@ def test_refined_equals_noise_entropy_at_zero_snr():
     ref = h_y_upper_refined(p)
     assert ref.value == pytest.approx(noise_entropy(0.7), abs=1e-14)
     assert ref.err_bound == 0.0
+
+
+@pytest.mark.parametrize("sigma_n2", [1.0, 1e-3])
+@pytest.mark.parametrize("rho", [1e-12, 1e-9, 1e-6])
+def test_refined_within_its_error_at_low_snr(rho, sigma_n2):
+    """Far below 0 dB the output is Gaussian to O(rho^2):
+    h(y) = log(pi e sigma_n2) + log1p(rho) to below 1e-15.  The s-rule must
+    form e^s - 1 with expm1: plain subtraction loses 1e-16/rho of the
+    exponent, 4.3e-6 of the value at rho = 1e-12, with a quadrature warning."""
+    p = ChannelParams(sigma_n2=sigma_n2, sigma_x2=rho * sigma_n2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = h_y_upper_refined(p)
+    expect = noise_entropy(sigma_n2) + math.log1p(p.rho)
+    assert abs(ref.value - expect) <= ref.err_bound
+
+
+def _magnitude_density_mpmath(m, rho):
+    # f(m) at sigma_n2 = 1 in 30 digits, on the log-variance substitution
+    # f(m) = (2m/rho) int_0^inf exp(-(e^s - 1)/rho - m^2 e^{-s}) ds; its
+    # exponent is concave in s, one bump at e^{2s} = rho m^2, and the
+    # breakpoints bracket it; the part beyond log1p(60 rho) is below 1e-26
+    with mpmath.workdps(30):
+        m, rho = mpmath.mpf(m), mpmath.mpf(rho)
+        s_hi = mpmath.log1p(60 * rho)
+        peak = min(max(mpmath.log(rho * m * m) / 2, 0), s_hi)
+        width = 1 / mpmath.sqrt(mpmath.exp(peak) / rho + m * m * mpmath.exp(-peak))
+        points = sorted({mpmath.mpf(0), s_hi}
+                        | {min(max(peak + k * width, 0), s_hi) for k in (-8, -2, 0, 2, 8)})
+        val = mpmath.quad(
+            lambda s: mpmath.exp(-mpmath.expm1(s) / rho - m * m * mpmath.exp(-s)), points)
+        return float(2 * m / rho * val)
+
+
+@pytest.mark.parametrize("rho", [0.01, 1.0, 1e4, 1e6])
+def test_s_rule_density_matches_mpmath(rho):
+    """The fixed s-rule holds 1e-13 relative wherever f(m) is at least
+    1e-16 of its peak; in the far tail below that it loses relative digits
+    on values that add nothing to h(y)."""
+    mix, v = _s_rule(rho, 1.0)
+    m = np.geomspace(1e-6, 10.0 * math.sqrt(1.0 + 60.0 * rho), 24)
+    f = 2.0 * m * (np.exp(-np.outer(m * m, 1.0 / v)) @ mix)
+    for m_k, f_k in zip(m, f):
+        if f_k >= 1e-16 * f.max():
+            assert f_k == pytest.approx(_magnitude_density_mpmath(m_k, rho), rel=1e-13, abs=0.0)
 
 
 def test_refined_frozen_values():
@@ -134,6 +182,8 @@ def test_h_yx_lower_rect_sample_powers():
         h_yx_lower_rect(p, np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         h_yx_lower_rect(p, np.array([1.0, -2.0]))
+    with pytest.raises(ValueError):
+        h_yx_lower_rect(p, [1.0, math.nan])
 
 
 def test_entropy_gaps_nonnegative_and_monotone():

@@ -12,7 +12,6 @@ from fadingrate.model import (
     Jakes,
     RaisedCosine,
     Rectangular,
-    Tabulated,
 )
 
 
@@ -31,6 +30,8 @@ def test_channel_params_with_power():
 @pytest.mark.parametrize("bad", [
     dict(sigma_h2=0.0), dict(sigma_n2=-1.0), dict(sigma_x2=-0.1),
     dict(f_d=0.0), dict(f_d=0.5), dict(f_d=0.7),
+    dict(sigma_x2=math.nan), dict(sigma_x2=math.inf),
+    dict(sigma_h2=math.inf), dict(sigma_n2=math.inf),
 ])
 def test_channel_params_rejects_bad_values(bad):
     with pytest.raises(ValueError):
@@ -117,45 +118,8 @@ def test_raised_cosine_support_and_validation():
         RaisedCosine(0.1, 0.0)
     with pytest.raises(ValueError):
         RaisedCosine(0.1, 1.5)
-
-
-def test_tabulated_matches_rect_when_flat():
-    height = 1.0 / 0.4
-    tab = Tabulated((-0.2, 0.2), (height, height))
-    rect = Rectangular(0.2)
-    for lag in (0, 1, 2, 7):
-        assert tab.autocorr(lag) == pytest.approx(rect.autocorr(lag), abs=1e-12)
-    assert tab.f_d == pytest.approx(0.2)
-    assert tab.spectral_l2() == pytest.approx(rect.spectral_l2(), rel=1e-10)
-
-
-def test_tabulated_triangle_autocorr_cross_check():
-    tab = Tabulated((-0.25, 0.0, 0.25), (0.0, 8.0, 0.0))
-    assert tab.autocorr(0) == pytest.approx(1.0, rel=1e-12)
-    for lag in (1, 3, 6):
-        direct, _ = integrate.quad(
-            lambda f: tab.psd(f) * math.cos(2.0 * math.pi * f * lag), -0.25, 0.25,
-            limit=200,
-        )
-        assert tab.autocorr(lag) == pytest.approx(direct, abs=1e-10)
-
-
-def test_tabulated_renormalizes_to_unit_power():
-    tab = Tabulated((-0.1, 0.0, 0.1), (1.0, 3.0, 1.0), sigma_h2=2.0)
-    assert tab.autocorr(0) == pytest.approx(2.0, rel=1e-12)
-
-
-@pytest.mark.parametrize("freqs,values", [
-    ((-0.2, -0.3, 0.2), (1.0, 1.0, 1.0)),   # not increasing
-    ((-0.3, 0.2), (1.0, 1.0)),               # asymmetric support
-    ((-0.2, 0.2), (1.0, -1.0)),              # negative density
-    ((-0.6, 0.6), (1.0, 1.0)),               # outside the half-rate band
-    ((0.2,), (1.0,)),                        # a single knot is not a density
-    ((-0.2, 0.2), (0.0, 0.0)),               # zero mass cannot be normalized
-])
-def test_tabulated_rejects_bad_tables(freqs, values):
     with pytest.raises(ValueError):
-        Tabulated(freqs, values)
+        RaisedCosine(0.1, 0.2, sigma_h2=math.inf)
 
 
 def test_psd_is_even():

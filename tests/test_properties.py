@@ -1,4 +1,5 @@
-"""Property tests of the bound orderings on the flat (rect) density.
+"""Property tests of the bound orderings on the flat (rect), Jakes and
+raised-cosine densities.
 
 Each property holds exactly in real arithmetic; the only slack is the
 rounding of O(1) nat values, fixed at 1e-12 before any example was run.
@@ -11,13 +12,15 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from fadingrate import cli
-from fadingrate.model import ChannelParams, Rectangular
+from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
+from fadingrate.quadrature import szego_log_integral
 from fadingrate.rates import (
     PeakConstraint,
     coherent_capacity,
     rate_lower_pg,
     rate_upper_pg_rect,
     rate_upper_pred_peak,
+    rate_upper_pred_pg,
     sethuraman_upper,
 )
 
@@ -55,6 +58,41 @@ def test_pg_bounds_ordered_and_nondecreasing_in_snr(f_d, snr_db, step_db):
 @given(FD, SNR_DB, BETA)
 def test_prediction_peak_bound_below_spectral_peak_bound(f_d, snr_db, beta):
     p, model, peak = _params(f_d, snr_db), Rectangular(f_d), PeakConstraint(beta)
+    assert rate_upper_pred_peak(p, model, peak).value <= sethuraman_upper(p, model, peak).value + TOL
+
+
+@st.composite
+def _shaped_models(draw):
+    # Jakes, or a raised cosine whose roll-off ends below the half rate
+    if draw(st.booleans()):
+        return Jakes(draw(FD))
+    beta_ro = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return RaisedCosine(draw(st.floats(0.005, 0.495 / (1.0 + beta_ro))), beta_ro)
+
+
+@PROPERTY
+@given(_shaped_models(), SNR_DB)
+def test_flat_density_maximizes_szego(model, snr_db):
+    """Among densities of equal power and support, the flat one maximizes
+    the spectral log integral (concavity of the logarithm)."""
+    c = 10.0 ** (snr_db / 10.0)
+    flat = Rectangular(model.support_edge)
+    assert szego_log_integral(model, c) <= szego_log_integral(flat, c) + TOL
+
+
+@PROPERTY
+@given(_shaped_models(), SNR_DB)
+def test_shaped_pg_bounds_ordered(model, snr_db):
+    p = _params(model.f_d, snr_db)
+    upper = rate_upper_pred_pg(p, model).value
+    assert rate_lower_pg(p, model).value <= upper + TOL
+    assert upper <= coherent_capacity(p.rho).value + TOL
+
+
+@PROPERTY
+@given(_shaped_models(), SNR_DB, BETA)
+def test_shaped_prediction_peak_bound_below_spectral_peak_bound(model, snr_db, beta):
+    p, peak = _params(model.f_d, snr_db), PeakConstraint(beta)
     assert rate_upper_pred_peak(p, model, peak).value <= sethuraman_upper(p, model, peak).value + TOL
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fadingrate.model import Jakes, RaisedCosine, Rectangular, Tabulated
+from fadingrate.model import Jakes, RaisedCosine, Rectangular
 from fadingrate.quadrature import (
     _CHUNK,
     EULER_GAMMA,
@@ -131,20 +131,6 @@ def test_szego_rule_matches_mpmath(model):
     for c in (1e-8, 1e-4, 1.0, 1e4, 1e10):
         expect = _szego_reference(model, c)
         assert szego_log_integral(model, c) == pytest.approx(expect, rel=1e-14, abs=0.0)
-
-
-def test_flat_density_maximizes_szego():
-    """Among densities of equal power and support, the flat one maximizes
-    the spectral log integral (concavity of the logarithm)."""
-    rng = make_rng(7)
-    for _ in range(32):
-        edge = float(rng.uniform(0.05, 0.45))
-        knots = np.linspace(-edge, edge, int(rng.integers(3, 8)))
-        half = rng.uniform(0.05, 1.0, size=(len(knots) + 1) // 2)
-        vals = np.concatenate([half, half[-2::-1]]) if len(knots) % 2 else np.concatenate([half, half[::-1]])
-        tab = Tabulated(tuple(knots), tuple(vals[: len(knots)]))
-        c = float(10.0 ** rng.uniform(-1, 2))
-        assert szego_log_integral(tab, c) <= szego_log_integral(Rectangular(edge), c) + 1e-9
 
 
 def test_make_rng_streams_and_validation():

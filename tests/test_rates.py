@@ -163,6 +163,8 @@ class TestPeakBounds:
     def test_beta_validation(self):
         with pytest.raises(ValueError):
             PeakConstraint(0.5)
+        with pytest.raises(ValueError):
+            PeakConstraint(math.inf)
 
 
 class TestPredictionBounds:
