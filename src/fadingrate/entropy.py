@@ -195,7 +195,10 @@ def h_yx_lower_rect(params: ChannelParams, input_dist="pg") -> EntropyRate:
     if isinstance(input_dist, str) and input_dist == "cm":
         input_dist = ("cm", params.sigma_x2)
     if isinstance(input_dist, tuple) and len(input_dist) == 2 and input_dist[0] == "cm":
-        c = float(input_dist[1]) * params.sigma_h2 / params.sigma_n2
+        power = float(input_dist[1])
+        if not 0.0 <= power < math.inf:
+            raise ValueError(f"constant-modulus power must be finite and nonnegative, got {power}")
+        c = power * params.sigma_h2 / params.sigma_n2
         return EntropyRate(
             value=two_fd * math.log1p(c / two_fd) + floor,
             kind="hyx_lower_rect",

@@ -19,8 +19,8 @@ from .entropy import noise_entropy
 from .model import ChannelParams, PsdModel, _check_model
 from .prediction import pred_error_cm_infinite
 from .quadrature import (
-    McEstimate, QuadratureConfig, _complex_normal, _log_mix, _mean_stderr, _mix_work,
-    make_rng, szego_log_integral,
+    McEstimate, QuadratureConfig, _complex_normal, _log_mix_psk, _mean_stderr, make_rng,
+    szego_log_integral,
 )
 from .rates import BoundValue, PeakConstraint
 
@@ -32,11 +32,11 @@ __all__ = [
 ]
 
 
-def _phases(m_points):
+def _points(m_points):
     m_points = int(m_points)
     if m_points < 2:
         raise ValueError("need at least 2 constellation points")
-    return np.exp(2j * math.pi * np.arange(m_points) / m_points)
+    return m_points
 
 
 def _draw_base(seed, n, task_index=0):
@@ -51,12 +51,12 @@ def _check_stderr(stderr, stderr_tol, n):
                            f"exceeds tolerance {stderr_tol:.3e} at n = {n}")
 
 
-def _cm_mi_samples(z, w, snr, xs, work=None):
-    # per-sample coherent mutual information of the unit-power constellation
-    # xs at SNR snr: channel magnitude sqrt(snr z), unit-variance noise w,
-    # symbol fixed to xs[0] = 1 by symmetry
+def _cm_mi_samples(z, w, snr, m):
+    # per-sample coherent mutual information of the unit-power m-PSK
+    # constellation at SNR snr: channel magnitude sqrt(snr z), unit-variance
+    # noise w, symbol fixed to 1 by symmetry
     h = np.sqrt(snr * z)
-    return math.log(len(xs)) - np.abs(w) ** 2 - _log_mix(h + w, h, xs, 1.0, work)
+    return math.log(m) - np.abs(w) ** 2 - _log_mix_psk(h + w, h, m, 1.0)
 
 
 def coherent_mi_cm(rho, m_points=100, seed=0, n=None, stderr_tol=None) -> McEstimate:
@@ -70,10 +70,10 @@ def coherent_mi_cm(rho, m_points=100, seed=0, n=None, stderr_tol=None) -> McEsti
     rho = float(rho)
     if rho < 0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
-    xs = _phases(m_points)
+    m = _points(m_points)
     n = int(n) if n is not None else QuadratureConfig().mc_default_n
     z, w = _draw_base(seed, n)
-    mean, stderr = _mean_stderr(_cm_mi_samples(z, w, rho, xs))
+    mean, stderr = _mean_stderr(_cm_mi_samples(z, w, rho, m))
     _check_stderr(stderr, stderr_tol, n)
     return McEstimate(mean=mean, stderr=stderr, n=n, seed=int(seed))
 
@@ -142,14 +142,13 @@ def rate_lower_cm_timeshare(params: ChannelParams, model: PsdModel, peak: PeakCo
     alpha_used records the duty cycle 1/gamma_opt.
     """
     _check_model(params, model)
-    xs = _phases(m_points)
+    m = _points(m_points)
     n = int(n) if n is not None else QuadratureConfig().mc_default_n
     z, w = _draw_base(seed, n)
     rho = params.rho
-    work = _mix_work(n, len(xs))
 
     def samples(gamma, count):
-        return _cm_mi_samples(z[:count], w[:count], gamma * rho, xs, work)
+        return _cm_mi_samples(z[:count], w[:count], gamma * rho, m)
 
     def rate(gamma, mean):
         return (mean - szego_log_integral(model, gamma * rho)) / gamma
@@ -165,14 +164,14 @@ def rate_lower_cm_timeshare(params: ChannelParams, model: PsdModel, peak: PeakCo
     )
 
 
-def _sd_entropy_samples(z, w, hat_var, amp, sigma_eff2, xs, work=None):
+def _sd_entropy_samples(z, w, hat_var, amp, sigma_eff2, m):
     # per-sample -log p(y | h_hat) for the constant-modulus mixture: the
     # receiver knows the one-step prediction h_hat = sqrt(hat_var z) (real
     # by symmetry) and sees y = h_hat * amp + w sqrt(sigma_eff2)
     centers = np.sqrt(hat_var * z) * amp
     y = centers + w * math.sqrt(sigma_eff2)
     log_norm = math.log(math.pi * sigma_eff2)
-    return math.log(len(xs)) + log_norm - _log_mix(y, centers, xs, sigma_eff2, work)
+    return math.log(m) + log_norm - _log_mix_psk(y, centers, m, sigma_eff2)
 
 
 def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
@@ -188,7 +187,7 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
     only up to Monte Carlo noise).
     """
     _check_model(params, model)
-    xs = _phases(cm_points)
+    m = _points(cm_points)
     n = int(n) if n is not None else QuadratureConfig().mc_default_n
     if timeshare and peak is None:
         raise ValueError("time-sharing variant needs the peak constraint")
@@ -196,7 +195,6 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
     rho = params.rho
     sigma_h2 = params.sigma_h2
     sigma_n2 = params.sigma_n2
-    work = _mix_work(n, len(xs))
 
     def samples(gamma, count):
         # per-sample conditional output entropy at boost gamma
@@ -205,7 +203,7 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
         hat_var = max(sigma_h2 - s2, 0.0)
         sigma_eff2 = power * s2 + sigma_n2
         return _sd_entropy_samples(z[:count], w[:count], hat_var, math.sqrt(power),
-                                   sigma_eff2, xs, work)
+                                   sigma_eff2, m)
 
     def rate(gamma, mean):
         # rate at boost gamma over a 1/gamma duty cycle

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 from .model import Rectangular
 
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.5772156649015329
+_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -188,44 +190,32 @@ def _mean_stderr(vals):
     return mean, math.sqrt(var / len(vals))
 
 
-# rows per block of the log-mixture kernel: (rows x points) work buffers.
-# At 100 points a block of 512 rows keeps the three buffers near 1.3 MB, in
-# cache; 16384-row blocks (41 MB) made 10^5-sample estimates about a fifth
-# slower and set their peak memory.  256 and 1024 rows time the same.
+# rows per block of the direct log-mixture kernel: (rows x points) work
+# buffers.  At 100 points a block of 512 rows keeps the three buffers near
+# 1.3 MB, in cache; 16384-row blocks (41 MB) made 10^5-sample estimates
+# about a fifth slower.  256 and 1024 rows time the same.
 _CHUNK = 512
 
 
-def _mix_work(n, m):
-    """Work buffers of _log_mix for up to n rows of m points."""
-    rows = min(n, _CHUNK)
-    return (np.empty((rows, m), dtype=complex), np.empty((rows, m)),
-            np.empty((rows, m), dtype=bool))
-
-
-def _log_mix(y, centers, xs, scale, work=None):
-    """Per row i, log sum_j exp(-|y_i - centers_i xs_j|^2 / scale).
+def _log_mix(y, centers, xs, scale):
+    """Per row i, log sum_j exp(-|y_i - centers_i xs_j|^2 / scale), summed
+    over every point.
 
     The split-max log-sum-exp (Blanchard, Higham & Higham 2021), with the
     operations of scipy.special.logsumexp in its order, so every value is
     bit for bit what logsumexp(-d2 / scale, axis=1) gives: the row maxima
     are taken out of the sum and counted, the rest are summed after the
-    shift.  Runs in place on the buffers of work, one block of _CHUNK rows
+    shift.  Runs in place on one set of buffers, one block of _CHUNK rows
     at a time.  A row whose distances all overflow gives -inf, a NaN
     distance gives NaN.
-
-    work is _mix_work(rows, len(xs)) for at least len(y) rows, made here
-    when not given.  A caller that runs the kernel many times passes one
-    set to every call: buffers of a few hundred KiB allocated per call
-    come back as fresh pages whenever malloc has trimmed the heap in
-    between.  Whether it does depends on the process's heap layout, and
-    where it did the page faults made a gamma search take about three
-    quarters longer.
     """
     # the complex product of logsumexp's operands, with the cast done once
     centers = np.asarray(centers, dtype=complex)
     n, m = len(y), len(xs)
     out = np.empty(n)
-    cbuf, buf, mask = _mix_work(n, m) if work is None else work
+    rows = min(n, _CHUNK)
+    cbuf, buf, mask = (np.empty((rows, m), dtype=complex), np.empty((rows, m)),
+                       np.empty((rows, m), dtype=bool))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, n, _CHUNK):
             stop = min(start + _CHUNK, n)
@@ -248,3 +238,102 @@ def _log_mix(y, centers, xs, scale, work=None):
             out[start:stop] = np.log1p(s) + np.log(ties) + a_max
     return out
 
+
+# rows per block of the m-PSK kernel; at 100 points its window is 26
+# columns, so a block's window buffer stays near 850 kB
+_PSK_BLOCK = 4096
+# exponent gap below the nearest phase beyond which the m-PSK window stops:
+# e^-40 = 4e-18 of the peak term for the first phase left out
+_PSK_GAP = 40.0
+
+
+@lru_cache(maxsize=16)
+def _psk_window(m):
+    """(cut, cos_k, sin_k) of the m-PSK log-mixture kernel for m phases.
+
+    cut is the largest kappa found, by bisection on [0, m^2], at which
+    2 I_m(kappa) / I_0(kappa) < 1e-16: up to it the Jacobi-Anger series
+    is its first term to rounding (the ratio grows with kappa).  Above it
+    the kernel sums the nearest phase and the window of offsets k = +-1 ..
+    +-J around it, J the least for which every phase outside sits at least
+    _PSK_GAP below the nearest one in the exponent at kappa = cut (the gap
+    grows with kappa), or all m - 1 other phases where 2J + 1 would reach
+    m.  cos_k and sin_k are cos(k pi / m) and sin(k pi / m) over those k.
+    """
+    lo, hi = 0.0, float(m * m)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if 2.0 * special.ive(m, mid) < 1e-16 * special.i0e(mid):
+            lo = mid
+        else:
+            hi = mid
+    cut = lo
+    # phi is within pi / m of the nearest phase, so every phase beyond offset
+    # j lies 2 kappa (sin^2(pi (j + 1/2) / m) - sin^2(pi / (2 m))) or more below it
+    j = 1
+    while 2 * j + 1 < m and 2.0 * cut * (math.sin(math.pi * (j + 0.5) / m) ** 2
+                                         - math.sin(0.5 * math.pi / m) ** 2) < _PSK_GAP:
+        j += 1
+    k = np.arange(-j, j + 1) if 2 * j + 1 < m else np.arange(m) - (m - 1) // 2
+    k = k[k != 0]
+    cos_k, sin_k = np.cos(k * math.pi / m), np.sin(k * math.pi / m)
+    # every call shares them
+    cos_k.flags.writeable = sin_k.flags.writeable = False
+    return cut, cos_k, sin_k
+
+
+def _log_mix_psk(y, centers, m, scale):
+    """Per row i, log sum_j exp(-|y_i - centers_i x_j|^2 / scale) over the
+    m-PSK phases x_j = e^(2 pi i j / m), without the sum over all m.
+
+    With kappa = 2 |y| |c| / scale and phi = arg(y conj(c)), each distance is
+    |y - c x_j|^2 / scale = (|y| - |c|)^2 / scale + 2 kappa sin^2((phi - 2 pi j / m) / 2),
+    so a row is -(|y| - |c|)^2 / scale plus the log of a sum over phases
+    (Abramowitz & Stegun 9.6):
+    - kappa up to the cut of _psk_window: log m + log i0e(kappa), the first
+      term of the Jacobi-Anger series m [I_0 + 2 sum_k I_km cos(k m phi)] e^-kappa;
+    - above it: a log-sum-exp over the window of phases nearest phi, each
+      exponent in the sin^2 form (cos - 1 loses digits at large kappa),
+      shifted by the nearest one.
+    Within 1e-13 of 40-digit mpmath plus 2e-15 times the value's
+    sensitivity to the inputs' moduli and phase (test_quadrature).
+
+    Rows run in blocks of _PSK_BLOCK.  A row whose distances all overflow
+    gives -inf, a NaN input gives NaN, and centers_i = 0 gives
+    log m - |y_i|^2 / scale.
+    """
+    cut, cos_k, sin_k = _psk_window(m)
+    step = 2.0 * math.pi / m
+    log_m = math.log(m)
+    out = np.empty(len(y))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, len(y), _PSK_BLOCK):
+            yb = y[start:start + _PSK_BLOCK]
+            cb = centers[start:start + _PSK_BLOCK]
+            ay, ac = np.abs(yb), np.abs(cb)
+            d = ay - ac
+            d2 = d * d / scale
+            kappa = 2.0 * ay * ac / scale
+            row = -d2
+            small = kappa <= cut
+            row[small] += log_m + np.log(special.i0e(kappa[small]))
+            big = np.flatnonzero(~small)
+            if big.size:
+                phi = np.angle(yb[big]) - np.angle(cb[big])
+                half = 0.5 * (phi - step * np.rint(phi / step))
+                # t_k = sqrt(2 kappa) sin((phi - 2 pi (j0 + k) / m) / 2), j0 the
+                # nearest phase, through the angle sum; |t_0| is the smallest
+                root = 2.0 * np.sqrt(ay[big]) * np.sqrt(ac[big] / scale)
+                t0 = root * np.sin(half)
+                t = np.multiply.outer(t0, cos_k)
+                t -= np.multiply.outer(root * np.cos(half), sin_k)
+                np.square(t, out=t)
+                t0 *= t0
+                # an overflowing t_0^2 leaves every term at 0, not inf - inf
+                np.subtract(np.minimum(t0, _FLOAT_MAX)[:, None], t, out=t)
+                np.exp(t, out=t)
+                row[big] += np.log1p(t.sum(axis=1)) - t0
+            # |y - c x_j| >= ||y| - |c||, so the row is -inf with d^2
+            row[d2 == math.inf] = -math.inf
+            out[start:start + _PSK_BLOCK] = row
+    return out

@@ -184,6 +184,9 @@ def test_h_yx_lower_rect_sample_powers():
         h_yx_lower_rect(p, np.array([1.0, -2.0]))
     with pytest.raises(ValueError):
         h_yx_lower_rect(p, [1.0, math.nan])
+    for power in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            h_yx_lower_rect(p, ("cm", power))
 
 
 def test_entropy_gaps_nonnegative_and_monotone():

@@ -1,8 +1,11 @@
 """Property tests of the bound orderings on the flat (rect), Jakes and
 raised-cosine densities.
 
-Each property holds exactly in real arithmetic; the only slack is the
-rounding of O(1) nat values, fixed at 1e-12 before any example was run.
+Each analytic property holds exactly in real arithmetic; the only slack is
+the rounding of O(1) nat values, fixed at 1e-12 before any example was run.
+A Monte Carlo lower bound holds against its upper bound in expectation; its
+slack adds 4 standard errors of the estimate (MC_SLACK), and the sample
+count (MC_N) and example count (MC_PROPERTY) were fixed with it.
 """
 
 import contextlib
@@ -12,6 +15,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from fadingrate import cli
+from fadingrate.mcrates import rate_lower_cm, rate_lower_cm_timeshare, sethuraman_lower
 from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
 from fadingrate.quadrature import szego_log_integral
 from fadingrate.rates import (
@@ -29,6 +33,10 @@ FD = st.floats(0.005, 0.495)
 SNR_DB = st.floats(-40.0, 80.0)
 BETA = st.floats(1.0, 10.0)
 PROPERTY = settings(max_examples=200, deadline=None)
+MC_N = 400
+MC_SLACK = 4.0
+MC_PROPERTY = settings(max_examples=30, deadline=None)
+SEED = st.integers(0, 2 ** 16)
 RECT_BOUNDS = ["lower_pg", "upper_pg", "upper_pred_pg", "coherent", "upper_peak",
                "sethuraman_upper", "upper_pred_peak", "sd", "lapidoth"]
 
@@ -94,6 +102,34 @@ def test_shaped_pg_bounds_ordered(model, snr_db):
 def test_shaped_prediction_peak_bound_below_spectral_peak_bound(model, snr_db, beta):
     p, peak = _params(model.f_d, snr_db), PeakConstraint(beta)
     assert rate_upper_pred_peak(p, model, peak).value <= sethuraman_upper(p, model, peak).value + TOL
+
+
+def _below(lower, upper):
+    return lower.value <= upper.value + MC_SLACK * lower.stderr + TOL
+
+
+@MC_PROPERTY
+@given(FD, SNR_DB, SEED)
+def test_lower_cm_below_coherent_capacity(f_d, snr_db, seed):
+    p = _params(f_d, snr_db)
+    lower = rate_lower_cm(p, Rectangular(f_d), seed=seed, n=MC_N)
+    assert _below(lower, coherent_capacity(p.rho))
+
+
+@MC_PROPERTY
+@given(FD, SNR_DB, BETA, SEED)
+def test_lower_cm_ts_below_peak_upper_bound(f_d, snr_db, beta, seed):
+    p, model, peak = _params(f_d, snr_db), Rectangular(f_d), PeakConstraint(beta)
+    lower = rate_lower_cm_timeshare(p, model, peak, seed=seed, n=MC_N)
+    assert _below(lower, sethuraman_upper(p, model, peak))
+
+
+@MC_PROPERTY
+@given(FD, SNR_DB, BETA, SEED)
+def test_sethuraman_lower_below_sethuraman_upper(f_d, snr_db, beta, seed):
+    p, model, peak = _params(f_d, snr_db), Rectangular(f_d), PeakConstraint(beta)
+    lower = sethuraman_lower(p, model, seed=seed, n=MC_N)
+    assert _below(lower, sethuraman_upper(p, model, peak))
 
 
 def _sweep(f_d, snr_db, beta, units):

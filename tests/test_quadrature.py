@@ -13,7 +13,8 @@ from fadingrate.quadrature import (
     _CHUNK,
     EULER_GAMMA,
     _log_mix,
-    _mix_work,
+    _log_mix_psk,
+    _psk_window,
     g_logmoment,
     g_logmoment_gauss,
     make_rng,
@@ -156,10 +157,10 @@ def _logsumexp_rows(y, centers, xs, scale):
     return special.logsumexp(-d2 / scale, axis=1)
 
 
-def _log_mix_quiet(*args):
+def _log_mix_quiet(*args, kernel=_log_mix):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return _log_mix(*args)
+        return kernel(*args)
 
 
 @pytest.mark.parametrize("n", [5, _CHUNK - 1, _CHUNK, _CHUNK + 1, 16383, 16384, 16385])
@@ -182,36 +183,6 @@ def test_log_mix_matches_logsumexp(n):
                 np.testing.assert_array_max_ulp(got, want, maxulp=4)
 
 
-def test_log_mix_reused_work_matches_fresh_buffers():
-    """One work set serves calls of any row count up to its size, and what
-    an earlier call left in it does not reach a later one."""
-    rng = np.random.default_rng(7)
-    work = _mix_work(_CHUNK + 3, len(PHASES))
-    for n, scale in ((_CHUNK + 3, 1.0), (400, 0.37), (5, 5.25), (400, 1.0)):
-        centers = 3.0 * rng.exponential(size=n)
-        y = centers + rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        got = _log_mix_quiet(y, centers, PHASES, scale, work)
-        want = _log_mix_quiet(y, centers, PHASES, scale)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def test_log_mix_reused_work_touches_no_new_pages():
-    # a search runs the kernel thousands of times on a few hundred rows;
-    # with one work set the calls after the first fault in no fresh pages
-    # (buffers allocated per call cost from about one fault per call up to
-    # 240 per call when malloc trims the heap in between)
-    resource = pytest.importorskip("resource")
-    rng = np.random.default_rng(3)
-    centers = 3.0 * rng.exponential(size=400)
-    y = centers + rng.standard_normal(400) + 1j * rng.standard_normal(400)
-    work = _mix_work(400, len(PHASES))
-    _log_mix(y, centers, PHASES, 1.0, work)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(200):
-        _log_mix(y, centers, PHASES, 1.0, work)
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 20
-
-
 def test_log_mix_all_tied_rows():
     # zero centers (a vanishing prediction variance) put every point at the
     # same distance: the sum is log(m) plus the shared exponent
@@ -232,3 +203,105 @@ def test_log_mix_overflowing_rows_match_logsumexp():
         want = _logsumexp_rows(y, centers, PHASES, 1.0)
     np.testing.assert_array_equal(got, want)
     assert got[0] == -np.inf and got[1] == 0.0 and np.isnan(got[2]) and np.isfinite(got[3])
+
+
+# The m-PSK kernel against 40-digit mpmath.  The bound, fixed before the
+# first run: 1e-13 absolute plus 2e-15 times the row's sensitivity S to
+# its inputs, S = |dL/dphi| + |y| |dL/d|y|| + |c| |dL/d|c||.  The second
+# term is what a phase error of 2e-15 (a few ulps of pi: two arctan2 values
+# and the reduction to the nearest phase) or a like relative error in a
+# modulus moves the exact value by; any kernel that reads y and c in
+# double precision has it, the direct sum as well.  It grows like
+# sqrt(kappa) on rows near a phase and like kappa between two phases.
+PSK_POINTS = [2, 3, 4, 16, 100, 256]
+PSK_KAPPAS = [0.0] + [10.0 ** e for e in np.arange(-12.0, 6.01, 1.5)]
+
+
+def _psk_rows(m, rng):
+    # rows of modulus gap d (in units of sqrt(scale)) and offset r from the
+    # nearest phase, at every kappa of PSK_KAPPAS and one part in 1e9 each
+    # side of m's cut; real centers (the estimators) and complex ones
+    cut = _psk_window(m)[0]
+    y, c, s = [], [], []
+    for kappa in PSK_KAPPAS + [cut * (1.0 - 1e-9), cut * (1.0 + 1e-9)]:
+        near = 0.5 / math.sqrt(1.0 + kappa)
+        anywhere = rng.uniform(-1.0, 1.0) * math.pi / m
+        for d, r, real in ((0.0, 0.0, True), (0.8, near, True), (0.3, math.pi / m, False),
+                           (1.7, anywhere, False)):
+            scale = 1.0 if real else 2.5
+            v = kappa / (d + math.sqrt(d * d + 2.0 * kappa)) if kappa else 0.0
+            alpha = 0.0 if real else rng.uniform(-math.pi, math.pi)
+            theta = alpha + 2.0 * math.pi * rng.integers(m) / m + r
+            c.append(v * math.sqrt(scale) * complex(math.cos(alpha), math.sin(alpha)))
+            y.append((v + d) * math.sqrt(scale) * complex(math.cos(theta), math.sin(theta)))
+            s.append(scale)
+    return np.array(y), np.array(c), np.array(s)
+
+
+def _psk_reference(y, c, m, scale):
+    # (L, S) of one row from the direct sum over all m phases in 40 digits
+    with mpmath.workdps(40):
+        y, c, scale = mpmath.mpc(y), mpmath.mpc(c), mpmath.mpf(scale)
+        cx = [c * mpmath.expjpi(mpmath.mpf(2 * j) / m) for j in range(m)]
+        a = [-abs(y - p) ** 2 / scale for p in cx]
+        top = max(a)
+        weights = [mpmath.exp(t - top) for t in a]
+        total = mpmath.fsum(weights)
+        row = top + mpmath.log(total)
+
+        def slope(f):
+            return abs(mpmath.fsum(w * f(p) for w, p in zip(weights, cx)) / total)
+
+        sens = (slope(lambda p: -2 * mpmath.re(mpmath.conj(1j * y) * (y - p)) / scale)
+                + slope(lambda p: -2 * mpmath.re(mpmath.conj(y) * (y - p)) / scale)
+                + slope(lambda p: -2 * mpmath.re(mpmath.conj(p) * (p - y)) / scale))
+        return float(row), float(sens)
+
+
+@pytest.mark.parametrize("m", PSK_POINTS)
+def test_log_mix_psk_matches_mpmath(m):
+    """Over kappa in [0, 1e6] and both sides of m's cut, at the nearest
+    phase, near it, half way between two phases and anywhere between."""
+    y, c, scale = _psk_rows(m, np.random.default_rng(m))
+    got = np.array([_log_mix_psk(y[i:i + 1], c[i:i + 1], m, scale[i])[0]
+                    for i in range(len(y))])
+    for i in range(len(y)):
+        want, sens = _psk_reference(y[i], c[i], m, scale[i])
+        assert abs(got[i] - want) <= 1e-13 + 2e-15 * sens, (m, y[i], c[i], scale[i])
+
+
+@pytest.mark.parametrize("m", PSK_POINTS)
+def test_psk_cut_is_the_first_series_term_to_rounding(m):
+    # 2 I_m / I_0 is below 1e-16 at the cut and not at one part in 1e9 above
+    cut = _psk_window(m)[0]
+    assert 2.0 * special.ive(m, cut) < 1e-16 * special.i0e(cut)
+    above = cut * (1.0 + 1e-9)
+    assert 2.0 * special.ive(m, above) >= 1e-16 * special.i0e(above)
+
+
+def test_log_mix_psk_overflowing_rows_give_minus_inf():
+    # every distance overflows (as |y| or as the phase gap at huge moduli),
+    # or y is infinite against a finite center: -inf, as the direct sum
+    # gives; a nearest phase at distance 0 among overflowing ones gives 0
+    tilt = np.exp(0.5j * math.pi / 100)
+    y = np.array([1e200, 1e200 * tilt, np.inf, np.inf, 1e200, 1e200 * tilt], dtype=complex)
+    c = np.array([0.0, 1e200, 1.0, 0.0, 1e200, 1e200 * tilt], dtype=complex)
+    got = _log_mix_quiet(y, c, 100, 1.0, kernel=_log_mix_psk)
+    assert np.array_equal(got, [-np.inf] * 4 + [0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(got, _log_mix(y, c, PHASES, 1.0))
+
+
+def test_log_mix_psk_nan_in_gives_nan():
+    y = np.array([np.nan, 1.0, np.nan, 30.0 + 1j, complex(np.nan, 1.0), np.inf])
+    c = np.array([1.0, np.nan, 0.0, np.nan, 30.0, np.inf])
+    for m in (2, 100):
+        assert np.isnan(_log_mix_quiet(y, c, m, 1.0, kernel=_log_mix_psk)).all()
+
+
+def test_log_mix_psk_zero_center_is_log_m_minus_energy():
+    y = np.array([0.0, 0.5 - 1.5j, 3.0 + 0.25j, 1e5 + 0j, 1e-160j])
+    for m in PSK_POINTS:
+        for scale in (1.0, 0.37, 2.0):
+            got = _log_mix_quiet(y, np.zeros(5), m, scale, kernel=_log_mix_psk)
+            assert np.array_equal(got, math.log(m) + -np.abs(y) ** 2 / scale)
