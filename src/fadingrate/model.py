@@ -102,6 +102,11 @@ def _check_model(params: ChannelParams, model: PsdModel):
         )
 
 
+def _lag_values(lag, r):
+    # a scalar lag gives a float, an array of lags an array
+    return float(r) if np.ndim(lag) == 0 else r
+
+
 def _panel_rule(edges, order):
     # Gauss-Legendre nodes and weights on each panel [edges[k], edges[k+1]]
     x, w = np.polynomial.legendre.leggauss(order)
@@ -123,7 +128,8 @@ class PsdModel:
     """Base class for symmetric compact-support spectral densities.
 
     Subclasses provide point evaluation ``psd``, the autocorrelation
-    ``autocorr`` and the node/weight ``rule`` (S_k, w_k) with
+    ``autocorr`` (a float at a scalar lag, an array over an array of lags)
+    and the node/weight ``rule`` (S_k, w_k) with
     int phi(S_h(f)) df = sum_k w_k phi(S_k) over one frequency period.
     ``transform`` applies the rule and is the single integration entry
     point that the Szego-type functionals build on.
@@ -186,7 +192,8 @@ class Rectangular(PsdModel):
         return self.sigma_h2 / (2.0 * self.f_d) if fa <= self.f_d else 0.0
 
     def autocorr(self, lag):
-        return self.sigma_h2 * float(np.sinc(2.0 * self.f_d * lag))
+        r = self.sigma_h2 * np.sinc(2.0 * self.f_d * np.asarray(lag, dtype=float))
+        return _lag_values(lag, r)
 
     def _band_rule(self):
         return np.array([self.sigma_h2 / (2.0 * self.f_d)]), np.array([2.0 * self.f_d])
@@ -224,8 +231,8 @@ class Jakes(PsdModel):
     def autocorr(self, lag):
         # the inverse transform of the density is the Bessel function
         # r(l) = sigma_h2 J_0(2 pi f_d l)
-        x = 2.0 * math.pi * self.f_d * abs(float(lag))
-        return self.sigma_h2 * float(special.j0(x))
+        x = 2.0 * math.pi * self.f_d * np.abs(np.asarray(lag, dtype=float))
+        return _lag_values(lag, self.sigma_h2 * special.j0(x))
 
     def _band_rule(self):
         # f = f_d cos(u) turns the density into sigma_h2 / (pi f_d sin u) and
@@ -284,9 +291,10 @@ class RaisedCosine(PsdModel):
         # closed form sinc(2 f_d l) * cos(2 pi beta_ro f_d l) / (1 - (4 beta_ro f_d l)^2),
         # rewritten with u = 4 beta_ro f_d |l| as (pi/2) sinc((1-u)/2) / (1+u)
         # so the removable singularity at u = 1 never divides by zero.
-        u = 4.0 * self.beta_ro * self.f_d * abs(float(lag))
-        taper = (math.pi / 2.0) * float(np.sinc((1.0 - u) / 2.0)) / (1.0 + u)
-        return self.sigma_h2 * float(np.sinc(2.0 * self.f_d * lag)) * taper
+        lags = np.asarray(lag, dtype=float)
+        u = 4.0 * self.beta_ro * self.f_d * np.abs(lags)
+        taper = (math.pi / 2.0) * np.sinc((1.0 - u) / 2.0) / (1.0 + u)
+        return _lag_values(lag, self.sigma_h2 * np.sinc(2.0 * self.f_d * lags) * taper)
 
     def _band_rule(self):
         # on the roll-off S = h sin^2(u) with h the flat height and

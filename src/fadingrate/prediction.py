@@ -49,7 +49,7 @@ class ToeplitzCov:
 
     @classmethod
     def from_model(cls, model: PsdModel, n: int) -> "ToeplitzCov":
-        return cls(tuple(model.autocorr(l) for l in range(n)), n)
+        return cls(tuple(model.autocorr(np.arange(n)).tolist()), n)
 
     def matrix(self) -> np.ndarray:
         return linalg.toeplitz(np.asarray(self.lags))
@@ -57,10 +57,8 @@ class ToeplitzCov:
     def validate(self):
         """Raise if the Toeplitz matrix is not positive semidefinite
         (tolerance 1e-10 r(0), checked by jittered Cholesky)."""
-        r0 = self.lags[0]
-        m = self.matrix() + 1e-10 * r0 * np.eye(self.n)
         try:
-            linalg.cholesky(m, lower=True)
+            _cholesky_in_place(self.matrix(), 1e-10 * self.lags[0])
         except linalg.LinAlgError:
             raise ValueError("covariance lags do not define a PSD Toeplitz matrix")
 
@@ -78,6 +76,15 @@ class PowerProfile:
         object.__setattr__(self, "z", z)
 
 
+def _cholesky_in_place(a, shift):
+    """Lower Cholesky factor of a + shift I for a symmetric C-ordered a,
+    formed in a's memory: a.T is the same matrix in Fortran order, which
+    LAPACK factors without a copy.  Raises linalg.LinAlgError when
+    a + shift I is not positive definite."""
+    a.flat[:: len(a) + 1] += shift
+    return linalg.cholesky(a.T, lower=True, overwrite_a=True)
+
+
 def _past_system(cov: ToeplitzCov):
     r = np.asarray(cov.lags)
     return r[0], linalg.toeplitz(r[: cov.n - 1]), r[1:]
@@ -88,11 +95,12 @@ def _lmmse(cov: ToeplitzCov, z: PowerProfile, sigma_n2):
     s = sqrt(z), b = S r and the weights w = (S R S + sigma_n2 I)^{-1} b,
     S = diag(s).  The prediction from the past observations y is w @ y and
     its error variance r(0) - b @ w."""
-    _, big_r, r_cross = _past_system(cov)
+    _, m, r_cross = _past_system(cov)
     s = np.sqrt(np.asarray(z.z))
-    m = (s[:, None] * s[None, :]) * big_r + sigma_n2 * np.eye(cov.n - 1)
+    for i, s_i in enumerate(s):
+        m[i] *= s_i * s  # (s_i s_j) R_ij row by row: no n x n outer product
     b = s * r_cross
-    return s, b, linalg.cho_solve(linalg.cho_factor(m, lower=True), b)
+    return s, b, linalg.cho_solve((_cholesky_in_place(m, sigma_n2), True), b)
 
 
 def pred_error_finite(cov: ToeplitzCov, z: PowerProfile, sigma_n2) -> float:
@@ -158,7 +166,7 @@ def toeplitz_circulant_weak_norm(model: PsdModel, n: int) -> float:
     """
     eigs = circulant_eigs(model, n)
     c = np.fft.ifft(eigs).real  # first circulant column; real by symmetry
-    r = np.array([model.autocorr(l) for l in range(n)])
+    r = model.autocorr(np.arange(n))
     d0 = r[0] - c[0]
     dl = r[1:] - c[1:]
     weights = n - np.arange(1, n)

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import linalg
 
 from .model import PsdModel
-from .prediction import PowerProfile, ToeplitzCov, _lmmse
+from .prediction import PowerProfile, ToeplitzCov, _cholesky_in_place, _lmmse
 from .quadrature import McEstimate, _complex_normal, _log_mix, _mean_stderr, make_rng
 
 __all__ = [
@@ -55,7 +54,7 @@ def _embedding_spectrum(model: PsdModel, n: int):
     (cap 8n).  Otherwise the size whose negative mass is the smallest share
     of the trace m r(0) is kept and its negative mass floored, provided
     that share is at most 1%."""
-    r = np.array([model.autocorr(l) for l in range(4 * n + 1)])
+    r = model.autocorr(np.arange(4 * n + 1))
     candidates = []
     for m in (2 * n, 4 * n, 8 * n):
         half = m // 2
@@ -73,15 +72,9 @@ def _embedding_spectrum(model: PsdModel, n: int):
     return np.maximum(lam, 0.0), m
 
 
-def _fading_from_spectrum(lam, m, n, rng):
-    return (np.fft.ifft(np.sqrt(lam) * _complex_normal(rng, m)) * math.sqrt(m))[:n]
-
-
 @lru_cache(maxsize=4)
 def _fading_cholesky_factor(model: PsdModel, n: int):
-    cov = ToeplitzCov.from_model(model, n)
-    jitter = 1e-12 * model.sigma_h2
-    return linalg.cholesky(cov.matrix() + jitter * np.eye(n), lower=True)
+    return _cholesky_in_place(ToeplitzCov.from_model(model, n).matrix(), 1e-12 * model.sigma_h2)
 
 
 def _color(chol, w):
@@ -105,7 +98,9 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
         raise ValueError("n must be at least 2")
     if method == "embedding":
         lam, m = _embedding_spectrum(model, n)
-        draw = lambda rng: _fading_from_spectrum(lam, m, n, rng)
+        amp, scale = np.sqrt(lam), math.sqrt(m)
+        # only the first n of the m circulant samples are kept and scaled
+        draw = lambda rng: np.fft.ifft(amp * _complex_normal(rng, m))[:n] * scale
     elif method == "cholesky":
         if n > 2048:
             raise ValueError("cholesky path supports n <= 2048")
@@ -113,7 +108,10 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
         draw = lambda rng: _color(chol, _complex_normal(rng, n))
     else:
         raise ValueError(f"unknown method {method!r}")
-    return np.stack([draw(make_rng(seed, i)) for i in range(count)])
+    batch = np.empty((count, n), dtype=complex)
+    for i in range(count):
+        batch[i] = draw(make_rng(seed, i))
+    return batch
 
 
 def gen_fading(model: PsdModel, n: int, seed, method="embedding") -> FadingRealization:
@@ -211,7 +209,7 @@ def write_fading_dump(path, realizations, model: PsdModel, seed):
     n = h.shape[1]
     with open(path, "wb") as fh:
         fh.write(_DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION, n, model.f_d, int(seed)))
-        fh.write(h.astype(np.complex64).tobytes())
+        h.astype(np.complex64).tofile(fh)
 
 
 def read_fading_dump(path):
@@ -220,11 +218,15 @@ def read_fading_dump(path):
     holds the header fields."""
     with open(path, "rb") as fh:
         header = fh.read(_DUMP_HEADER.size)
+        if len(header) < _DUMP_HEADER.size:
+            raise ValueError("truncated fading dump: no complete header")
         magic, version, n, f_d, seed = _DUMP_HEADER.unpack(header)
         if magic != _DUMP_MAGIC:
             raise ValueError(f"not a fading dump: bad magic {magic!r}")
         if version != _DUMP_VERSION:
             raise ValueError(f"unsupported dump version {version}")
+        if n == 0:
+            raise ValueError("fading dump header gives trace length N = 0")
         payload = fh.read()
     itemsize = np.dtype(np.complex64).itemsize
     if len(payload) % (itemsize * n):

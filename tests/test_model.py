@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import mpmath
-from scipy import integrate
+from scipy import integrate, special
 
 from fadingrate.model import (
     ChannelParams,
@@ -105,6 +105,36 @@ def test_raised_cosine_autocorr_matches_direct_transform():
             -m.support_edge, m.support_edge, limit=300,
         )
         assert m.autocorr(lag) == pytest.approx(direct, abs=1e-10)
+
+
+def _scalar_autocorr(model, lag):
+    # the one-lag-at-a-time formulas that the array autocorr replaced
+    if isinstance(model, Rectangular):
+        return model.sigma_h2 * float(np.sinc(2.0 * model.f_d * lag))
+    if isinstance(model, Jakes):
+        x = 2.0 * math.pi * model.f_d * abs(float(lag))
+        return model.sigma_h2 * float(special.j0(x))
+    u = 4.0 * model.beta_ro * model.f_d * abs(float(lag))
+    taper = (math.pi / 2.0) * float(np.sinc((1.0 - u) / 2.0)) / (1.0 + u)
+    return model.sigma_h2 * float(np.sinc(2.0 * model.f_d * lag)) * taper
+
+
+@pytest.mark.parametrize("model", [
+    Rectangular(0.1), Jakes(0.1), Jakes(0.01),
+    RaisedCosine(0.1, 0.2), RaisedCosine(0.24, 0.05),
+    # u = 4 beta_ro f_d |l| hits the removable point u = 1 at lag 10
+    RaisedCosine(0.1, 0.25),
+])
+def test_array_autocorr_matches_scalar_formulas(model):
+    lags = np.arange(-100, 20001)
+    got = model.autocorr(lags)
+    want = np.array([_scalar_autocorr(model, int(l)) for l in lags])
+    assert got.shape == lags.shape and np.array_equal(got, want)
+    for lag in (0, 10, -7, np.int64(3)):
+        val = model.autocorr(lag)
+        assert type(val) is float and val == _scalar_autocorr(model, int(lag))
+    if isinstance(model, RaisedCosine) and model.beta_ro == 0.25:
+        assert 4.0 * model.beta_ro * model.f_d * 10 == 1.0
 
 
 def test_raised_cosine_support_and_validation():

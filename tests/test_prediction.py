@@ -1,9 +1,11 @@
 """LMMSE prediction error: finite horizon, spectral limit, rational form."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from fadingrate.model import Jakes, RaisedCosine, Rectangular
 from fadingrate.prediction import (
@@ -83,6 +85,39 @@ def test_finite_validation_errors():
         ToeplitzCov((1.0, 0.5), 3)  # wrong lag count
     with pytest.raises(ValueError):
         ToeplitzCov((0.0, 0.0), 2)  # r(0) not positive
+
+
+@pytest.mark.parametrize("model,n", [
+    (Rectangular(0.1), 300), (Jakes(0.2), 64), (RaisedCosine(0.1, 0.2), 2048),
+])
+def test_finite_error_matches_dense_system(model, n):
+    # the dense (s s^T) o R + sigma_n2 I system that the in-place solve
+    # replaced, with random powers of which about a quarter are zero
+    rng = make_rng(8, n)
+    z = rng.uniform(0.0, 5.0, size=n - 1) * (rng.uniform(size=n - 1) > 0.25)
+    assert 0 < np.count_nonzero(z == 0.0) < n - 1
+    cov = _cov(model, n)
+    r = np.asarray(cov.lags)
+    s = np.sqrt(z)
+    m = (s[:, None] * s[None, :]) * linalg.toeplitz(r[: n - 1]) + 0.7 * np.eye(n - 1)
+    b = s * r[1:]
+    w = linalg.cho_solve(linalg.cho_factor(m, lower=True), b)
+    want = min(max(r[0] - float(b @ w), 0.0), r[0])
+    assert pred_error_finite(cov, PowerProfile(tuple(z)), 0.7) == want
+
+
+def test_finite_error_peak_memory():
+    # the past system is 1024 x 1024 (8 MiB) and validate() factors the
+    # 1025 x 1025 covariance; no solve may hold more than two such matrices
+    cov = _cov(RaisedCosine(0.1, 0.2), 1025)
+    z = PowerProfile((1.0,) * 1024)
+    tracemalloc.start()
+    try:
+        pred_error_finite(cov, z, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1025**2 * 8
 
 
 def test_infinite_horizon_flat_closed_form():

@@ -1,9 +1,11 @@
 """Simulation oracle: trace synthesis, channel runs, empirical estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
 from fadingrate.prediction import PowerProfile, ToeplitzCov, pred_error_finite
@@ -12,6 +14,7 @@ from fadingrate.mcrates import coherent_mi_cm
 from fadingrate.simulate import (
     FadingRealization,
     _color,
+    _embedding_spectrum,
     _fading_cholesky_factor,
     empirical_coherent_mi,
     empirical_pred_error,
@@ -59,6 +62,53 @@ def test_batch_row_zero_matches_single(method):
     for k in range(64):
         last = gen_fading_batch(model, 64, k + 1, seed=9, method=method)[-1]
         assert np.array_equal(batch[k], last)
+
+
+def _jittered_factor(model, n):
+    # the dense factorization the in-place one replaced
+    cov = ToeplitzCov.from_model(model, n)
+    return linalg.cholesky(cov.matrix() + 1e-12 * model.sigma_h2 * np.eye(n), lower=True)
+
+
+@pytest.mark.parametrize("model,n", [
+    (Rectangular(0.1), 2048), (Jakes(0.2, sigma_h2=1.5), 300), (RaisedCosine(0.1, 0.2), 64),
+])
+def test_cholesky_factor_matches_jittered_matrix(model, n):
+    assert np.array_equal(_fading_cholesky_factor(model, n), _jittered_factor(model, n))
+
+
+@pytest.mark.parametrize("method,model,n", [
+    ("embedding", RaisedCosine(0.1, 0.2), 1024),
+    ("embedding", Rectangular(0.25), 100),
+    ("cholesky", Jakes(0.2), 200),
+])
+def test_batch_matches_stacked_row_draws(method, model, n):
+    # the batch is filled row by row in place; each row must be bit for bit
+    # the trace the per-row draw gives on its own, stacked
+    count, seed = 7, 31
+    if method == "embedding":
+        lam, m = _embedding_spectrum(model, n)
+        draw = lambda rng: (np.fft.ifft(np.sqrt(lam) * _complex_normal(rng, m)) * math.sqrt(m))[:n]
+    else:
+        chol = _jittered_factor(model, n)
+        draw = lambda rng: _color(chol, _complex_normal(rng, n))
+    want = np.stack([draw(make_rng(seed, i)) for i in range(count)])
+    assert np.array_equal(gen_fading_batch(model, n, count, seed, method=method), want)
+
+
+def test_batch_peak_memory():
+    # 64 traces of 1024 samples are 1 MiB of complex128; the embedding has
+    # m = 8192, so keeping each row's full m-point transform alive until the
+    # end would hold 8 MiB more
+    model = RaisedCosine(0.1, 0.2)
+    assert _embedding_spectrum(model, 1024)[1] == 8192
+    tracemalloc.start()
+    try:
+        gen_fading_batch(model, 1024, 64, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_cholesky_coloring_matches_complex_product():
@@ -246,4 +296,16 @@ def test_dump_rejects_corruption(tmp_path):
     truncated.write_bytes(bytes(raw[:-5]))
     with pytest.raises(ValueError, match="truncated"):
         read_fading_dump(truncated)
+
+    no_header = tmp_path / "header.fade"
+    no_header.write_bytes(bytes(raw[:20]))
+    with pytest.raises(ValueError, match="truncated"):
+        read_fading_dump(no_header)
+
+    zero_length = tmp_path / "zero.fade"
+    tampered = bytearray(raw)
+    tampered[8:16] = bytes(8)  # N, the trace length
+    zero_length.write_bytes(bytes(tampered))
+    with pytest.raises(ValueError, match="N = 0"):
+        read_fading_dump(zero_length)
 
