@@ -223,6 +223,7 @@ def _evaluate_grid(bound_names, psd_kind, rolloff, fds, snrs, betas, seed, mc_n,
     bound_names order, from stream (seed, k)."""
     _check_bounds(bound_names, psd_kind, betas, mc_n)
     bounds = [BOUNDS[name] for name in bound_names]
+    monte_carlo = any(bound.monte_carlo for bound in bounds)
     models = {f_d: _make_model(psd_kind, rolloff, f_d) for f_d in fds}
     columns = [("f_d", False), ("snr_db", False)]
     if beta_axis:
@@ -236,7 +237,8 @@ def _evaluate_grid(bound_names, psd_kind, rolloff, fds, snrs, betas, seed, mc_n,
             for beta in betas:
                 params = ChannelParams(f_d=f_d, sigma_x2=10.0 ** (db / 10.0))
                 peak = PeakConstraint(beta) if beta is not None else None
-                rng = make_rng(seed, idx)
+                # analytic rows draw nothing: no generator for them
+                rng = make_rng(seed, idx) if monte_carlo else None
                 vals = [f_d, db] + ([beta] if beta_axis else [])
                 for name, bound in zip(bound_names, bounds):
                     sub = int(rng.integers(0, 2**63)) if bound.monte_carlo else None

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .model import _PANEL_ORDER, ChannelParams, PsdModel, _check_model, _panel_rule
+from .model import ChannelParams, PsdModel, _check_model, _panel_rule
 from .quadrature import EULER_GAMMA, g_logmoment, szego_log_integral
 
 __all__ = [
@@ -80,7 +79,7 @@ def _s_rule(rho, sigma_n2):
     # f(m) = (2m/(rho sigma_n2)) int_0^{s_hi} exp(-(e^s - 1)/rho - m^2 e^{-s}/sigma_n2) ds,
     # with e^{-(e^s - 1)/rho} < 8.8e-27 beyond s_hi
     s_hi = math.log1p(60.0 * rho)
-    s, w = _panel_rule(np.linspace(0.0, s_hi, _S_PANELS + 1), _PANEL_ORDER)
+    s, w = _panel_rule(np.linspace(0.0, s_hi, _S_PANELS + 1))
     # expm1: e^s - 1 loses 1e-16 / rho of the exponent at low SNR
     return w * np.exp(-np.expm1(s) / rho) / rho, sigma_n2 * np.exp(s)
 
@@ -133,6 +132,8 @@ def h_y_upper_refined(params: ChannelParams) -> EntropyRate:
             f"entropy integrand did not decay below 1e-14 of its peak; "
             f"achieved relative magnitude {achieved:.3e} at m = {m_top:.3e}"
         )
+
+    from scipy import integrate  # only here: importing it costs about 0.3 s
 
     val, quad_err = integrate.quad(
         neg_flogf, 0.0, m_top, epsabs=1e-12, epsrel=1e-12, limit=500

@@ -107,9 +107,15 @@ def _lag_values(lag, r):
     return float(r) if np.ndim(lag) == 0 else r
 
 
-def _panel_rule(edges, order):
-    # Gauss-Legendre nodes and weights on each panel [edges[k], edges[k+1]]
-    x, w = np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=1)
+def _leggauss():
+    return np.polynomial.legendre.leggauss(_PANEL_ORDER)
+
+
+def _panel_rule(edges):
+    # _PANEL_ORDER Gauss-Legendre nodes and weights on each panel
+    # [edges[k], edges[k+1]]
+    x, w = _leggauss()
     lo, hi = edges[:-1, None], edges[1:, None]
     half = 0.5 * (hi - lo)
     return (0.5 * (hi + lo) + half * x).ravel(), (half * w).ravel()
@@ -121,7 +127,7 @@ def _graded_rule():
     edges = [math.pi / 2.0]
     while edges[-1] >= _PANEL_FLOOR:
         edges.append(edges[-1] / _PANEL_RATIO)
-    return _panel_rule(np.array([0.0] + edges[::-1]), _PANEL_ORDER)
+    return _panel_rule(np.array([0.0] + edges[::-1]))
 
 
 class PsdModel:

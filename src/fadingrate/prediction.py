@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .model import PsdModel
 from .quadrature import szego_log_integral
@@ -52,6 +51,7 @@ class ToeplitzCov:
         return cls(tuple(model.autocorr(np.arange(n)).tolist()), n)
 
     def matrix(self) -> np.ndarray:
+        from scipy import linalg
         return linalg.toeplitz(np.asarray(self.lags))
 
     def validate(self):
@@ -59,7 +59,7 @@ class ToeplitzCov:
         (tolerance 1e-10 r(0), checked by jittered Cholesky)."""
         try:
             _cholesky_in_place(self.matrix(), 1e-10 * self.lags[0])
-        except linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             raise ValueError("covariance lags do not define a PSD Toeplitz matrix")
 
 
@@ -79,13 +79,15 @@ class PowerProfile:
 def _cholesky_in_place(a, shift):
     """Lower Cholesky factor of a + shift I for a symmetric C-ordered a,
     formed in a's memory: a.T is the same matrix in Fortran order, which
-    LAPACK factors without a copy.  Raises linalg.LinAlgError when
-    a + shift I is not positive definite."""
+    LAPACK factors without a copy.  Raises np.linalg.LinAlgError (the
+    class scipy.linalg raises) when a + shift I is not positive definite."""
+    from scipy import linalg
     a.flat[:: len(a) + 1] += shift
     return linalg.cholesky(a.T, lower=True, overwrite_a=True)
 
 
 def _past_system(cov: ToeplitzCov):
+    from scipy import linalg
     r = np.asarray(cov.lags)
     return r[0], linalg.toeplitz(r[: cov.n - 1]), r[1:]
 
@@ -95,6 +97,7 @@ def _lmmse(cov: ToeplitzCov, z: PowerProfile, sigma_n2):
     s = sqrt(z), b = S r and the weights w = (S R S + sigma_n2 I)^{-1} b,
     S = diag(s).  The prediction from the past observations y is w @ y and
     its error variance r(0) - b @ w."""
+    from scipy import linalg
     _, m, r_cross = _past_system(cov)
     s = np.sqrt(np.asarray(z.z))
     for i, s_i in enumerate(s):
@@ -111,12 +114,22 @@ def pred_error_finite(cov: ToeplitzCov, z: PowerProfile, sigma_n2) -> float:
     and b = S r, so zero powers are perfectly regular (their rows simply
     carry no information).  Result clamped to [0, r(0)].
     """
+    sigma_n2 = _check_past(cov, z, sigma_n2)
+    cov.validate()
+    return _pred_error(cov, z, sigma_n2)
+
+
+def _check_past(cov: ToeplitzCov, z: PowerProfile, sigma_n2) -> float:
     sigma_n2 = float(sigma_n2)
     if not sigma_n2 > 0:
         raise ValueError("sigma_n2 must be positive")
     if len(z.z) != cov.n - 1:
         raise ValueError(f"power profile must have length {cov.n - 1}, got {len(z.z)}")
-    cov.validate()
+    return sigma_n2
+
+
+def _pred_error(cov: ToeplitzCov, z: PowerProfile, sigma_n2: float) -> float:
+    # pred_error_finite on checked arguments and an already validated cov
     r0 = cov.lags[0]
     _, b, w = _lmmse(cov, z, sigma_n2)
     val = r0 - float(b @ w)
@@ -182,22 +195,27 @@ def pred_rational_exact(cov: ToeplitzCov, z: PowerProfile, sigma_n2, i: int):
     fixed.  Derived by a Sherman-Morrison step on the regularized system
     (Z R + sigma_n2 I), which is rank-one in t.
     """
-    sigma_n2 = float(sigma_n2)
-    if not sigma_n2 > 0:
-        raise ValueError("sigma_n2 must be positive")
-    if len(z.z) != cov.n - 1:
-        raise ValueError(f"power profile must have length {cov.n - 1}, got {len(z.z)}")
+    sigma_n2 = _check_past(cov, z, sigma_n2)
     if not 0 <= i < cov.n - 1:
         raise ValueError(f"index {i} outside the past horizon")
     cov.validate()
-    r0, big_r, r_cross = _past_system(cov)
-    z0 = np.asarray(z.z, dtype=float).copy()
+    return _rational(cov, z, sigma_n2, i)
+
+
+def _rational(cov: ToeplitzCov, z: PowerProfile, sigma_n2: float, i: int):
+    # pred_rational_exact on checked arguments and an already validated cov
+    r0, n0, r_cross = _past_system(cov)
+    row_i = n0[i].copy()  # row i of R, before n0 becomes Z0 R + sigma_n2 I
+    z0 = np.array(z.z, dtype=float)
     z0[i] = 0.0
-    n0 = z0[:, None] * big_r + sigma_n2 * np.eye(cov.n - 1)  # Z0 R + sigma_n2 I
-    u = np.linalg.solve(n0, np.eye(cov.n - 1)[:, i])
-    w0 = np.linalg.solve(n0, z0 * r_cross)
+    n0 *= z0[:, None]
+    n0.flat[:: len(n0) + 1] += sigma_n2
+    rhs = np.zeros((cov.n - 1, 2))
+    rhs[i, 0] = 1.0  # e_i
+    rhs[:, 1] = z0 * r_cross
+    u, w0 = np.linalg.solve(n0, rhs).T  # one LU factorization for both
     phi = float(r_cross @ u)
-    lam = float(big_r[i] @ u)
+    lam = float(row_i @ u)
     s0 = r0 - float(r_cross @ w0)
     a = sigma_n2 * phi * phi
     return s0, a, lam
@@ -219,9 +237,10 @@ def convexity_check(cov: ToeplitzCov, z: PowerProfile, x_power, sigma_n2, i: int
         raise ValueError("x_power must be nonnegative")
     if trials < 3:
         raise ValueError("need at least 3 grid points")
+    sigma_n2 = _check_past(cov, z, sigma_n2)
     if not 0 <= i < cov.n - 1:
         raise ValueError(f"index {i} outside the past horizon")
-    cov.validate()
+    cov.validate()  # once: the sweep and the decomposition reuse it
     zz = np.asarray(z.z, dtype=float)
     t_max = 10.0 * max(x_power, zz.max() if zz.size else 0.0, 0.1)
     t_grid = np.linspace(0.0, t_max, trials)
@@ -229,14 +248,14 @@ def convexity_check(cov: ToeplitzCov, z: PowerProfile, x_power, sigma_n2, i: int
     def sigma2(t):
         zt = zz.copy()
         zt[i] = t
-        return pred_error_finite(cov, PowerProfile(tuple(zt)), sigma_n2)
+        return _pred_error(cov, PowerProfile(tuple(zt)), sigma_n2)
 
     s_vals = np.array([sigma2(t) for t in t_grid])
     k_vals = np.log1p((x_power / sigma_n2) * s_vals)
     if np.any(np.diff(k_vals, 2) < -1e-9):
         return False
 
-    s0, a, lam = pred_rational_exact(cov, z, sigma_n2, i)
+    s0, a, lam = _rational(cov, z, sigma_n2, i)
     if a < 0 and a > -1e-14:
         a = 0.0
     if a < 0:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from fadingrate import prediction
 from fadingrate.model import Jakes, RaisedCosine, Rectangular
 from fadingrate.prediction import (
     PowerProfile,
@@ -233,6 +234,36 @@ def test_convexity_check_large_horizon_exact_path():
         cov = _cov(Rectangular(0.1), n)
         z = PowerProfile((1.0,) * (n - 1))
         assert convexity_check(cov, z, 1.0, 1.0, 5)
+
+
+def test_convexity_check_factors_once_per_grid_point(monkeypatch):
+    # one validation, then one LMMSE factorization per grid power; the
+    # rank-one decomposition reuses the validation
+    calls = []
+    factor = prediction._cholesky_in_place
+
+    def counted(a, shift):
+        calls.append(len(a))
+        return factor(a, shift)
+
+    monkeypatch.setattr(prediction, "_cholesky_in_place", counted)
+    cov = _cov(Jakes(0.15), 8)
+    z = PowerProfile(tuple(make_rng(32).uniform(0.0, 4.0, size=7)))
+    assert convexity_check(cov, z, 2.0, 1.0, 3, trials=50)
+    assert calls == [8] + [7] * 50
+
+
+def test_rational_decomposition_peak_memory():
+    # one (n-1) x (n-1) system factored once, without identity matrices
+    cov = _cov(RaisedCosine(0.1, 0.2), 1025)
+    z = PowerProfile((1.0,) * 1024)
+    tracemalloc.start()
+    try:
+        pred_rational_exact(cov, z, 1.0, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1025**2 * 8
 
 
 def test_convexity_check_validation():

@@ -12,6 +12,7 @@ from fadingrate.model import Jakes, RaisedCosine, Rectangular
 from fadingrate.quadrature import (
     _CHUNK,
     EULER_GAMMA,
+    _g_logmoment,
     _log_mix,
     _log_mix_psk,
     _psk_window,
@@ -45,6 +46,30 @@ def test_g_logmoment_edge_cases():
     for a in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match=f"argument must be finite, got {a}"):
             g_logmoment(a)
+
+
+def test_g_logmoment_refuses_before_the_cache():
+    before = _g_logmoment.cache_info()
+    for a in (math.nan, math.inf, -math.inf, -0.5, -1e-300):
+        with pytest.raises(ValueError):
+            g_logmoment(a)
+    assert _g_logmoment.cache_info() == before
+    zero = g_logmoment(-0.0)
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    assert _g_logmoment.cache_info() == before
+
+
+def test_g_logmoment_cache_is_bit_identical_to_the_core():
+    # both branch edges (the series below a = 1e-4, the continued fraction
+    # from x = 1/a >= 1) with their neighbouring doubles
+    edges = [1e-4, 1.0]
+    grid = list(10.0 ** (np.arange(-120, 121) / 20.0)) + edges
+    grid += [math.nextafter(a, d) for a in edges for d in (0.0, math.inf)]
+    for a in grid:
+        first, again = g_logmoment(a), g_logmoment(a)
+        core = _g_logmoment.__wrapped__(a)
+        assert first == again == core
+        assert math.copysign(1.0, first) == math.copysign(1.0, core)
 
 
 def test_g_logmoment_matches_scipy_identity():
