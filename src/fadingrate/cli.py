@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -266,19 +267,33 @@ def _cell(value, is_rate, units):
     return f"{value:.17g}"
 
 
+@contextmanager
+def _writing(path):
+    """An OSError from opening or writing --out becomes a usage error
+    naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+
+
+def _csv_lines(args, flags, columns, rows):
+    yield f"# fadingrate {__version__}\n"
+    yield f"# flags: {flags}\n"
+    yield f"# seed: {args.seed}\n"
+    yield ",".join(name for name, _ in columns) + "\n"
+    for row in rows:
+        yield ",".join(_cell(v, r, args.units) for v, (_, r) in zip(row, columns)) + "\n"
+
+
 def _write_csv(args, flags, columns, rows):
     """CSV to --out or stdout: metadata lines, header, 17-digit cells."""
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        out.write(f"# fadingrate {__version__}\n")
-        out.write(f"# flags: {flags}\n")
-        out.write(f"# seed: {args.seed}\n")
-        out.write(",".join(name for name, _ in columns) + "\n")
-        for row in rows:
-            out.write(",".join(_cell(v, r, args.units) for v, (_, r) in zip(row, columns)) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    lines = _csv_lines(args, flags, columns, rows)
+    if not args.out:
+        sys.stdout.writelines(lines)
+        return 0
+    with _writing(args.out), open(args.out, "w") as out:
+        out.writelines(lines)
     return 0
 
 
@@ -393,7 +408,8 @@ def cmd_simulate(args):
         batch = gen_fading_batch(model, args.n, args.realizations, args.seed, args.method)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    write_fading_dump(args.out, batch, model, args.seed)
+    with _writing(args.out):
+        write_fading_dump(args.out, batch, model, args.seed)
     print(f"wrote {args.realizations} x {args.n} trace(s) to {args.out}")
     return 0
 

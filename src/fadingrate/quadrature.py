@@ -32,6 +32,7 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015329
 _FLOAT_MAX = np.finfo(float).max
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,21 @@ def make_rng(seed, task_index=0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _complex_normal(rng, size):
+def _complex_normal(rng, size, out=None, work=None):
     # unit-variance proper complex Gaussian draws: size real parts, then
-    # size imaginary parts from the stream
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
+    # size imaginary parts from the stream.  A caller drawing repeatedly
+    # passes out (complex, size) and work (float, (2, size)) to reuse them.
+    # Bit for bit (a + 1j*b)/sqrt(2): numpy divides a complex array by a
+    # real scalar by multiplying with its reciprocal.
+    if out is None:
+        out = np.empty(size, dtype=complex)
+    if work is None:
+        work = np.empty((2, size))
+    rng.standard_normal(out=work)
+    out.real = work[0]
+    out.imag = work[1]
+    out *= _SQRT_HALF
+    return out
 
 
 def _exp1_scaled_cf(x):

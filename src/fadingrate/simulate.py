@@ -84,13 +84,25 @@ def _color(chol, w):
     return chol @ w.real + 1j * (chol @ w.imag)
 
 
+def _usable_cpus():
+    """CPUs this process may run on: the embedding's worker-thread cap."""
+    import os
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embedding") -> np.ndarray:
     """Stack of `count` independent traces shaped (count, n); trace i draws
     from stream (seed, i).
 
-    method "embedding" synthesizes through the circulant spectrum;
-    "cholesky" (n <= 2048) factors the covariance directly and serves as an
-    independent oracle for the embedding path.
+    method "embedding" synthesizes through the circulant spectrum, its rows
+    split across threads on every usable CPU: each row depends only on its
+    own stream, so the batch is bit for bit the same for any thread count.
+    "cholesky" (n <= 2048) factors the covariance directly, serially, and
+    serves as an independent oracle for the embedding path.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -99,19 +111,37 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
     if method == "embedding":
         lam, m = _embedding_spectrum(model, n)
         amp, scale = np.sqrt(lam), math.sqrt(m)
-        # only the first n of the m circulant samples are kept and scaled
-        draw = lambda rng: np.fft.ifft(amp * _complex_normal(rng, m))[:n] * scale
-    elif method == "cholesky":
+        batch = np.empty((count, n), dtype=complex)
+
+        def fill(rows):
+            # numpy's generator fills and FFTs release the GIL; each worker
+            # draws into its own buffers and writes only its rows
+            z, work = np.empty(m, dtype=complex), np.empty((2, m))
+            for i in rows:
+                _complex_normal(make_rng(seed, i), m, out=z, work=work)
+                z *= amp
+                # only the first n of the m circulant samples are kept and scaled
+                np.multiply(np.fft.ifft(z)[:n], scale, out=batch[i])
+
+        workers = min(count, _usable_cpus())
+        if workers == 1:
+            fill(range(count))
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            # rows round-robin; reading every result raises a worker's exception here
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(fill, [range(w, count, workers) for w in range(workers)]))
+        return batch
+    if method == "cholesky":
         if n > 2048:
             raise ValueError("cholesky path supports n <= 2048")
         chol = _fading_cholesky_factor(model, n)
-        draw = lambda rng: _color(chol, _complex_normal(rng, n))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    batch = np.empty((count, n), dtype=complex)
-    for i in range(count):
-        batch[i] = draw(make_rng(seed, i))
-    return batch
+        batch = np.empty((count, n), dtype=complex)
+        for i in range(count):
+            batch[i] = _color(chol, _complex_normal(make_rng(seed, i), n))
+        return batch
+    raise ValueError(f"unknown method {method!r}")
 
 
 def gen_fading(model: PsdModel, n: int, seed, method="embedding") -> FadingRealization:

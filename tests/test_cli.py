@@ -388,3 +388,19 @@ def test_simulate_writes_readable_dump(tmp_path, capsys):
     assert back.shape == (2, 64)
     assert meta["f_d"] == 0.1 and meta["seed"] == 5
     assert np.all(np.isfinite(back.view(np.float32)))
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0"], "missing/x.csv"),
+    (["figure", "1"], "."),
+    (["simulate", "--psd", "rect", "--fd", "0.1", "--n", "64"], "missing/x.bin"),
+], ids=["sweep-missing-dir", "figure-directory", "simulate-missing-dir"])
+def test_unwritable_out_exits_2(argv, target, tmp_path, capsys):
+    # the output is opened after the computation; failing to open it is a
+    # usage error naming the path, not a traceback
+    path = str(tmp_path / target)
+    assert main(argv + ["--out", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --out {path}: ")
+    assert captured.err.count("\n") == 1

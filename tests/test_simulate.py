@@ -1,6 +1,7 @@
 """Simulation oracle: trace synthesis, channel runs, empirical estimates."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,8 @@ from scipy import linalg
 from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
 from fadingrate.prediction import PowerProfile, ToeplitzCov, pred_error_finite
 from fadingrate.quadrature import McEstimate, _complex_normal, g_logmoment, make_rng
+from fadingrate import simulate
+from fadingrate.cli import main
 from fadingrate.mcrates import coherent_mi_cm
 from fadingrate.simulate import (
     FadingRealization,
@@ -96,19 +99,83 @@ def test_batch_matches_stacked_row_draws(method, model, n):
     assert np.array_equal(gen_fading_batch(model, n, count, seed, method=method), want)
 
 
-def test_batch_peak_memory():
+def test_batch_peak_memory(monkeypatch):
     # 64 traces of 1024 samples are 1 MiB of complex128; the embedding has
     # m = 8192, so keeping each row's full m-point transform alive until the
-    # end would hold 8 MiB more
+    # end would hold 8 MiB more.  Each worker thread holds its own draw
+    # buffers and one transform, about 0.4 MiB at this m.
     model = RaisedCosine(0.1, 0.2)
     assert _embedding_spectrum(model, 1024)[1] == 8192
-    tracemalloc.start()
+    for workers in (None, 2):
+        if workers is not None:
+            monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
+        tracemalloc.start()
+        try:
+            gen_fading_batch(model, 1024, 64, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, workers
+
+
+@pytest.mark.parametrize("model,n", [
+    (Rectangular(0.25), 256), (RaisedCosine(0.1, 0.2), 256), (Jakes(0.2, sigma_h2=1.5), 512),
+], ids=["rect", "rc", "jakes"])
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_batch_bit_identical_for_any_worker_count(model, n, count, monkeypatch):
+    # rows are split across threads, each drawing from its own stream; the
+    # counts of 1 and 2 rows give some workers no rows at all.  A short
+    # switch interval interleaves the workers as finely as it can.
+    batches = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        gen_fading_batch(model, 1024, 64, 0)
-        _, peak = tracemalloc.get_traced_memory()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
+            batches.append(gen_fading_batch(model, n, count, seed=13))
     finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20
+        sys.setswitchinterval(interval)
+    assert batches[0].shape == (count, n)
+    for batch in batches[1:]:
+        assert batch.tobytes() == batches[0].tobytes()
+
+
+class _RowFailure(Exception):
+    pass
+
+
+def test_worker_exception_reaches_caller(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="seed and task_index must be nonnegative"):
+        gen_fading_batch(Rectangular(0.25), 64, 8, seed=-1)
+    assert main(["simulate", "--psd", "rect", "--fd", "0.1", "--n", "64", "--realizations",
+                 "8", "--seed", "-1", "--out", str(tmp_path / "x.bin")]) == 2
+    assert capsys.readouterr().err == "error: seed and task_index must be nonnegative\n"
+    # the very exception a worker raised, not a wrapper around it
+    failure = _RowFailure("row 5")
+
+    def rng(seed, i):
+        if i == 5:
+            raise failure
+        return make_rng(seed, i)
+
+    monkeypatch.setattr(simulate, "make_rng", rng)
+    with pytest.raises(_RowFailure) as info:
+        gen_fading_batch(Rectangular(0.25), 64, 8, seed=0)
+    assert info.value is failure
+
+
+@pytest.mark.parametrize("size", [0, 1, 512, 100_000])
+def test_complex_normal_matches_reference_formula(size):
+    # the in-place draw against the expression it replaced, bit for bit,
+    # allocating its own buffers and writing over stale caller buffers
+    for seed in range(3):
+        rng = make_rng(seed, 7)
+        want = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
+        assert _complex_normal(make_rng(seed, 7), size).tobytes() == want.tobytes()
+        out, work = np.full(size, np.nan + 0j), np.full((2, size), np.nan)
+        got = _complex_normal(make_rng(seed, 7), size, out=out, work=work)
+        assert got is out and got.tobytes() == want.tobytes()
 
 
 def test_cholesky_coloring_matches_complex_product():
