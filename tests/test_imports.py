@@ -1,6 +1,7 @@
 """Cold start: importing the package and its CLI leaves scipy.integrate
 and scipy.linalg unloaded, and the functions that import them on first
-use work when they are the first thing called."""
+use work when they are the first thing called; and the package exports
+exactly its pinned set of public names."""
 
 import os
 import subprocess
@@ -69,3 +70,43 @@ def test_validate_refuses_non_psd_lags_called_first():
     assert got == "covariance lags do not define a PSD Toeplitz matrix"
     with pytest.raises(ValueError, match="do not define a PSD"):
         ToeplitzCov((1.0, 1.5, 0.0), 3).validate()
+
+
+# the package's public names, fixed here so that how __init__ gathers them
+# can change without the exported set changing
+PUBLIC_NAMES = {
+    "__version__",
+    # model
+    "ChannelParams", "PsdModel", "Rectangular", "Jakes", "RaisedCosine",
+    # quadrature
+    "QuadratureConfig", "McEstimate", "EULER_GAMMA", "make_rng",
+    "g_logmoment", "g_logmoment_gauss", "szego_log_integral",
+    # entropy
+    "EntropyRate", "noise_entropy", "h_y_lower", "h_y_upper",
+    "h_y_upper_refined", "h_yx_upper", "h_yx_lower_rect", "entropy_gaps",
+    # prediction
+    "ToeplitzCov", "PowerProfile", "pred_error_finite", "pred_error_cm_infinite",
+    "circulant_eigs", "toeplitz_circulant_weak_norm", "pred_rational_exact",
+    "convexity_check",
+    # rates
+    "BoundValue", "PeakConstraint", "coherent_capacity", "rate_lower_pg",
+    "rate_upper_pg_rect", "rate_gap_pg_rect", "prelog_estimate", "alpha_opt_conditions",
+    "rate_upper_pred_pg", "rate_upper_pred_peak", "sethuraman_upper", "lapidoth_asymptotes",
+    "sd_rate_bounds", "sd_optimal_L", "sd_max_spacing", "iid_low_snr_conditions",
+    # mcrates
+    "coherent_mi_cm", "rate_lower_cm", "rate_lower_cm_timeshare", "sethuraman_lower",
+    # simulate
+    "FadingRealization", "gen_fading", "gen_fading_batch",
+    "simulate_channel", "empirical_pred_error", "empirical_coherent_mi",
+    "write_fading_dump", "read_fading_dump",
+    # verify
+    "CheckResult", "run_suite",
+}
+
+
+def test_public_names_are_exactly_the_pinned_set():
+    assert len(PUBLIC_NAMES) == 59
+    assert len(fadingrate.__all__) == len(set(fadingrate.__all__))
+    assert set(fadingrate.__all__) == PUBLIC_NAMES
+    for name in fadingrate.__all__:
+        assert getattr(fadingrate, name) is not None, name
