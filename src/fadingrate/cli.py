@@ -277,6 +277,17 @@ def _writing(path):
         raise _UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from None
 
 
+def _check_out(path):
+    """Refuse --out before any work when it cannot be opened for writing,
+    without creating or truncating it; _writing catches what this misses."""
+    parent = os.path.dirname(os.path.abspath(path))
+    for bad, reason in ((os.path.isdir(path), "Is a directory"),
+                        (not os.path.isdir(parent), "No such file or directory"),
+                        (not os.access(parent, os.W_OK), "Permission denied")):
+        if bad:
+            raise _UsageError(f"cannot write --out {path}: {reason}")
+
+
 def _csv_lines(args, flags, columns, rows):
     yield f"# fadingrate {__version__}\n"
     yield f"# flags: {flags}\n"
@@ -482,6 +493,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from .quadrature import EULER_GAMMA, g_logmoment, szego_log_integral
 
 __all__ = [
     "EntropyRate",
+    "noise_entropy",
     "h_y_lower",
     "h_y_upper",
     "h_y_upper_refined",

@@ -1,6 +1,6 @@
 """Numerical workhorses: the exponential log-moment, Szego-type spectral
-log integrals, and the seeded draws, mean/stderr reduction and log-mixture
-kernel that every Monte Carlo estimate in the package shares.
+log integrals, the seeded draws and mean/stderr reduction every Monte Carlo
+estimate shares, and the constant-modulus bounds' m-PSK log-mixture kernel.
 
 ``g_logmoment(a)`` evaluates E[log(1 + a Z)] for Z ~ Exp(1), the function
 every Gaussian-input rate expression in the package reduces to.  It is
@@ -209,55 +209,6 @@ def _mean_stderr(vals):
     mean = float(np.mean(vals))
     var = float(np.var(vals))
     return mean, math.sqrt(var / len(vals))
-
-
-# rows per block of the direct log-mixture kernel: (rows x points) work
-# buffers.  At 100 points a block of 512 rows keeps the three buffers near
-# 1.3 MB, in cache; 16384-row blocks (41 MB) made 10^5-sample estimates
-# about a fifth slower.  256 and 1024 rows time the same.
-_CHUNK = 512
-
-
-def _log_mix(y, centers, xs, scale):
-    """Per row i, log sum_j exp(-|y_i - centers_i xs_j|^2 / scale), summed
-    over every point.
-
-    The split-max log-sum-exp (Blanchard, Higham & Higham 2021), with the
-    operations of scipy.special.logsumexp in its order, so every value is
-    bit for bit what logsumexp(-d2 / scale, axis=1) gives: the row maxima
-    are taken out of the sum and counted, the rest are summed after the
-    shift.  Runs in place on one set of buffers, one block of _CHUNK rows
-    at a time.  A row whose distances all overflow gives -inf, a NaN
-    distance gives NaN.
-    """
-    # the complex product of logsumexp's operands, with the cast done once
-    centers = np.asarray(centers, dtype=complex)
-    n, m = len(y), len(xs)
-    out = np.empty(n)
-    rows = min(n, _CHUNK)
-    cbuf, buf, mask = (np.empty((rows, m), dtype=complex), np.empty((rows, m)),
-                       np.empty((rows, m), dtype=bool))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, n, _CHUNK):
-            stop = min(start + _CHUNK, n)
-            k = stop - start
-            c, a, top = cbuf[:k], buf[:k], mask[:k]
-            np.multiply(centers[start:stop, None], xs[None, :], out=c)
-            np.subtract(y[start:stop, None], c, out=c)
-            np.abs(c, out=a)
-            np.square(a, out=a)
-            np.divide(a, -scale, out=a)
-            a_max = a.max(axis=1)
-            np.equal(a, a_max[:, None], out=top)
-            np.subtract(a, a_max[:, None], out=a)
-            np.exp(a, out=a)
-            a[top] = 0.0
-            s = a.sum(axis=1)
-            ties = np.count_nonzero(top, axis=1).astype(float)
-            # logsumexp skips s = 0 here; 0 / ties is 0 as every finite row has a tie
-            s /= ties
-            out[start:stop] = np.log1p(s) + np.log(ties) + a_max
-    return out
 
 
 # rows per block of the m-PSK kernel; at 100 points its window is 26

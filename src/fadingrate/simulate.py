@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import PsdModel
 from .prediction import PowerProfile, ToeplitzCov, _cholesky_in_place, _lmmse
-from .quadrature import McEstimate, _complex_normal, _log_mix, _mean_stderr, make_rng
+from .quadrature import McEstimate, _complex_normal, _mean_stderr, make_rng
 
 __all__ = [
     "FadingRealization",
@@ -200,33 +200,18 @@ def empirical_pred_error(model: PsdModel, z: PowerProfile, sigma_n2,
 
 
 def empirical_coherent_mi(rho, input_kind, n, seed) -> McEstimate:
-    """Coherent mutual information by direct simulation.
-
-    "pg": E log(1 + rho |h|^2/sigma_h2) sampled over the fading magnitude.
-    ("cm", m): uniform m-point constant-modulus constellation with the sent
-    symbol, fading coefficient, and noise all drawn fresh — an estimator
-    independent of the symmetry-reduced one.
-    """
+    """Coherent mutual information E log(1 + rho |h|^2/sigma_h2) of the
+    proper Gaussian input ("pg", the only input_kind), by direct simulation
+    of the fading magnitude."""
     rho = float(rho)
     if rho < 0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
     n = int(n)
     if n < 10_000:
         raise ValueError("need at least 1e4 samples")
-    rng = make_rng(seed, 0)
-    if input_kind == "pg":
-        vals = np.log1p(rho * rng.exponential(size=n))
-    elif isinstance(input_kind, tuple) and len(input_kind) == 2 and input_kind[0] == "cm":
-        m_points = int(input_kind[1])
-        if m_points < 2:
-            raise ValueError("need at least 2 constellation points")
-        xs = np.exp(2j * math.pi * np.arange(m_points) / m_points)
-        centers = math.sqrt(rho) * _complex_normal(rng, n)
-        w = _complex_normal(rng, n)
-        j = rng.integers(0, m_points, size=n)
-        vals = math.log(m_points) - np.abs(w) ** 2 - _log_mix(centers * xs[j] + w, centers, xs, 1.0)
-    else:
+    if input_kind != "pg":
         raise ValueError(f"unknown input_kind {input_kind!r}")
+    vals = np.log1p(rho * make_rng(seed, 0).exponential(size=n))
     mean, stderr = _mean_stderr(vals)
     return McEstimate(mean=mean, stderr=stderr, n=n, seed=int(seed))
 

@@ -45,7 +45,7 @@ from .rates import (
 from .mcrates import sethuraman_lower
 from .simulate import empirical_coherent_mi, empirical_pred_error, gen_fading
 
-__all__ = ["CheckResult", "FAST_CHECKS", "FULL_CHECKS", "ACCEPTANCE_CHECKS", "run_suite"]
+__all__ = ["CheckResult", "run_suite"]
 
 
 @dataclass(frozen=True)

@@ -390,17 +390,42 @@ def test_simulate_writes_readable_dump(tmp_path, capsys):
     assert np.all(np.isfinite(back.view(np.float32)))
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("computed before --out was checked")
+
+
 @pytest.mark.parametrize("argv,target", [
     (["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0"], "missing/x.csv"),
     (["figure", "1"], "."),
+    (["figure", "2", "--mc-n", "20000"], "missing/x.csv"),
     (["simulate", "--psd", "rect", "--fd", "0.1", "--n", "64"], "missing/x.bin"),
-], ids=["sweep-missing-dir", "figure-directory", "simulate-missing-dir"])
-def test_unwritable_out_exits_2(argv, target, tmp_path, capsys):
-    # the output is opened after the computation; failing to open it is a
-    # usage error naming the path, not a traceback
+], ids=["sweep-missing-dir", "figure-directory", "figure-missing-dir", "simulate-missing-dir"])
+def test_unwritable_out_exits_2(argv, target, tmp_path, capsys, monkeypatch):
+    # an --out that cannot be opened is a usage error naming the path, not
+    # a traceback, and it is refused before anything is computed
+    monkeypatch.setattr(cli, "_evaluate_grid", _must_not_run)
+    monkeypatch.setattr(cli, "gen_fading_batch", _must_not_run)
     path = str(tmp_path / target)
     assert main(argv + ["--out", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write --out {path}: ")
     assert captured.err.count("\n") == 1
+
+
+def test_out_errors_after_the_check_still_exit_2(tmp_path, capsys, monkeypatch):
+    # an --out that passes the up-front check but fails to open is refused
+    # when it is written
+    monkeypatch.setattr(cli, "_check_out", lambda path: None)
+    path = str(tmp_path / "missing" / "x.csv")
+    assert main(["figure", "1", "--out", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write --out {path}: ")
+
+
+def test_refused_run_leaves_out_untouched(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["figure", "9", "--out", str(out)]) == 2
+    assert not out.exists()
+    out.write_text("kept\n")
+    assert main(["figure", "9", "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"

@@ -10,10 +10,8 @@ from scipy import special
 
 from fadingrate.model import Jakes, RaisedCosine, Rectangular
 from fadingrate.quadrature import (
-    _CHUNK,
     EULER_GAMMA,
     _g_logmoment,
-    _log_mix,
     _log_mix_psk,
     _psk_window,
     g_logmoment,
@@ -169,65 +167,10 @@ def test_make_rng_streams_and_validation():
         make_rng(-1)
 
 
-PHASES = np.exp(2j * math.pi * np.arange(100) / 100)
-# recent scipy releases take the row maximum out of the sum and add log1p
-# of the rest; older ones take the log of the whole shifted sum, which
-# loses the 4e-18 below
-SPLIT_MAX = special.logsumexp([0.0, -40.0]) > 0.0
-
-
-def _logsumexp_rows(y, centers, xs, scale):
-    # the log-mixture exactly as the Monte Carlo estimators used to form it
-    d2 = np.abs(y[:, None] - centers[:, None] * xs[None, :]) ** 2
-    return special.logsumexp(-d2 / scale, axis=1)
-
-
-def _log_mix_quiet(*args, kernel=_log_mix):
+def _log_mix_psk_quiet(*args):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return kernel(*args)
-
-
-@pytest.mark.parametrize("n", [5, _CHUNK - 1, _CHUNK, _CHUNK + 1, 16383, 16384, 16385])
-def test_log_mix_matches_logsumexp(n):
-    """Bit for bit the split-max log-sum-exp, across block edges and over
-    many blocks, for real centers (the symmetry-reduced estimators) and
-    complex ones (the simulation oracle), at unit and non-unit scale."""
-    rng = np.random.default_rng(n)
-    for scale in (1.0, 0.37, 5.25):
-        for complex_centers in (False, True):
-            centers = 3.0 * rng.exponential(size=n)
-            if complex_centers:
-                centers = centers * np.exp(2j * math.pi * rng.random(n))
-            y = centers + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            got = _log_mix_quiet(y, centers, PHASES, scale)
-            want = _logsumexp_rows(y, centers, PHASES, scale)
-            if SPLIT_MAX:
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            else:
-                np.testing.assert_array_max_ulp(got, want, maxulp=4)
-
-
-def test_log_mix_all_tied_rows():
-    # zero centers (a vanishing prediction variance) put every point at the
-    # same distance: the sum is log(m) plus the shared exponent
-    y = np.array([0.0, 0.5 - 1.5j, 3.0 + 0.25j])
-    centers = np.zeros(3)
-    got = _log_mix_quiet(y, centers, PHASES, 2.0)
-    assert np.array_equal(got, _logsumexp_rows(y, centers, PHASES, 2.0))
-    assert np.array_equal(got, math.log(100) + -np.abs(y) ** 2 / 2.0)
-
-
-def test_log_mix_overflowing_rows_match_logsumexp():
-    # all distances overflow -> -inf; only the nearest point finite -> its
-    # exponent; an infinite center against an infinite output -> NaN
-    y = np.array([1e200 + 0j, 1e200 + 0j, np.inf + 0j, 1.0 + 0j])
-    centers = np.array([0.0, 1e200, np.inf, 0.5])
-    got = _log_mix_quiet(y, centers, PHASES, 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = _logsumexp_rows(y, centers, PHASES, 1.0)
-    np.testing.assert_array_equal(got, want)
-    assert got[0] == -np.inf and got[1] == 0.0 and np.isnan(got[2]) and np.isfinite(got[3])
+        return _log_mix_psk(*args)
 
 
 # The m-PSK kernel against 40-digit mpmath.  The bound, fixed before the
@@ -311,22 +254,20 @@ def test_log_mix_psk_overflowing_rows_give_minus_inf():
     tilt = np.exp(0.5j * math.pi / 100)
     y = np.array([1e200, 1e200 * tilt, np.inf, np.inf, 1e200, 1e200 * tilt], dtype=complex)
     c = np.array([0.0, 1e200, 1.0, 0.0, 1e200, 1e200 * tilt], dtype=complex)
-    got = _log_mix_quiet(y, c, 100, 1.0, kernel=_log_mix_psk)
+    got = _log_mix_psk_quiet(y, c, 100, 1.0)
     assert np.array_equal(got, [-np.inf] * 4 + [0.0, 0.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.array_equal(got, _log_mix(y, c, PHASES, 1.0))
 
 
 def test_log_mix_psk_nan_in_gives_nan():
     y = np.array([np.nan, 1.0, np.nan, 30.0 + 1j, complex(np.nan, 1.0), np.inf])
     c = np.array([1.0, np.nan, 0.0, np.nan, 30.0, np.inf])
     for m in (2, 100):
-        assert np.isnan(_log_mix_quiet(y, c, m, 1.0, kernel=_log_mix_psk)).all()
+        assert np.isnan(_log_mix_psk_quiet(y, c, m, 1.0)).all()
 
 
 def test_log_mix_psk_zero_center_is_log_m_minus_energy():
     y = np.array([0.0, 0.5 - 1.5j, 3.0 + 0.25j, 1e5 + 0j, 1e-160j])
     for m in PSK_POINTS:
         for scale in (1.0, 0.37, 2.0):
-            got = _log_mix_quiet(y, np.zeros(5), m, scale, kernel=_log_mix_psk)
+            got = _log_mix_psk_quiet(y, np.zeros(5), m, scale)
             assert np.array_equal(got, math.log(m) + -np.abs(y) ** 2 / scale)
