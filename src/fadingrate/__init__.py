@@ -8,7 +8,6 @@ bounds, and the simulation machinery to cross-check all of them.  Rates
 are in nats per channel use unless converted at the output layer.
 """
 
-from . import model, quadrature, entropy, prediction, rates, mcrates, simulate, verify
 from .model import *
 from .quadrature import *
 from .entropy import *

@@ -278,12 +278,13 @@ def _writing(path):
 
 
 def _check_out(path):
-    """Refuse --out before any work when it cannot be opened for writing,
-    without creating or truncating it; _writing catches what this misses."""
+    """Refuse --out before any work, creating or truncating nothing: an existing
+    file must be writable, a new one its directory; _writing catches the rest."""
     parent = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else parent
     for bad, reason in ((os.path.isdir(path), "Is a directory"),
                         (not os.path.isdir(parent), "No such file or directory"),
-                        (not os.access(parent, os.W_OK), "Permission denied")):
+                        (not os.access(target, os.W_OK), "Permission denied")):
         if bad:
             raise _UsageError(f"cannot write --out {path}: {reason}")
 

@@ -422,6 +422,28 @@ def test_out_errors_after_the_check_still_exit_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith(f"error: cannot write --out {path}: ")
 
 
+def test_existing_out_needs_no_writable_directory(tmp_path, capsys, monkeypatch):
+    # as for a user who may not write /dev or the output's directory: an
+    # existing writable file (/dev/null among them) is still accepted, a new
+    # file there is refused, and the command's own usage errors come through
+    refused = {str(tmp_path), "/dev"}
+    real_access = cli.os.access
+    monkeypatch.setattr(cli.os, "access",
+                        lambda path, mode: str(path) not in refused and real_access(path, mode))
+    kept = tmp_path / "kept.bin"
+    kept.write_bytes(b"")
+    sim = ["simulate", "--psd", "rect", "--fd", "0.1", "--n", "64", "--out"]
+    assert main(sim + [str(kept)]) == 0
+    assert read_fading_dump(kept)[0].shape == (1, 64)
+    new = tmp_path / "new.bin"
+    assert main(sim + [str(new)]) == 2
+    assert not new.exists()
+    assert main(sim + ["/dev/null", "--n", "1048577"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --out {new}: Permission denied\n")
+    assert err.endswith("error: --n 1048577 exceeds the trace-length cap of 1048576\n")
+
+
 def test_refused_run_leaves_out_untouched(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["figure", "9", "--out", str(out)]) == 2
