@@ -6,8 +6,8 @@ canonical flags, seed) ahead of the header; numbers carry 17 significant
 digits so files round-trip through float64 exactly.  Cells that do not
 apply at a grid point (an asymptote below its validity range, no
 admissible pilot spacing) are left empty.  Exit codes: 0 on success, 1
-when verification fails, 2 on usage errors and on grid points a bound
-cannot evaluate.
+when verification fails or a downstream reader closes the output pipe, 2
+on usage errors and on grid points a bound cannot evaluate.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .rates import (
     sethuraman_upper,
 )
 from .simulate import gen_fading_batch, write_fading_dump
-from .verify import run_suite
+from .verify import MAX_SEED, run_suite
 
 _LN2 = math.log(2.0)
 
@@ -52,6 +52,8 @@ _MAX_MC_N = 100_000_000
 # bytes per sample, and the batch about 50 bytes per sample in flight
 _MAX_TRACE_N = 1 << 20
 _MAX_SIM_SAMPLES = 50_000_000
+# largest --seed: make_rng keys its streams with unsigned 64-bit seeds
+_MAX_SEED = 2**64 - 1
 
 
 class _UsageError(Exception):
@@ -402,8 +404,10 @@ def cmd_predict(args):
             powers = _parse_float_list(args.powers, "--powers")
             cov = ToeplitzCov.from_model(model, len(powers) + 1)
             value = pred_error_finite(cov, PowerProfile(powers), args.sigma_n2)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise _UsageError(str(exc))
+    if not math.isfinite(value):
+        raise _UsageError(f"prediction error is not finite ({value}) at these powers")
     print(f"{value:.17g}")
     return 0
 
@@ -496,6 +500,12 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "out", None):
             _check_out(args.out)
+        seed = getattr(args, "seed", 0)
+        top = MAX_SEED if args.command == "verify" else _MAX_SEED
+        if seed < 0:
+            raise _UsageError("seed and task_index must be nonnegative")
+        if seed > top:
+            raise _UsageError(f"--seed {seed} exceeds {top}")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,13 +61,10 @@ def h_y_lower(params: ChannelParams) -> EntropyRate:
     )
 
 
-def h_y_upper(params: ChannelParams, alpha=1.0) -> EntropyRate:
+def h_y_upper(params: ChannelParams) -> EntropyRate:
     """Upper bound on h'(y): entropy of a proper Gaussian output sample at
-    input power alpha * sigma_x2 (alpha in [0, 1])."""
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    power = alpha * params.sigma_x2 * params.sigma_h2 + params.sigma_n2
+    input power sigma_x2."""
+    power = params.sigma_x2 * params.sigma_h2 + params.sigma_n2
     return EntropyRate(value=_LOG_PI_E + math.log(power), kind="hy_upper")
 
 
@@ -181,7 +178,6 @@ def h_yx_lower_rect(params: ChannelParams, input_dist="pg") -> EntropyRate:
     input_dist selects the i.d. input power law |x_k|^2:
       "pg"            proper Gaussian at power sigma_x2,
       "cm"            constant modulus at power sigma_x2,
-      ("cm", p)       constant modulus at power p,
       array-like       samples of |x|^2 (empirical law).
 
     For constant-modulus inputs this bound meets h_yx_upper exactly.
@@ -195,14 +191,8 @@ def h_yx_lower_rect(params: ChannelParams, input_dist="pg") -> EntropyRate:
             kind="hyx_lower_rect",
         )
     if isinstance(input_dist, str) and input_dist == "cm":
-        input_dist = ("cm", params.sigma_x2)
-    if isinstance(input_dist, tuple) and len(input_dist) == 2 and input_dist[0] == "cm":
-        power = float(input_dist[1])
-        if not 0.0 <= power < math.inf:
-            raise ValueError(f"constant-modulus power must be finite and nonnegative, got {power}")
-        c = power * params.sigma_h2 / params.sigma_n2
         return EntropyRate(
-            value=two_fd * math.log1p(c / two_fd) + floor,
+            value=two_fd * math.log1p(params.rho / two_fd) + floor,
             kind="hyx_lower_rect",
         )
     z = np.asarray(input_dist, dtype=float)

@@ -39,16 +39,12 @@ def _points(m_points):
     return m_points
 
 
-def _draw_base(seed, n, task_index=0):
-    rng = make_rng(seed, task_index)
-    z = rng.exponential(size=n)
-    return z, _complex_normal(rng, n)
-
-
-def _check_stderr(stderr, stderr_tol, n):
-    if stderr_tol is not None and stderr > stderr_tol:
-        raise RuntimeError(f"estimate did not converge: achieved stderr {stderr:.3e} "
-                           f"exceeds tolerance {stderr_tol:.3e} at n = {n}")
+def _draw_base(seed, n):
+    # (n, z, w): the sample count (None: the package default), then the
+    # fading powers and the noise drawn from stream (seed, 0)
+    n = int(n) if n is not None else QuadratureConfig().mc_default_n
+    rng = make_rng(seed, 0)
+    return n, rng.exponential(size=n), _complex_normal(rng, n)
 
 
 def _cm_mi_samples(z, w, snr, m):
@@ -59,33 +55,31 @@ def _cm_mi_samples(z, w, snr, m):
     return math.log(m) - np.abs(w) ** 2 - _log_mix_psk(h + w, h, m, 1.0)
 
 
-def coherent_mi_cm(rho, m_points=100, seed=0, n=None, stderr_tol=None) -> McEstimate:
+def coherent_mi_cm(rho, m_points=100, seed=0, n=None) -> McEstimate:
     """Mutual information of an m-point uniform-phase constant-modulus
     constellation over the coherent channel, in nats.
 
     Monte Carlo over the fading magnitude and noise; the estimate sits
-    below both coherent capacity and log(m_points).  When stderr_tol is
-    given, a larger achieved standard error raises instead of returning.
+    below both coherent capacity and log(m_points).
     """
     rho = float(rho)
     if rho < 0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
     m = _points(m_points)
-    n = int(n) if n is not None else QuadratureConfig().mc_default_n
-    z, w = _draw_base(seed, n)
+    n, z, w = _draw_base(seed, n)
     mean, stderr = _mean_stderr(_cm_mi_samples(z, w, rho, m))
-    _check_stderr(stderr, stderr_tol, n)
     return McEstimate(mean=mean, stderr=stderr, n=n, seed=int(seed))
 
 
-def _golden_max(fun, lo, hi, tol=1e-6):
-    # golden-section maximization of a deterministic scalar function
+def _golden_max(fun, lo, hi):
+    # golden-section maximization of a deterministic scalar function, to a
+    # bracket of 1e-6
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    while b - a > tol:
+    while b - a > 1e-6:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -143,8 +137,7 @@ def rate_lower_cm_timeshare(params: ChannelParams, model: PsdModel, peak: PeakCo
     """
     _check_model(params, model)
     m = _points(m_points)
-    n = int(n) if n is not None else QuadratureConfig().mc_default_n
-    z, w = _draw_base(seed, n)
+    n, z, w = _draw_base(seed, n)
     rho = params.rho
 
     def samples(gamma, count):
@@ -176,7 +169,7 @@ def _sd_entropy_samples(z, w, hat_var, amp, sigma_eff2, m):
 
 def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
                      timeshare=False, peak: PeakConstraint | None = None,
-                     seed=0, n=None, stderr_tol=None) -> BoundValue:
+                     seed=0, n=None) -> BoundValue:
     """Achievable-rate lower bound for constant-modulus inputs decoded
     against the infinite-past channel prediction.
 
@@ -188,10 +181,9 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
     """
     _check_model(params, model)
     m = _points(cm_points)
-    n = int(n) if n is not None else QuadratureConfig().mc_default_n
     if timeshare and peak is None:
         raise ValueError("time-sharing variant needs the peak constraint")
-    z, w = _draw_base(seed, n)
+    n, z, w = _draw_base(seed, n)
     rho = params.rho
     sigma_h2 = params.sigma_h2
     sigma_n2 = params.sigma_n2
@@ -211,7 +203,6 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
         return c_l1 / gamma
 
     gamma_opt, raw, stderr = _timeshared(samples, rate, peak.beta if timeshare else 1.0, n)
-    _check_stderr(stderr, stderr_tol, n)
     return BoundValue(
         value=raw,
         kind="sethuraman_lower_ts" if timeshare else "sethuraman_lower",

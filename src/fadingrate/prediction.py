@@ -145,10 +145,10 @@ def pred_error_cm_infinite(model: PsdModel, power, sigma_n2) -> float:
     """
     power = float(power)
     sigma_n2 = float(sigma_n2)
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    if not sigma_n2 > 0:
-        raise ValueError("sigma_n2 must be positive")
+    if not 0.0 <= power < math.inf:
+        raise ValueError(f"power must be finite and nonnegative, got {power}")
+    if not 0.0 < sigma_n2 < math.inf:
+        raise ValueError(f"sigma_n2 must be finite and positive, got {sigma_n2}")
     if power == 0.0:
         return model.sigma_h2
     c = power * model.sigma_h2 / sigma_n2
@@ -221,10 +221,10 @@ def _rational(cov: ToeplitzCov, z: PowerProfile, sigma_n2: float, i: int):
     return s0, a, lam
 
 
-def convexity_check(cov: ToeplitzCov, z: PowerProfile, x_power, sigma_n2, i: int, trials: int = 50) -> bool:
+def convexity_check(cov: ToeplitzCov, z: PowerProfile, x_power, sigma_n2, i: int) -> bool:
     """Verify the single-power structure of the prediction error.
 
-    Sweeps z[i] over a `trials`-point grid and checks that
+    Sweeps z[i] over a 50-point grid and checks that
     K(t) = log(1 + (x_power/sigma_n2) sigma2(t)) has nonnegative second
     differences (tolerance -1e-9), that the rational form
     sigma2(t) = s0 - a t/(1 + lam t) reproduces every grid value within
@@ -235,15 +235,13 @@ def convexity_check(cov: ToeplitzCov, z: PowerProfile, x_power, sigma_n2, i: int
     x_power = float(x_power)
     if x_power < 0:
         raise ValueError("x_power must be nonnegative")
-    if trials < 3:
-        raise ValueError("need at least 3 grid points")
     sigma_n2 = _check_past(cov, z, sigma_n2)
     if not 0 <= i < cov.n - 1:
         raise ValueError(f"index {i} outside the past horizon")
     cov.validate()  # once: the sweep and the decomposition reuse it
     zz = np.asarray(z.z, dtype=float)
     t_max = 10.0 * max(x_power, zz.max() if zz.size else 0.0, 0.1)
-    t_grid = np.linspace(0.0, t_max, trials)
+    t_grid = np.linspace(0.0, t_max, 50)
 
     def sigma2(t):
         zt = zz.copy()

@@ -108,19 +108,14 @@ def rate_gap_pg_rect(params: ChannelParams) -> float:
     return gap_y + gap_yx
 
 
-def prelog_estimate(evaluate, params: ChannelParams, snr_window=(60.0, 80.0)) -> float:
+def prelog_estimate(evaluate, params: ChannelParams) -> float:
     """High-SNR slope of a bound with respect to ln(rho).
 
-    evaluate maps a ChannelParams to a rate in nats.  The window is in dB
-    and must start at 40 dB or above, where the O(1/rho) terms are
-    negligible; the slope comes from a least-squares fit on a 2 dB grid.
+    evaluate maps a ChannelParams to a rate in nats.  The slope comes from
+    a least-squares fit on a 2 dB grid over 60-80 dB, where the O(1/rho)
+    terms are negligible.
     """
-    lo, hi = float(snr_window[0]), float(snr_window[1])
-    if lo < 40.0:
-        raise ValueError("slope window must start at 40 dB or above")
-    if hi <= lo:
-        raise ValueError("empty slope window")
-    db = np.arange(lo, hi + 1e-9, 2.0)
+    db = np.arange(60.0, 80.0 + 1e-9, 2.0)
     log_rho = db * (math.log(10.0) / 10.0)
     scale = params.sigma_n2 / params.sigma_h2
     vals = [evaluate(params.with_power(math.exp(lr) * scale)) for lr in log_rho]

@@ -199,18 +199,15 @@ def empirical_pred_error(model: PsdModel, z: PowerProfile, sigma_n2,
     return McEstimate(mean=mean, stderr=stderr, n=n_realizations, seed=int(seed))
 
 
-def empirical_coherent_mi(rho, input_kind, n, seed) -> McEstimate:
+def empirical_coherent_mi(rho, n, seed) -> McEstimate:
     """Coherent mutual information E log(1 + rho |h|^2/sigma_h2) of the
-    proper Gaussian input ("pg", the only input_kind), by direct simulation
-    of the fading magnitude."""
+    proper Gaussian input, by direct simulation of the fading magnitude."""
     rho = float(rho)
     if rho < 0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
     n = int(n)
     if n < 10_000:
         raise ValueError("need at least 1e4 samples")
-    if input_kind != "pg":
-        raise ValueError(f"unknown input_kind {input_kind!r}")
     vals = np.log1p(rho * make_rng(seed, 0).exponential(size=n))
     mean, stderr = _mean_stderr(vals)
     return McEstimate(mean=mean, stderr=stderr, n=n, seed=int(seed))

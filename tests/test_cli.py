@@ -150,6 +150,22 @@ def test_out_file_matches_stdout(tmp_path, capsys):
         ["simulate", "--psd", "rect", "--fd", "0.1", "--n", "1048577", "--out", "/dev/null"],
         ["simulate", "--psd", "rect", "--fd", "0.1", "--n", "1024", "--realizations", "48829",
          "--out", "/dev/null"],
+        ["predict", "--psd", "rect", "--fd", "0.1", "--infinite", "--power", "inf"],
+        ["predict", "--psd", "rect", "--fd", "0.1", "--infinite", "--power", "nan"],
+        ["predict", "--psd", "rect", "--fd", "0.1", "--infinite", "--power", "1",
+         "--sigma-n2", "inf"],
+        ["predict", "--psd", "rect", "--fd", "0.1", "--infinite", "--power", "1e308"],
+        ["predict", "--psd", "jakes", "--fd", "0.1", "--infinite", "--power", "inf"],
+        ["predict", "--psd", "jakes", "--fd", "0.1", "--infinite", "--power", "1e308"],
+        ["verify", "--seed", "-1"],
+        ["verify", "--seed", "18446744073709551602"],
+        ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0", "--bounds", "lower_cm",
+         "--seed", "-1"],
+        ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0",
+         "--seed", "18446744073709551616"],
+        ["simulate", "--psd", "rect", "--fd", "0.1", "--seed", "18446744073709551616",
+         "--out", "/dev/null"],
+        ["figure", "1", "--seed", "-1"],
     ],
     ids=["rect-only-bound", "peak-needs-beta", "bad-psd", "bad-rolloff", "bad-grid",
          "unknown-bound", "bad-fd", "bad-figure", "infinite-needs-power",
@@ -158,7 +174,11 @@ def test_out_file_matches_stdout(tmp_path, capsys):
          "beta-below-one", "beta-inf", "mc-n-zero", "mc-n-negative", "mc-n-one",
          "figure-mc-n-one", "pred-pg-float-edge", "sethuraman-non-finite",
          "pred-peak-non-finite", "lapidoth-zero-snr", "jakes-node-overflow", "mc-n-over-cap",
-         "figure-mc-n-over-cap", "sim-n-over-cap", "sim-samples-over-cap"],
+         "figure-mc-n-over-cap", "sim-n-over-cap", "sim-samples-over-cap",
+         "pred-power-inf", "pred-power-nan", "pred-noise-inf", "pred-power-overflow",
+         "pred-jakes-power-inf", "pred-jakes-overflow", "verify-seed-negative",
+         "verify-seed-over-offset", "sweep-seed-negative", "sweep-seed-overflow",
+         "sim-seed-overflow", "figure-seed-negative"],
 )
 def test_usage_errors_exit_2(argv, capsys, request):
     assert main(argv) == 2
@@ -175,6 +195,15 @@ USAGE_REASONS = {
     "figure-mc-n-over-cap": "--mc-n 1000000000000 exceeds the cap of 100000000 samples",
     "sim-n-over-cap": "--n 1048577 exceeds the trace-length cap of 1048576",
     "sim-samples-over-cap": "--n x --realizations = 50000896 exceeds the cap of 50000000 samples",
+    "pred-power-nan": "power must be finite and nonnegative, got nan",
+    "pred-noise-inf": "sigma_n2 must be finite and positive, got inf",
+    "pred-power-overflow": "prediction error is not finite (inf) at these powers",
+    "verify-seed-negative": "seed and task_index must be nonnegative",
+    "verify-seed-over-offset": "--seed 18446744073709551602 exceeds 18446744073709551601",
+    "sweep-seed-negative": "seed and task_index must be nonnegative",
+    "sweep-seed-overflow": "--seed 18446744073709551616 exceeds 18446744073709551615",
+    "sim-seed-overflow": "--seed 18446744073709551616 exceeds 18446744073709551615",
+    "figure-seed-negative": "seed and task_index must be nonnegative",
 }
 
 
@@ -357,6 +386,10 @@ def test_verify_exit_codes(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "[FAIL] beta" in out and "expected: zero" in out
     assert "1/2 checks passed (full level, seed 3)" in out
+
+    # the largest seed whose derived check seeds stay inside make_rng's range
+    assert main(["verify", "--seed", str(verify.MAX_SEED)]) == 1
+    assert f"seed {2**64 - 15})" in capsys.readouterr().out
 
 
 def test_predict_finite(capsys):

@@ -165,6 +165,10 @@ def test_infinite_horizon_limits_and_errors():
         pred_error_cm_infinite(model, -1.0, 1.0)
     with pytest.raises(ValueError):
         pred_error_cm_infinite(model, 1.0, 0.0)
+    with pytest.raises(ValueError, match="power must be finite and nonnegative, got nan"):
+        pred_error_cm_infinite(model, math.nan, 1.0)
+    with pytest.raises(ValueError, match="sigma_n2 must be finite and positive, got inf"):
+        pred_error_cm_infinite(model, 1.0, math.inf)
 
 
 def test_circulant_eigs_sampling_and_wrapping():
@@ -249,7 +253,7 @@ def test_convexity_check_factors_once_per_grid_point(monkeypatch):
     monkeypatch.setattr(prediction, "_cholesky_in_place", counted)
     cov = _cov(Jakes(0.15), 8)
     z = PowerProfile(tuple(make_rng(32).uniform(0.0, 4.0, size=7)))
-    assert convexity_check(cov, z, 2.0, 1.0, 3, trials=50)
+    assert convexity_check(cov, z, 2.0, 1.0, 3)
     assert calls == [8] + [7] * 50
 
 
@@ -271,7 +275,5 @@ def test_convexity_check_validation():
     z = PowerProfile((1.0, 1.0))
     with pytest.raises(ValueError):
         convexity_check(cov, z, -1.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        convexity_check(cov, z, 1.0, 1.0, 0, trials=2)
     with pytest.raises(ValueError):
         convexity_check(cov, z, 1.0, 1.0, 5)

@@ -99,13 +99,6 @@ class TestPrelog:
         slope = prelog_estimate(lambda p: math.log1p(p.rho), ChannelParams(f_d=0.1))
         assert slope == pytest.approx(1.0, abs=0.02)
 
-    def test_window_validation(self):
-        p = ChannelParams(f_d=0.1)
-        with pytest.raises(ValueError):
-            prelog_estimate(_coherent, p, snr_window=(20.0, 60.0))
-        with pytest.raises(ValueError):
-            prelog_estimate(_coherent, p, snr_window=(60.0, 60.0))
-
 
 def _peak_flat(p, beta):
     return sethuraman_upper(p, Rectangular(p.f_d), PeakConstraint(beta))

@@ -285,9 +285,9 @@ def test_empirical_prediction_validation():
 
 
 def test_empirical_pg_determinism_and_error_scaling():
-    small = empirical_coherent_mi(1.0, "pg", 20_000, seed=3)
-    small2 = empirical_coherent_mi(1.0, "pg", 20_000, seed=3)
-    big = empirical_coherent_mi(1.0, "pg", 320_000, seed=4)
+    small = empirical_coherent_mi(1.0, 20_000, seed=3)
+    small2 = empirical_coherent_mi(1.0, 20_000, seed=3)
+    big = empirical_coherent_mi(1.0, 320_000, seed=4)
     assert small.mean == small2.mean and small.stderr == small2.stderr
     assert isinstance(small, McEstimate) and small.n == 20_000 and small.seed == 3
     assert big.stderr < small.stderr / 3.0  # 16x samples -> ~4x smaller
@@ -295,7 +295,7 @@ def test_empirical_pg_determinism_and_error_scaling():
 
 
 def test_empirical_pg_capacity():
-    est = empirical_coherent_mi(1.0, "pg", 1_000_000, seed=0)
+    est = empirical_coherent_mi(1.0, 1_000_000, seed=0)
     assert abs(est.mean - g_logmoment(1.0)) <= 4.0 * est.stderr
     assert est.mean == pytest.approx(0.596347, abs=4.0 * est.stderr)
 
@@ -323,13 +323,9 @@ def test_empirical_cm_agrees_with_reduced_estimator():
 
 def test_empirical_mi_validation():
     with pytest.raises(ValueError):
-        empirical_coherent_mi(1.0, "pg", 100, seed=0)
+        empirical_coherent_mi(1.0, 100, seed=0)
     with pytest.raises(ValueError):
-        empirical_coherent_mi(-1.0, "pg", 20_000, seed=0)
-    with pytest.raises(ValueError):
-        empirical_coherent_mi(1.0, ("cm", 16), 20_000, seed=0)
-    with pytest.raises(ValueError):
-        empirical_coherent_mi(1.0, "qam", 20_000, seed=0)
+        empirical_coherent_mi(-1.0, 20_000, seed=0)
 
 
 def test_dump_round_trip(tmp_path):
