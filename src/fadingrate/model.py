@@ -102,6 +102,13 @@ def _check_model(params: ChannelParams, model: PsdModel):
         )
 
 
+def _finite_integral(val):
+    # the refusal of every rule sum w @ phi(S)
+    if not math.isfinite(val):
+        raise OverflowError("spectral integral overflows double precision")
+    return val
+
+
 def _lag_values(lag, r):
     # a scalar lag gives a float, an array of lags an array
     return float(r) if np.ndim(lag) == 0 else r
@@ -172,10 +179,7 @@ class PsdModel:
         sum is not finite (phi overflowed at a node near a singular edge)."""
         s, w = self.rule
         with np.errstate(over="ignore"):
-            val = float(w @ phi(s))
-        if not math.isfinite(val):
-            raise OverflowError("spectral integral overflows double precision")
-        return val
+            return _finite_integral(float(w @ phi(s)))
 
     def spectral_l2(self):
         """Integral of the squared density over one period."""

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import entropy_gaps
-from .model import ChannelParams, PsdModel, _check_model
+from .model import ChannelParams, PsdModel, _check_model, _finite_integral
 from .prediction import pred_error_cm_infinite
-from .quadrature import EULER_GAMMA, _szego_rect, g_logmoment, szego_log_integral
+from .quadrature import (EULER_GAMMA, _finite_nonnegative, _szego_rect, g_logmoment,
+                         szego_log_integral)
 
 __all__ = [
     "BoundValue",
@@ -75,10 +76,7 @@ class PeakConstraint:
 
 def coherent_capacity(rho) -> BoundValue:
     """Capacity with the fading known at the receiver: E[log(1 + rho |h|^2/sigma_h2)]."""
-    rho = float(rho)
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    return BoundValue(value=g_logmoment(rho), kind="coherent")
+    return BoundValue(value=g_logmoment(_finite_nonnegative(rho, "rho")), kind="coherent")
 
 
 def rate_lower_pg(params: ChannelParams, model: PsdModel) -> BoundValue:
@@ -262,14 +260,7 @@ def sd_rate_bounds(params: ChannelParams, model: PsdModel, L: int) -> dict:
         raise ValueError(
             f"pilot spacing {L} violates 2 <= L < 1/(2 f_d) for f_d = {params.f_d}"
         )
-    rho = params.rho
-    s_h2 = model.sigma_h2
-    sigma2_pil = model.transform(lambda s: s / ((rho / L) * s / s_h2 + 1.0))
-    frac = (L - 1.0) / L
-    rho_eff = rho * (1.0 - sigma2_pil / s_h2) / (1.0 + rho * sigma2_pil / s_h2)
-    lower = frac * g_logmoment(rho_eff)
-    extra = math.log1p(rho * sigma2_pil / s_h2) - g_logmoment(rho * sigma2_pil / s_h2)
-    return {"lower": lower, "upper": lower + frac * extra, "sigma2_pil": sigma2_pil}
+    return _sd_table(params, model, [L])[L]
 
 
 def sd_optimal_L(params: ChannelParams, model: PsdModel):
@@ -278,14 +269,37 @@ def sd_optimal_L(params: ChannelParams, model: PsdModel):
     Returns (best_L, table) where table maps each admissible L to its
     bounds dict; best_L is None when no spacing is admissible.
     """
+    _check_model(params, model)
+    table = _sd_table(params, model, range(2, sd_max_spacing(params.f_d) + 1))
+    return max(table, key=lambda L: table[L]["lower"], default=None), table
+
+
+# spacings per block of _sd_table: a block's (spacings x nodes) array stays
+# near 200 kB however many spacings 1/(2 f_d) admits
+_SD_BLOCK = 64
+
+
+def _sd_table(params, model, spacings):
+    # {L: sd_rate_bounds entry} over the spacings, in their order.  The pilot
+    # error int S / ((rho/L) S/sigma_h2 + 1) df is bit for bit model.transform's:
+    # the same elementwise operations, and each row's w @ row the same dot on
+    # the same values; its refusal comes at the first spacing not finite.
+    rho, s_h2 = params.rho, model.sigma_h2
+    s, w = model.rule
     table = {}
-    best_l, best_val = None, -math.inf
-    for L in range(2, sd_max_spacing(params.f_d) + 1):
-        entry = sd_rate_bounds(params, model, L)
-        table[L] = entry
-        if entry["lower"] > best_val:
-            best_l, best_val = L, entry["lower"]
-    return best_l, table
+    for start in range(0, len(spacings), _SD_BLOCK):
+        block = spacings[start:start + _SD_BLOCK]
+        with np.errstate(over="ignore"):
+            rows = s / ((rho / np.array(block, dtype=float)[:, None]) * s / s_h2 + 1.0)
+            sums = [float(w @ row) for row in rows]
+        for L, total in zip(block, sums):
+            sigma2_pil = _finite_integral(total)
+            frac = (L - 1.0) / L
+            rho_eff = rho * (1.0 - sigma2_pil / s_h2) / (1.0 + rho * sigma2_pil / s_h2)
+            lower = frac * g_logmoment(rho_eff)
+            extra = math.log1p(rho * sigma2_pil / s_h2) - g_logmoment(rho * sigma2_pil / s_h2)
+            table[L] = {"lower": lower, "upper": lower + frac * extra, "sigma2_pil": sigma2_pil}
+    return table
 
 
 def iid_low_snr_conditions(model: PsdModel, peak: PeakConstraint) -> dict:

@@ -387,8 +387,8 @@ def check_sd_bounds(seed=0) -> CheckResult:
 
 
 def check_quadrature_routes(seed=0) -> CheckResult:
-    """Continued-fraction, series, and Gauss-Laguerre routes agree, and the
-    log-moment sits on the right side of Jensen's inequality."""
+    """The log-moment's E_1 and moment-series branches agree with the
+    Gauss-Laguerre route, and sit on the right side of Jensen's inequality."""
     t0 = time.perf_counter()
     frozen = abs(g_logmoment(1.0) - 0.5963473623231940)
     # Laguerre truncation grows with the argument; stay where it converges

@@ -166,6 +166,10 @@ def test_out_file_matches_stdout(tmp_path, capsys):
         ["simulate", "--psd", "rect", "--fd", "0.1", "--seed", "18446744073709551616",
          "--out", "/dev/null"],
         ["figure", "1", "--seed", "-1"],
+        ["sweep", "--psd", "jakes", "--fd", "0.1", "--snr-db", "3000", "--beta", "1e10",
+         "--bounds", "sethuraman_upper"],
+        ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "3000", "--beta", "1e10",
+         "--bounds", "sethuraman_upper"],
     ],
     ids=["rect-only-bound", "peak-needs-beta", "bad-psd", "bad-rolloff", "bad-grid",
          "unknown-bound", "bad-fd", "bad-figure", "infinite-needs-power",
@@ -178,8 +182,11 @@ def test_out_file_matches_stdout(tmp_path, capsys):
          "pred-power-inf", "pred-power-nan", "pred-noise-inf", "pred-power-overflow",
          "pred-jakes-power-inf", "pred-jakes-overflow", "verify-seed-negative",
          "verify-seed-over-offset", "sweep-seed-negative", "sweep-seed-overflow",
-         "sim-seed-overflow", "figure-seed-negative"],
+         "sim-seed-overflow", "figure-seed-negative", "jakes-spectral-arg-inf",
+         "rect-spectral-arg-inf"],
 )
+# a numpy warning would print to stderr beside the error line
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_usage_errors_exit_2(argv, capsys, request):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -204,6 +211,8 @@ USAGE_REASONS = {
     "sweep-seed-overflow": "--seed 18446744073709551616 exceeds 18446744073709551615",
     "sim-seed-overflow": "--seed 18446744073709551616 exceeds 18446744073709551615",
     "figure-seed-negative": "seed and task_index must be nonnegative",
+    "jakes-spectral-arg-inf": "c must be finite, got inf",
+    "rect-spectral-arg-inf": "c must be finite, got inf",
 }
 
 

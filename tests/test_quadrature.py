@@ -1,5 +1,6 @@
 """Log-moment evaluation, spectral log integrals, and Monte Carlo plumbing."""
 
+import dataclasses
 import math
 import warnings
 
@@ -10,10 +11,12 @@ from scipy import special
 
 from fadingrate.model import Jakes, RaisedCosine, Rectangular
 from fadingrate.quadrature import (
+    _G_MOMENTS_UP_TO,
     EULER_GAMMA,
     _g_logmoment,
     _log_mix_psk,
     _psk_window,
+    _szego_shaped,
     g_logmoment,
     g_logmoment_gauss,
     make_rng,
@@ -57,12 +60,21 @@ def test_g_logmoment_refuses_before_the_cache():
     assert _g_logmoment.cache_info() == before
 
 
+def _switch_neighbours(steps):
+    # the moment series' last argument and the doubles within steps of it
+    grid = [_G_MOMENTS_UP_TO]
+    for toward in (0.0, math.inf):
+        a = _G_MOMENTS_UP_TO
+        for _ in range(steps):
+            a = math.nextafter(a, toward)
+            grid.append(a)
+    return grid
+
+
 def test_g_logmoment_cache_is_bit_identical_to_the_core():
-    # both branch edges (the series below a = 1e-4, the continued fraction
-    # from x = 1/a >= 1) with their neighbouring doubles
-    edges = [1e-4, 1.0]
-    grid = list(10.0 ** (np.arange(-120, 121) / 20.0)) + edges
-    grid += [math.nextafter(a, d) for a in edges for d in (0.0, math.inf)]
+    # the switch from the moment series to scipy's E_1 at a = 1/600, with
+    # its neighbouring doubles
+    grid = list(10.0 ** (np.arange(-120, 121) / 20.0)) + _switch_neighbours(2)
     for a in grid:
         first, again = g_logmoment(a), g_logmoment(a)
         core = _g_logmoment.__wrapped__(a)
@@ -71,29 +83,37 @@ def test_g_logmoment_cache_is_bit_identical_to_the_core():
 
 
 def test_g_logmoment_matches_scipy_identity():
-    """E[log(1+aZ)] = e^{1/a} E_1(1/a); scipy's exp1 is an independent
-    implementation of the right-hand side."""
-    for a in (0.2, 1.0, 3.0, 7.5):
+    """E[log(1+aZ)] = e^{1/a} E_1(1/a); on the moment-series branch
+    (a <= 1/600) scipy's exp1 is an independent route to the right-hand side."""
+    for a in 1.0 / np.linspace(601.0, 700.0, 34):
+        assert a <= _G_MOMENTS_UP_TO
         x = 1.0 / a
-        assert g_logmoment(a) == pytest.approx(math.exp(x) * special.exp1(x), rel=1e-13)
+        assert g_logmoment(a) == pytest.approx(math.exp(x) * special.exp1(x), rel=2e-15)
 
 
 def test_g_logmoment_matches_mpmath():
     """e^x E_1(x) at x = 1/a in 30-digit arithmetic over 1e-8 <= a <= 1e8,
-    20 points per decade, across the series, E_1-series and continued
-    fraction branches."""
-    for a in 10.0 ** (np.arange(-160, 161) / 20.0):
+    20 points per decade, plus the doubles next to the switch at a = 1/600
+    on both branches."""
+    grid = list(10.0 ** (np.arange(-160, 161) / 20.0)) + _switch_neighbours(8)
+    grid += [0.999 * _G_MOMENTS_UP_TO, 1.001 * _G_MOMENTS_UP_TO]
+    for a in grid:
         with mpmath.workdps(30):
             x = 1 / mpmath.mpf(a)
             expect = float(mpmath.exp(x) * mpmath.e1(x))
-        assert g_logmoment(a) == pytest.approx(expect, rel=1e-14, abs=0.0)
+        assert g_logmoment(a) == pytest.approx(expect, rel=2e-15, abs=0.0)
 
 
 def test_g_logmoment_series_branch_is_continuous():
-    # the series branch hands over at small argument; both sides must agree
-    below, above = 0.999e-4, 1.001e-4
+    # the series branch hands over to scipy's E_1 at a = 1/600: the last
+    # series value and the first E_1 value one double apart agree to
+    # rounding, and the slope across the switch is g'(a) = 1 - 2a + 6a^2 - ...
+    last = _G_MOMENTS_UP_TO
+    first = math.nextafter(last, math.inf)
+    assert g_logmoment(first) == pytest.approx(g_logmoment(last), rel=2e-15)
+    below, above = 0.999 * last, 1.001 * last
     slope = (g_logmoment(above) - g_logmoment(below)) / (above - below)
-    assert slope == pytest.approx(1.0, abs=1e-2)
+    assert slope == pytest.approx(1.0 - 2.0 * last + 6.0 * last**2 - 24.0 * last**3, rel=1e-8)
     assert g_logmoment(1e-9) == pytest.approx(1e-9, rel=1e-6)
 
 
@@ -106,6 +126,12 @@ def test_g_logmoment_bounds_and_monotonicity():
         assert v < math.log1p(a)
         if a > 1:
             assert v > math.log(a) - EULER_GAMMA - 1.0 / a
+
+
+def test_gauss_route_refuses_non_finite():
+    for a in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"argument must be finite, got {a}"):
+            g_logmoment_gauss(a)
 
 
 def test_gauss_route_agrees_where_it_converges():
@@ -126,6 +152,43 @@ def test_szego_rect_closed_form():
 def test_szego_jakes_frozen_value():
     assert szego_log_integral(Jakes(0.1), 1.0) == pytest.approx(
         0.3367161284733811, abs=1e-10)
+
+
+@pytest.mark.parametrize("model", [Rectangular(0.1), Jakes(0.1), RaisedCosine(0.1, 0.2)],
+                         ids=repr)
+def test_szego_refuses_before_the_cache(model):
+    before = _szego_shaped.cache_info()
+    for c in (math.nan, math.inf, -math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"c must be finite, got {c}"):
+                szego_log_integral(model, c)
+    with pytest.raises(ValueError, match="c must be nonnegative"):
+        szego_log_integral(model, -1.0)
+    assert szego_log_integral(model, 0.0) == 0.0
+    assert _szego_shaped.cache_info() == before
+
+
+@pytest.mark.parametrize("model", [Jakes(0.01), Jakes(0.24), RaisedCosine(0.1, 0.2),
+                                   RaisedCosine(0.24, 1.0)], ids=repr)
+def test_szego_memo_is_bit_identical_to_the_rule(model):
+    for c in 10.0 ** (np.arange(-80, 101, 7) / 10.0):
+        first, again = szego_log_integral(model, c), szego_log_integral(model, c)
+        # an equal model built anew shares the entry
+        twin = dataclasses.replace(model)
+        direct = model.transform(lambda s: np.log1p(c * s / model.sigma_h2))
+        assert first == again == szego_log_integral(twin, c) == direct
+
+
+def test_szego_overflow_is_refused_and_not_cached():
+    # at 3000 dB the Jakes edge nodes overflow log1p(c S): the rule sum is
+    # refused each time, and the refusal stores no entry
+    model = Jakes(0.01)
+    size = _szego_shaped.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(OverflowError, match="spectral integral overflows double precision"):
+            szego_log_integral(model, 1e300)
+    assert _szego_shaped.cache_info().currsize == size
 
 
 def _szego_reference(model, c):

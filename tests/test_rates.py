@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fadingrate.model import ChannelParams, Jakes, Rectangular
+from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
 from fadingrate.quadrature import EULER_GAMMA, g_logmoment, make_rng, szego_log_integral
 from fadingrate.rates import (
     BoundValue,
@@ -274,6 +274,25 @@ class TestSynchronizedDetection:
     def test_no_admissible_spacing(self):
         best_l, table = sd_optimal_L(_params(0.4, 10.0), Rectangular(0.4))
         assert best_l is None and table == {}
+
+    @pytest.mark.parametrize("make", [Rectangular, Jakes, lambda f_d: RaisedCosine(f_d, 0.2)],
+                             ids=["rect", "jakes", "rc0.2"])
+    @pytest.mark.parametrize("f_d", [0.002, 0.01, 0.1, 0.24])
+    @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 30.0])
+    def test_table_is_bit_identical_to_one_transform_per_spacing(self, make, f_d, snr_db):
+        """The one-array table gives each spacing the bits of sd_rate_bounds
+        and of the per-spacing rule sum it replaced (f_d 0.002 spans more
+        than one block of spacings; f_d 0.24 admits none)."""
+        model = make(f_d)
+        p = ChannelParams(f_d=f_d, sigma_x2=10.0 ** (snr_db / 10.0))
+        rho, s_h2 = p.rho, model.sigma_h2
+        best_l, table = sd_optimal_L(p, model)
+        assert list(table) == list(range(2, sd_max_spacing(f_d) + 1))
+        for L, entry in table.items():
+            assert entry == sd_rate_bounds(p, model, L)
+            assert entry["sigma2_pil"] == model.transform(
+                lambda s: s / ((rho / L) * s / s_h2 + 1.0))
+        assert best_l == (max(table, key=lambda L: table[L]["lower"]) if table else None)
 
 
 class TestLowSnrConditions:
