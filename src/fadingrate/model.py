@@ -83,6 +83,8 @@ class ChannelParams:
             raise ValueError("sigma_h2 and sigma_n2 must be positive and finite")
         if not 0 <= self.sigma_x2 < math.inf:
             raise ValueError("sigma_x2 must be nonnegative and finite")
+        if not math.isfinite(self.rho):
+            raise ValueError(f"SNR rho = sigma_x2 sigma_h2 / sigma_n2 must be finite, got {self.rho}")
         _check_doppler(self.f_d)
 
     @property

@@ -42,6 +42,8 @@ class ToeplitzCov:
         lags = tuple(float(x) for x in self.lags)
         if len(lags) != self.n or self.n < 1:
             raise ValueError("need exactly n lag values r(0..n-1)")
+        if not all(map(math.isfinite, lags)):
+            raise ValueError("covariance lags must be finite")
         if not lags[0] > 0:
             raise ValueError("r(0) must be positive")
         object.__setattr__(self, "lags", lags)
@@ -50,15 +52,12 @@ class ToeplitzCov:
     def from_model(cls, model: PsdModel, n: int) -> "ToeplitzCov":
         return cls(tuple(model.autocorr(np.arange(n)).tolist()), n)
 
-    def matrix(self) -> np.ndarray:
-        from scipy import linalg
-        return linalg.toeplitz(np.asarray(self.lags))
-
     def validate(self):
-        """Raise if the Toeplitz matrix is not positive semidefinite
-        (tolerance 1e-10 r(0), checked by jittered Cholesky)."""
+        """Raise unless the Toeplitz matrix is positive semidefinite (tolerance
+        1e-10 r(0)), by the Schur recursion: no matrix is formed, O(n) memory."""
         try:
-            _cholesky_in_place(self.matrix(), 1e-10 * self.lags[0])
+            for _ in _schur(self.lags, 1e-10 * self.lags[0]):
+                pass
         except np.linalg.LinAlgError:
             raise ValueError("covariance lags do not define a PSD Toeplitz matrix")
 
@@ -76,14 +75,27 @@ class PowerProfile:
         object.__setattr__(self, "z", z)
 
 
-def _cholesky_in_place(a, shift):
-    """Lower Cholesky factor of a + shift I for a symmetric C-ordered a,
-    formed in a's memory: a.T is the same matrix in Fortran order, which
-    LAPACK factors without a copy.  Raises np.linalg.LinAlgError (the
-    class scipy.linalg raises) when a + shift I is not positive definite."""
-    from scipy import linalg
-    a.flat[:: len(a) + 1] += shift
-    return linalg.cholesky(a.T, lower=True, overwrite_a=True)
+def _schur(lags, shift):
+    """Yield the columns L[k:, k] of the lower Cholesky factor of
+    Toeplitz(lags) + shift I (r(0) + shift > 0) by the Schur algorithm on
+    the displacement generators a, b (Kailath & Sayed 1995), weakly stable
+    for positive-definite Toeplitz matrices (Bojanczyk, Brent, de Hoog &
+    Sweet 1995).  O(n) memory and no BLAS, so the bits do not depend on the
+    thread count.  Raises np.linalg.LinAlgError unless positive definite."""
+    t = np.array(lags, dtype=float)
+    t[0] += shift
+    a = t / math.sqrt(t[0])
+    b = np.concatenate(([0.0], a[1:]))
+    yield a
+    for _ in range(1, len(t)):
+        a, b = a[:-1], b[1:]  # rows k..n-1 of a shifted down and of b
+        rho = b[0] / a[0]
+        if not (a[0] > 0 and abs(rho) < 1):
+            raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
+        c = math.sqrt((1.0 - rho) * (1.0 + rho))
+        a = (a - rho * b) / c  # the hyperbolic rotation that zeroes b_k, mixed form
+        b = c * b - rho * a
+        yield a
 
 
 def _past_system(cov: ToeplitzCov):
@@ -103,7 +115,8 @@ def _lmmse(cov: ToeplitzCov, z: PowerProfile, sigma_n2):
     for i, s_i in enumerate(s):
         m[i] *= s_i * s  # (s_i s_j) R_ij row by row: no n x n outer product
     b = s * r_cross
-    return s, b, linalg.cho_solve((_cholesky_in_place(m, sigma_n2), True), b)
+    m.flat[:: len(m) + 1] += sigma_n2  # symmetric: m.T is m in Fortran order, factored in place
+    return s, b, linalg.cho_solve((linalg.cholesky(m.T, lower=True, overwrite_a=True), True), b)
 
 
 def pred_error_finite(cov: ToeplitzCov, z: PowerProfile, sigma_n2) -> float:

@@ -3,10 +3,10 @@ re-estimate analytic quantities empirically.
 
 Fading realizations come from circulant embedding of the Toeplitz
 autocorrelation (exact to rounding when the embedded spectrum is
-nonnegative), with a direct Cholesky path as an independent oracle for
-moderate lengths.  Every estimator is seeded through the counter-based
-generator, with realization i drawing from stream (seed, i) so results do
-not depend on scheduling.
+nonnegative), with a Cholesky path (the Schur factor of the lags) as an
+independent oracle for moderate lengths.  Every estimator is seeded through
+the counter-based generator, with realization i drawing from stream
+(seed, i) so results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import PsdModel
-from .prediction import PowerProfile, ToeplitzCov, _cholesky_in_place, _lmmse
+from .prediction import PowerProfile, ToeplitzCov, _lmmse, _schur
 from .quadrature import McEstimate, _complex_normal, _mean_stderr, make_rng
 
 __all__ = [
@@ -74,7 +74,11 @@ def _embedding_spectrum(model: PsdModel, n: int):
 
 @lru_cache(maxsize=4)
 def _fading_cholesky_factor(model: PsdModel, n: int):
-    return _cholesky_in_place(ToeplitzCov.from_model(model, n).matrix(), 1e-12 * model.sigma_h2)
+    # the lower factor, filled row by row into its transpose: Fortran-ordered
+    chol_t = np.zeros((n, n))
+    for k, col in enumerate(_schur(ToeplitzCov.from_model(model, n).lags, 1e-12 * model.sigma_h2)):
+        chol_t[k, k:] = col
+    return chol_t.T
 
 
 def _color(chol, w):
@@ -101,8 +105,9 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
     method "embedding" synthesizes through the circulant spectrum, its rows
     split across threads on every usable CPU: each row depends only on its
     own stream, so the batch is bit for bit the same for any thread count.
-    "cholesky" (n <= 2048) factors the covariance directly, serially, and
-    serves as an independent oracle for the embedding path.
+    "cholesky" (n <= 2048) colours rows serially with the Schur factor of
+    the covariance + 1e-12 sigma_h2 I (no LAPACK, so also the same for any
+    thread count): an independent oracle for the embedding path.
     """
     if count < 1:
         raise ValueError("count must be positive")

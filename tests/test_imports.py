@@ -1,7 +1,8 @@
 """Cold start: importing the package and its CLI leaves scipy.integrate
-and scipy.linalg unloaded, and the functions that import them on first
-use work when they are the first thing called; and the package exports
-exactly its pinned set of public names."""
+and scipy.linalg unloaded, and so does a Cholesky-synthesized batch; the
+functions that import them on first use work when they are the first
+thing called; and the package exports exactly its pinned set of public
+names."""
 
 import os
 import subprocess
@@ -35,6 +36,18 @@ def test_cli_import_loads_neither_integrate_nor_linalg():
         "print(sorted({'scipy.integrate', 'scipy.optimize', 'scipy.linalg'} & set(sys.modules)))"
     )
     assert loaded == "[]"
+
+
+def test_cholesky_batch_leaves_linalg_unloaded():
+    # the Schur factorization is numpy only
+    loaded = _fresh(
+        "import sys\n"
+        "from fadingrate.model import Rectangular\n"
+        "from fadingrate.simulate import gen_fading_batch\n"
+        "gen_fading_batch(Rectangular(0.1), 256, 4, seed=1, method='cholesky')\n"
+        "print('scipy.linalg' in sys.modules)"
+    )
+    assert loaded == "False"
 
 
 def test_refined_entropy_works_called_first():

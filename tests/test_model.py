@@ -1,6 +1,7 @@
 """Spectral models: density shapes, autocorrelations, and validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,17 @@ def test_channel_params_with_power():
 def test_channel_params_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         ChannelParams(**bad)
+
+
+def test_channel_params_refuses_overflowing_snr():
+    # finite powers whose SNR rho overflows to inf are refused here, without
+    # a warning, instead of failing later inside a bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rho = .* must be finite, got inf"):
+            ChannelParams(f_d=0.1, sigma_x2=1e300, sigma_n2=1e-10)
+        with pytest.raises(ValueError, match="rho = .* must be finite, got inf"):
+            ChannelParams(sigma_n2=1e-10).with_power(1e300)
 
 
 def test_rect_autocorr_is_sinc():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -107,18 +108,39 @@ def test_finite_error_matches_dense_system(model, n):
     assert pred_error_finite(cov, PowerProfile(tuple(z)), 0.7) == want
 
 
-def test_finite_error_peak_memory():
-    # the past system is 1024 x 1024 (8 MiB) and validate() factors the
-    # 1025 x 1025 covariance; no solve may hold more than two such matrices
-    cov = _cov(RaisedCosine(0.1, 0.2), 1025)
-    z = PowerProfile((1.0,) * 1024)
+def _peak_bytes(call):
     tracemalloc.start()
     try:
-        pred_error_finite(cov, z, 1.0)
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 1025**2 * 8
+    return peak
+
+
+def test_finite_error_peak_memory():
+    # the past system is 1024 x 1024 (8 MiB), factored in its own memory, and
+    # validate() forms no matrix; scipy's finiteness checks and other
+    # temporaries took about 3 MiB more when this was written
+    cov = _cov(RaisedCosine(0.1, 0.2), 1025)
+    z = PowerProfile((1.0,) * 1024)
+    assert _peak_bytes(lambda: pred_error_finite(cov, z, 1.0)) <= 1025**2 * 8 + 4 * 2**20
+
+
+def test_validate_peak_memory():
+    # the Schur verdict keeps two generator vectors, not the 32 MiB matrix
+    cov = _cov(RaisedCosine(0.1, 0.2), 2048)
+    assert _peak_bytes(cov.validate) <= 2**20
+
+
+def test_non_finite_lags_refused_without_warning():
+    for bad in (math.nan, math.inf, -math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^covariance lags must be finite$"):
+                ToeplitzCov((1.0, bad, 0.0), 3)
+            with pytest.raises(ValueError, match="^covariance lags must be finite$"):
+                ToeplitzCov((bad, 0.5, 0.0), 3)
 
 
 def test_infinite_horizon_flat_closed_form():
@@ -241,20 +263,26 @@ def test_convexity_check_large_horizon_exact_path():
 
 
 def test_convexity_check_factors_once_per_grid_point(monkeypatch):
-    # one validation, then one LMMSE factorization per grid power; the
-    # rank-one decomposition reuses the validation
+    # one Schur verdict on the covariance, then one LAPACK factorization of
+    # the 7 x 7 LMMSE system per grid power; the rank-one decomposition
+    # reuses the verdict
     calls = []
-    factor = prediction._cholesky_in_place
+    schur, cholesky = prediction._schur, linalg.cholesky
 
-    def counted(a, shift):
-        calls.append(len(a))
-        return factor(a, shift)
+    def counted_schur(lags, shift):
+        calls.append(("schur", len(lags)))
+        return schur(lags, shift)
 
-    monkeypatch.setattr(prediction, "_cholesky_in_place", counted)
+    def counted_cholesky(a, **kwargs):
+        calls.append(("cholesky", len(a)))
+        return cholesky(a, **kwargs)
+
+    monkeypatch.setattr(prediction, "_schur", counted_schur)
+    monkeypatch.setattr(linalg, "cholesky", counted_cholesky)
     cov = _cov(Jakes(0.15), 8)
     z = PowerProfile(tuple(make_rng(32).uniform(0.0, 4.0, size=7)))
     assert convexity_check(cov, z, 2.0, 1.0, 3)
-    assert calls == [8] + [7] * 50
+    assert calls == [("schur", 8)] + [("cholesky", 7)] * 50
 
 
 def test_rational_decomposition_peak_memory():

@@ -9,7 +9,7 @@ import pytest
 from scipy import linalg, special
 
 from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
-from fadingrate.prediction import PowerProfile, ToeplitzCov, pred_error_finite
+from fadingrate.prediction import PowerProfile, ToeplitzCov, _schur, pred_error_finite
 from fadingrate.quadrature import McEstimate, _complex_normal, g_logmoment, make_rng
 from fadingrate import simulate
 from fadingrate.cli import main
@@ -67,17 +67,42 @@ def test_batch_row_zero_matches_single(method):
         assert np.array_equal(batch[k], last)
 
 
-def _jittered_factor(model, n):
-    # the dense factorization the in-place one replaced
-    cov = ToeplitzCov.from_model(model, n)
-    return linalg.cholesky(cov.matrix() + 1e-12 * model.sigma_h2 * np.eye(n), lower=True)
+def _schur_factor(lags, shift):
+    # the lower factor of Toeplitz(lags) + shift I from the Schur columns, in
+    # Fortran order as the synthesis stores it: a C-ordered copy colours
+    # traces with other rounding
+    n = len(lags)
+    chol = np.zeros((n, n), order="F")
+    for k, col in enumerate(_schur(lags, shift)):
+        chol[k:, k] = col
+    return chol
 
 
-@pytest.mark.parametrize("model,n", [
-    (Rectangular(0.1), 2048), (Jakes(0.2, sigma_h2=1.5), 300), (RaisedCosine(0.1, 0.2), 64),
-])
-def test_cholesky_factor_matches_jittered_matrix(model, n):
-    assert np.array_equal(_fading_cholesky_factor(model, n), _jittered_factor(model, n))
+# rect, Jakes and rc:0.2 at f_d 0.1 and 0.01, n 512 and 2048, and the earlier
+# cases (rect f_d 0.1, n 2048 is on the grid), each with the factor's jitter
+# 1e-12 r(0) and validate's 1e-10 r(0)
+_FACTOR_CASES = [
+    pytest.param(make(f_d), n, id=f"{name}-{f_d}-{n}")
+    for name, make in [("rect", Rectangular), ("jakes", Jakes),
+                       ("rc0.2", lambda f_d: RaisedCosine(f_d, 0.2))]
+    for f_d in (0.1, 0.01) for n in (512, 2048)
+] + [pytest.param(Jakes(0.2, sigma_h2=1.5), 300, id="jakes1.5-0.2-300"),
+     pytest.param(RaisedCosine(0.1, 0.2), 64, id="rc0.2-0.1-64")]
+
+
+@pytest.mark.parametrize("jitter", [1e-12, 1e-10])
+@pytest.mark.parametrize("model,n", _FACTOR_CASES)
+def test_cholesky_factor_matches_jittered_matrix(model, n, jitter):
+    # two valid factors of these near-singular covariances differ entrywise
+    # by up to about 4e-4, so the Schur factor is checked by its residual;
+    # its verdict must be LAPACK's on the dense jittered matrix
+    lags = ToeplitzCov.from_model(model, n).lags
+    dense = linalg.toeplitz(lags) + jitter * lags[0] * np.eye(n)
+    linalg.cholesky(dense, lower=True)  # LAPACK accepts every case, so Schur must too
+    chol = _schur_factor(lags, jitter * lags[0])
+    assert np.max(np.abs(chol @ chol.T - dense)) <= 1e-13 * lags[0]
+    if jitter == 1e-12:
+        assert np.array_equal(_fading_cholesky_factor(model, n), chol)
 
 
 @pytest.mark.parametrize("method,model,n", [
@@ -93,7 +118,8 @@ def test_batch_matches_stacked_row_draws(method, model, n):
         lam, m = _embedding_spectrum(model, n)
         draw = lambda rng: (np.fft.ifft(np.sqrt(lam) * _complex_normal(rng, m)) * math.sqrt(m))[:n]
     else:
-        chol = _jittered_factor(model, n)
+        lags = ToeplitzCov.from_model(model, n).lags
+        chol = _schur_factor(lags, 1e-12 * model.sigma_h2)
         draw = lambda rng: _color(chol, _complex_normal(rng, n))
     want = np.stack([draw(make_rng(seed, i)) for i in range(count)])
     assert np.array_equal(gen_fading_batch(model, n, count, seed, method=method), want)
