@@ -64,12 +64,14 @@ class ToeplitzCov:
 
 @dataclass(frozen=True)
 class PowerProfile:
-    """Past transmit powers z_k >= 0; z[k] is the power k+1 steps back."""
+    """Finite past transmit powers z_k >= 0; z[k] is the power k+1 steps back."""
 
     z: tuple
 
     def __post_init__(self):
         z = tuple(float(x) for x in self.z)
+        if not all(map(math.isfinite, z)):
+            raise ValueError(f"powers must be finite, got {[v for v in z if not math.isfinite(v)]}")
         if any(v < 0 for v in z):
             raise ValueError("powers must be nonnegative")
         object.__setattr__(self, "z", z)

@@ -1,20 +1,19 @@
-"""Monte Carlo oracle: synthesize stationary fading, run the channel, and
-re-estimate analytic quantities empirically.
+"""Monte Carlo oracle: synthesize stationary fading and re-estimate
+analytic quantities empirically.
 
-Fading realizations come from circulant embedding of the Toeplitz
-autocorrelation (exact to rounding when the embedded spectrum is
-nonnegative), with a Cholesky path (the Schur factor of the lags) as an
-independent oracle for moderate lengths.  Every estimator is seeded through
-the counter-based generator, with realization i drawing from stream
-(seed, i) so results do not depend on scheduling.
+gen_fading_batch is the one entry point that draws fading traces, by
+circulant embedding of the Toeplitz autocorrelation (exact to rounding when
+the embedded spectrum is nonnegative) or, as an independent oracle for
+moderate lengths, with the Schur factor of the lags.  Each batch builds its
+spectrum or factor once and keeps neither.  Every estimator is seeded
+through the counter-based generator, with realization i drawing from
+stream (seed, i) so results do not depend on scheduling.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,10 +22,7 @@ from .prediction import PowerProfile, ToeplitzCov, _lmmse, _schur
 from .quadrature import McEstimate, _complex_normal, _mean_stderr, make_rng
 
 __all__ = [
-    "FadingRealization",
-    "gen_fading",
     "gen_fading_batch",
-    "simulate_channel",
     "empirical_pred_error",
     "empirical_coherent_mi",
     "write_fading_dump",
@@ -38,16 +34,6 @@ _DUMP_VERSION = 1
 _DUMP_HEADER = struct.Struct("<4sIQdQ")  # magic, version, N, f_d, seed
 
 
-@dataclass(frozen=True)
-class FadingRealization:
-    """One synthesized fading trace with its generating model and seed."""
-
-    h: np.ndarray
-    model: PsdModel
-    seed: int
-
-
-@lru_cache(maxsize=8)
 def _embedding_spectrum(model: PsdModel, n: int):
     """Eigenvalues of the circulant embedding of the length-n Toeplitz
     covariance, doubling the embedding until the spectrum is nonnegative
@@ -72,7 +58,6 @@ def _embedding_spectrum(model: PsdModel, n: int):
     return np.maximum(lam, 0.0), m
 
 
-@lru_cache(maxsize=4)
 def _fading_cholesky_factor(model: PsdModel, n: int):
     # the lower factor, filled row by row into its transpose: Fortran-ordered
     chol_t = np.zeros((n, n))
@@ -149,36 +134,19 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
     raise ValueError(f"unknown method {method!r}")
 
 
-def gen_fading(model: PsdModel, n: int, seed, method="embedding") -> FadingRealization:
-    """Draw one stationary zero-mean proper Gaussian trace of length n whose
-    covariance is the Toeplitz matrix of the model's autocorrelation: row 0
-    of gen_fading_batch(model, n, 1, seed, method)."""
-    h = gen_fading_batch(model, n, 1, seed, method)[0]
-    return FadingRealization(h=h, model=model, seed=int(seed))
-
-
-def simulate_channel(real: FadingRealization, inputs, sigma_n2, seed) -> np.ndarray:
-    """Pass `inputs` through the fading trace: y_k = h_k x_k + n_k with
-    i.i.d. proper Gaussian noise of variance sigma_n2."""
-    sigma_n2 = float(sigma_n2)
-    if sigma_n2 < 0:
-        raise ValueError("sigma_n2 must be nonnegative")
-    x = np.asarray(inputs)
-    if x.shape != real.h.shape:
-        raise ValueError(f"inputs length {x.shape} does not match fading {real.h.shape}")
-    y = real.h * x
-    if sigma_n2 > 0.0:
-        y = y + _complex_normal(make_rng(seed, 0), len(x)) * math.sqrt(sigma_n2)
-    return y
-
-
 def empirical_pred_error(model: PsdModel, z: PowerProfile, sigma_n2,
                          n_realizations, seed) -> McEstimate:
     """Empirical one-step prediction error: the analytic LMMSE weights are
     applied to simulated observation vectors, and the squared prediction
-    residual is averaged over realizations (stream (seed, i) for the i-th).
+    residual is averaged over realizations.
 
-    The mean must agree with pred_error_finite at the same arguments.
+    Realization i's fading is the first horizon = len(z.z) + 1 samples of
+    row i of gen_fading_batch(model, max(horizon, 2), n_realizations, seed,
+    "cholesky"), stream (seed, i); all observation noise comes from the one
+    stream (seed, n_realizations), realization by realization.  Memory:
+    three arrays of n_realizations x horizon complex values (traces, noise,
+    one temporary), and the horizon x horizon factor while the traces are
+    drawn.  The mean must agree with pred_error_finite.
     """
     sigma_n2 = float(sigma_n2)
     if not sigma_n2 > 0:
@@ -190,16 +158,11 @@ def empirical_pred_error(model: PsdModel, z: PowerProfile, sigma_n2,
     if horizon > 2048:
         raise ValueError("horizon must be at most 2048")
     s, _, weights = _lmmse(ToeplitzCov.from_model(model, horizon), z, sigma_n2)
-    chol = _fading_cholesky_factor(model, horizon)
-    noise_sd = math.sqrt(sigma_n2)
-    errs = np.empty(n_realizations)
-    for i in range(n_realizations):
-        rng = make_rng(seed, i)
-        h = _color(chol, _complex_normal(rng, horizon))
-        target = h[-1]
-        h_past = h[-2::-1]  # h_past[k] is k+1 steps before the target
-        y = s * h_past + _complex_normal(rng, horizon - 1) * noise_sd
-        errs[i] = abs(target - weights @ y) ** 2
+    h = gen_fading_batch(model, max(horizon, 2), n_realizations, seed, "cholesky")[:, :horizon]
+    noise = _complex_normal(make_rng(seed, n_realizations), n_realizations * (horizon - 1))
+    noise = (noise * math.sqrt(sigma_n2)).reshape(n_realizations, horizon - 1)
+    # column k of h[:, -2::-1] is k+1 steps before the target h[:, -1]
+    errs = np.abs(h[:, -1] - (s * h[:, -2::-1] + noise) @ weights) ** 2
     mean, stderr = _mean_stderr(errs)
     return McEstimate(mean=mean, stderr=stderr, n=n_realizations, seed=int(seed))
 

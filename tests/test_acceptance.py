@@ -35,7 +35,7 @@ def test_04_spot_values_against_independent_quadrature():
 
 
 def test_05_finite_prediction_converges_to_spectral_limit():
-    _gate(verify.check_pred_convergence(max_n=4096), 60.0)
+    _gate(verify.check_pred_convergence(), 60.0)
 
 
 def test_06_peak_bounds_coincide_without_headroom():

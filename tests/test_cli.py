@@ -303,18 +303,16 @@ def test_verify_levels_pin_check_order():
 
 
 def test_pred_convergence_text_names_evaluated_sizes(monkeypatch):
-    # the text names the ladder's real cap and the last N it evaluated
-    res = verify.check_pred_convergence(max_n=64)
+    # the text names the one N evaluated
+    res = verify.check_pred_convergence()
     assert res.passed
-    assert res.expected == "rel gap <= 1% at some N <= 64; flat closed form to 1e-12"
-    assert " by N=64, " in res.observed
-    # a finite-past error that never converges runs the ladder out at N = 256,
-    # not at the doubled N = 512 that is never evaluated
+    assert res.expected == "rel gap <= 1% at N=64; flat closed form to 1e-12"
+    assert " at N=64, " in res.observed
+    # a finite-past error that is far off fails after its one evaluation
     sizes = []
     monkeypatch.setattr(verify, "pred_error_finite", lambda cov, z, s2: sizes.append(cov.n) or 1.0)
-    res = verify.check_pred_convergence(max_n=500)
-    assert not res.passed and sizes == [64, 128, 256]
-    assert " by N=256, " in res.observed and "at some N <= 500;" in res.expected
+    res = verify.check_pred_convergence()
+    assert not res.passed and sizes == [64]
 
 
 def test_default_bounds_depend_on_density(capsys):

@@ -21,6 +21,7 @@ from fadingrate.prediction import (
     toeplitz_circulant_weak_norm,
 )
 from fadingrate.quadrature import make_rng, szego_log_integral
+from fadingrate.simulate import empirical_pred_error
 
 
 def _cov(model, n):
@@ -141,6 +142,28 @@ def test_non_finite_lags_refused_without_warning():
                 ToeplitzCov((1.0, bad, 0.0), 3)
             with pytest.raises(ValueError, match="^covariance lags must be finite$"):
                 ToeplitzCov((bad, 0.5, 0.0), 3)
+
+
+# every entry point that takes past powers, on a two-power past
+_POWER_ENTRY_POINTS = {
+    "pred_error_finite": lambda z: pred_error_finite(_cov(Rectangular(0.1), 3), z, 1.0),
+    "pred_rational_exact": lambda z: pred_rational_exact(_cov(Rectangular(0.1), 3), z, 1.0, 0),
+    "convexity_check": lambda z: convexity_check(_cov(Rectangular(0.1), 3), z, 1.0, 1.0, 0),
+    "empirical_pred_error": lambda z: empirical_pred_error(Rectangular(0.1), z, 1.0, 10, 0),
+}
+
+
+@pytest.mark.parametrize("entry", list(_POWER_ENTRY_POINTS))
+def test_non_finite_powers_refused_without_warning(entry):
+    # unrefused, a NaN power makes pred_rational_exact return (nan, nan, nan)
+    # and pred_error_finite fail inside scipy's finiteness check
+    call = _POWER_ENTRY_POINTS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(PowerProfile((1.0, 0.5)))
+        for bad, text in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+            with pytest.raises(ValueError, match=rf"^powers must be finite, got \[{text}\]$"):
+                call(PowerProfile((1.0, bad)))
 
 
 def test_infinite_horizon_flat_closed_form():

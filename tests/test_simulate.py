@@ -1,4 +1,4 @@
-"""Simulation oracle: trace synthesis, channel runs, empirical estimates."""
+"""Simulation oracle: trace synthesis and empirical estimates."""
 
 import math
 import sys
@@ -15,16 +15,13 @@ from fadingrate import simulate
 from fadingrate.cli import main
 from fadingrate.mcrates import coherent_mi_cm
 from fadingrate.simulate import (
-    FadingRealization,
     _color,
     _embedding_spectrum,
     _fading_cholesky_factor,
     empirical_coherent_mi,
     empirical_pred_error,
-    gen_fading,
     gen_fading_batch,
     read_fading_dump,
-    simulate_channel,
     write_fading_dump,
 )
 
@@ -42,12 +39,11 @@ def _lag_cov(batch, lag):
 @pytest.mark.parametrize("method", ["embedding", "cholesky"])
 def test_same_seed_reproduces_bitwise(method):
     model = Rectangular(0.15)
-    a = gen_fading(model, 128, 5, method=method)
-    b = gen_fading(model, 128, 5, method=method)
-    assert np.array_equal(a.h, b.h)
-    c = gen_fading(model, 128, 6, method=method)
-    assert not np.array_equal(a.h, c.h)
-    assert a.seed == 5 and a.model == model
+    a = gen_fading_batch(model, 128, 1, 5, method=method)[0]
+    b = gen_fading_batch(model, 128, 1, 5, method=method)[0]
+    assert np.array_equal(a, b)
+    c = gen_fading_batch(model, 128, 1, 6, method=method)[0]
+    assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("method", ["embedding", "cholesky"])
@@ -55,13 +51,11 @@ def test_batch_row_zero_matches_single(method):
     # the slowly decaying Jakes autocorrelation needs a large circulant
     # embedding, so the short-trace case runs through the direct factor.
     # Realization k depends only on stream (seed, k): row k of a batch is
-    # bit for bit the last row of a (k+1)-row batch, and row 0 the single
-    # trace, so no batched synthesis may round rows differently.
+    # bit for bit the last row of a (k+1)-row batch, row 0 the one-row
+    # batch, so no batched synthesis may round rows differently.
     model = Rectangular(0.25) if method == "embedding" else Jakes(0.2)
     batch = gen_fading_batch(model, 64, 64, seed=9, method=method)
-    single = gen_fading(model, 64, 9, method=method)
     assert batch.shape == (64, 64)
-    assert np.array_equal(batch[0], single.h)
     for k in range(64):
         last = gen_fading_batch(model, 64, k + 1, seed=9, method=method)[-1]
         assert np.array_equal(batch[k], last)
@@ -142,6 +136,20 @@ def test_batch_peak_memory(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20, workers
+
+
+def test_cholesky_batch_keeps_no_factor():
+    # the n = 2048 factor is 32 MiB; nothing of it may stay alive in a
+    # cache once the batch is dropped
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        batch = gen_fading_batch(Rectangular(0.1), 2048, 2, seed=0, method="cholesky")
+        del batch
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(after - before) <= 2**20
 
 
 @pytest.mark.parametrize("model,n", [
@@ -250,37 +258,16 @@ def test_cholesky_and_embedding_agree_in_law():
 
 def test_generation_validation():
     model = Rectangular(0.1)
-    with pytest.raises(ValueError):
-        gen_fading(model, 1, 0)
-    with pytest.raises(ValueError):
-        gen_fading(model, 4096, 0, method="cholesky")
-    with pytest.raises(ValueError):
-        gen_fading(model, 64, 0, method="spectral")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        gen_fading_batch(model, 1, 1, seed=0)
+    with pytest.raises(ValueError, match="n <= 2048"):
+        gen_fading_batch(model, 4096, 1, seed=0, method="cholesky")
+    with pytest.raises(ValueError, match="unknown method"):
+        gen_fading_batch(model, 64, 1, seed=0, method="spectral")
+    with pytest.raises(ValueError, match="count must be positive"):
         gen_fading_batch(model, 64, 0, seed=0)
     with pytest.raises(ValueError, match="negative mass"):
-        gen_fading(Jakes(0.1), 512, 0)  # best embedding floors 1.87% of the trace
-
-
-def test_channel_run_noiseless_is_exact():
-    real = gen_fading(Rectangular(0.1), 32, 0)
-    x = np.exp(1j * np.linspace(0.0, 3.0, 32))
-    y = simulate_channel(real, x, 0.0, seed=1)
-    assert np.array_equal(y, real.h * x)
-
-
-def test_channel_run_noise_power():
-    real = FadingRealization(h=np.zeros(200_000, dtype=complex), model=Rectangular(0.1), seed=0)
-    y = simulate_channel(real, np.zeros(200_000), 2.0, seed=4)
-    assert float(np.mean(np.abs(y) ** 2)) == pytest.approx(2.0, rel=0.02)
-
-
-def test_channel_run_validation():
-    real = gen_fading(Rectangular(0.1), 32, 0)
-    with pytest.raises(ValueError):
-        simulate_channel(real, np.ones(16), 1.0, seed=0)
-    with pytest.raises(ValueError):
-        simulate_channel(real, np.ones(32), -1.0, seed=0)
+        gen_fading_batch(Jakes(0.1), 512, 1, seed=0)  # best embedding floors 1.87% of the trace
 
 
 def test_empirical_prediction_matches_analytic():
@@ -292,6 +279,24 @@ def test_empirical_prediction_matches_analytic():
         if abs(est.mean - analytic) <= 4.0 * est.stderr:
             return
     pytest.fail("empirical prediction error outside 4 sigma after retry")
+
+
+def test_empirical_prediction_draws_batch_rows_and_one_noise_stream():
+    # the traces are Cholesky batch rows (seed, i), the noise stream
+    # (seed, count) row after row; the weights here come from a dense solve
+    model, sigma_n2, count, seed = RaisedCosine(0.1, 0.2), 0.7, 50, 3
+    z = np.array([0.5, 0.0, 2.0])
+    est = empirical_pred_error(model, PowerProfile(z), sigma_n2, count, seed)
+    lags = np.asarray(ToeplitzCov.from_model(model, 4).lags)
+    s = np.sqrt(z)
+    weights = np.linalg.solve(s[:, None] * linalg.toeplitz(lags[:3]) * s + sigma_n2 * np.eye(3),
+                              s * lags[1:])
+    h = gen_fading_batch(model, 4, count, seed, method="cholesky")
+    noise = _complex_normal(make_rng(seed, count), 3 * count).reshape(count, 3)
+    y = s * h[:, 2::-1] + math.sqrt(sigma_n2) * noise
+    errs = np.abs(h[:, 3] - y @ weights) ** 2
+    assert est.n == count and est.seed == seed
+    assert est.mean == pytest.approx(errs.mean(), rel=1e-12)
 
 
 def test_empirical_prediction_empty_past():
@@ -368,9 +373,9 @@ def test_dump_round_trip(tmp_path):
 
 def test_dump_single_trace_promotes_to_matrix(tmp_path):
     model = Rectangular(0.2)
-    real = gen_fading(model, 32, 4)
+    trace = gen_fading_batch(model, 32, 1, seed=4)[0]
     path = tmp_path / "one.fade"
-    write_fading_dump(path, real.h, model, 4)
+    write_fading_dump(path, trace, model, 4)
     back, meta = read_fading_dump(path)
     assert back.shape == (1, 32)
     assert meta["f_d"] == 0.2
