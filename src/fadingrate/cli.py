@@ -40,7 +40,7 @@ from .rates import (
     sethuraman_upper,
 )
 from .simulate import gen_fading_batch, write_fading_dump
-from .verify import MAX_SEED, run_suite
+from .verify import run_suite
 
 _LN2 = math.log(2.0)
 
@@ -52,6 +52,9 @@ _MAX_MC_N = 100_000_000
 # bytes per sample, and the batch about 50 bytes per sample in flight
 _MAX_TRACE_N = 1 << 20
 _MAX_SIM_SAMPLES = 50_000_000
+# largest --powers list: the past system is a dense n x n matrix, so a query
+# at the cap peaks at about 218 MiB resident, one with 2047 powers at 104 MiB
+_MAX_PAST = 4095
 # largest --seed: make_rng keys its streams with unsigned 64-bit seeds
 _MAX_SEED = 2**64 - 1
 
@@ -402,6 +405,8 @@ def cmd_predict(args):
             if args.powers is None:
                 raise _UsageError("provide --powers, or --infinite with --power")
             powers = _parse_float_list(args.powers, "--powers")
+            if len(powers) > _MAX_PAST:
+                raise _UsageError(f"--powers has {len(powers)} values, over the cap of {_MAX_PAST}")
             cov = ToeplitzCov.from_model(model, len(powers) + 1)
             value = pred_error_finite(cov, PowerProfile(powers), args.sigma_n2)
     except (ValueError, ArithmeticError) as exc:
@@ -472,7 +477,8 @@ def _build_parser():
     p.add_argument("--sigma-h2", type=float, default=1.0)
     p.add_argument("--sigma-n2", type=float, default=1.0)
     p.add_argument("--powers", default=None,
-                   help="comma-separated past transmit powers, most recent first")
+                   help=f"comma-separated past transmit powers, most recent first "
+                        f"(at most {_MAX_PAST})")
     p.add_argument("--infinite", action="store_true",
                    help="infinite past at constant power (requires --power)")
     p.add_argument("--power", type=float, default=None)
@@ -501,11 +507,10 @@ def main(argv=None) -> int:
         if getattr(args, "out", None):
             _check_out(args.out)
         seed = getattr(args, "seed", 0)
-        top = MAX_SEED if args.command == "verify" else _MAX_SEED
         if seed < 0:
             raise _UsageError("seed and task_index must be nonnegative")
-        if seed > top:
-            raise _UsageError(f"--seed {seed} exceeds {top}")
+        if seed > _MAX_SEED:
+            raise _UsageError(f"--seed {seed} exceeds {_MAX_SEED}")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Command-line interface: CSV contract, determinism, exit codes."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import fadingrate.cli as cli
 from fadingrate.cli import main
 from fadingrate.prediction import PowerProfile, ToeplitzCov, pred_error_finite
-from fadingrate.quadrature import g_logmoment
+from fadingrate.quadrature import g_logmoment, make_rng
 from fadingrate.simulate import read_fading_dump
 from fadingrate import verify
 from fadingrate.verify import CheckResult
@@ -157,8 +158,9 @@ def test_out_file_matches_stdout(tmp_path, capsys):
         ["predict", "--psd", "rect", "--fd", "0.1", "--infinite", "--power", "1e308"],
         ["predict", "--psd", "jakes", "--fd", "0.1", "--infinite", "--power", "inf"],
         ["predict", "--psd", "jakes", "--fd", "0.1", "--infinite", "--power", "1e308"],
+        ["predict", "--psd", "rect", "--fd", "0.1", "--powers", ",".join(["1"] * 4096)],
         ["verify", "--seed", "-1"],
-        ["verify", "--seed", "18446744073709551602"],
+        ["verify", "--seed", "18446744073709551616"],
         ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0", "--bounds", "lower_cm",
          "--seed", "-1"],
         ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0",
@@ -180,8 +182,9 @@ def test_out_file_matches_stdout(tmp_path, capsys):
          "pred-peak-non-finite", "lapidoth-zero-snr", "jakes-node-overflow", "mc-n-over-cap",
          "figure-mc-n-over-cap", "sim-n-over-cap", "sim-samples-over-cap",
          "pred-power-inf", "pred-power-nan", "pred-noise-inf", "pred-power-overflow",
-         "pred-jakes-power-inf", "pred-jakes-overflow", "verify-seed-negative",
-         "verify-seed-over-offset", "sweep-seed-negative", "sweep-seed-overflow",
+         "pred-jakes-power-inf", "pred-jakes-overflow", "pred-powers-over-cap",
+         "verify-seed-negative",
+         "verify-seed-overflow", "sweep-seed-negative", "sweep-seed-overflow",
          "sim-seed-overflow", "figure-seed-negative", "jakes-spectral-arg-inf",
          "rect-spectral-arg-inf"],
 )
@@ -205,8 +208,9 @@ USAGE_REASONS = {
     "pred-power-nan": "power must be finite and nonnegative, got nan",
     "pred-noise-inf": "sigma_n2 must be finite and positive, got inf",
     "pred-power-overflow": "prediction error is not finite (inf) at these powers",
+    "pred-powers-over-cap": "--powers has 4096 values, over the cap of 4095",
     "verify-seed-negative": "seed and task_index must be nonnegative",
-    "verify-seed-over-offset": "--seed 18446744073709551602 exceeds 18446744073709551601",
+    "verify-seed-overflow": "--seed 18446744073709551616 exceeds 18446744073709551615",
     "sweep-seed-negative": "seed and task_index must be nonnegative",
     "sweep-seed-overflow": "--seed 18446744073709551616 exceeds 18446744073709551615",
     "sim-seed-overflow": "--seed 18446744073709551616 exceeds 18446744073709551615",
@@ -300,6 +304,32 @@ def test_verify_levels_pin_check_order():
         "check_peak_bound_ordering", "check_pred_convergence_deep", "check_periodogram",
         "check_mc_pg_ten_million",
     ]
+
+
+def test_verify_registry_invariants():
+    # the CLI prints check names as row keys, and the fast level runs first
+    names = [name for name, _, _ in verify._REGISTRY]
+    assert len(set(names)) == len(names)
+    assert verify.FULL_CHECKS[: len(verify.FAST_CHECKS)] == verify.FAST_CHECKS
+    with pytest.raises(ValueError, match="unknown level 'bogus'"):
+        verify.run_suite("bogus")
+
+
+def test_reseeded_checks_stay_in_seed_range(monkeypatch):
+    """At the top seed, every estimator seed the two coherent-rate checks
+    derive is one make_rng accepts."""
+    seeds = []
+
+    def fake(*args):
+        seeds.append(args[-1])
+        make_rng(args[-1])
+        return SimpleNamespace(mean=0.0, stderr=math.inf)
+
+    monkeypatch.setattr(verify, "empirical_pred_error", fake)
+    monkeypatch.setattr(verify, "empirical_coherent_mi", fake)
+    for check in (verify.check_mc_crosschecks, verify.check_mc_pg_ten_million):
+        assert check(seed=2**64 - 1).passed
+    assert len(seeds) == 22 and all(0 <= s < 2**64 for s in seeds)
 
 
 def test_pred_convergence_text_names_evaluated_sizes(monkeypatch):
@@ -409,9 +439,9 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert "[FAIL] beta" in out and "expected: zero" in out
     assert "1/2 checks passed (full level, seed 3)" in out
 
-    # the largest seed whose derived check seeds stay inside make_rng's range
-    assert main(["verify", "--seed", str(verify.MAX_SEED)]) == 1
-    assert f"seed {2**64 - 15})" in capsys.readouterr().out
+    # verify accepts every seed make_rng does
+    assert main(["verify", "--seed", str(2**64 - 1)]) == 1
+    assert f"seed {2**64 - 1})" in capsys.readouterr().out
 
 
 def test_predict_finite(capsys):
