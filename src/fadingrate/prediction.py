@@ -110,15 +110,19 @@ def _lmmse(cov: ToeplitzCov, z: PowerProfile, sigma_n2):
     """The one-step LMMSE system of the past: returns (s, b, w) with
     s = sqrt(z), b = S r and the weights w = (S R S + sigma_n2 I)^{-1} b,
     S = diag(s).  The prediction from the past observations y is w @ y and
-    its error variance r(0) - b @ w."""
+    its error variance r(0) - b @ w.  Lags, powers and noise are finite by
+    their checks and an overflow raises FloatingPointError, so scipy's
+    finiteness scans (an n x n copy) are skipped."""
     from scipy import linalg
     _, m, r_cross = _past_system(cov)
     s = np.sqrt(np.asarray(z.z))
-    for i, s_i in enumerate(s):
-        m[i] *= s_i * s  # (s_i s_j) R_ij row by row: no n x n outer product
-    b = s * r_cross
-    m.flat[:: len(m) + 1] += sigma_n2  # symmetric: m.T is m in Fortran order, factored in place
-    return s, b, linalg.cho_solve((linalg.cholesky(m.T, lower=True, overwrite_a=True), True), b)
+    with np.errstate(over="raise"):
+        for i, s_i in enumerate(s):
+            m[i] *= s_i * s  # (s_i s_j) R_ij row by row: no n x n outer product
+        b = s * r_cross
+        m.flat[:: len(m) + 1] += sigma_n2  # symmetric: m.T is m in Fortran order, factored in place
+    chol = linalg.cholesky(m.T, lower=True, overwrite_a=True, check_finite=False)
+    return s, b, linalg.cho_solve((chol, True), b, check_finite=False)
 
 
 def pred_error_finite(cov: ToeplitzCov, z: PowerProfile, sigma_n2) -> float:
@@ -127,17 +131,25 @@ def pred_error_finite(cov: ToeplitzCov, z: PowerProfile, sigma_n2) -> float:
 
     Evaluates r(0) - b^H (S R S + sigma_n2 I)^{-1} b with S = diag(sqrt(z))
     and b = S r, so zero powers are perfectly regular (their rows simply
-    carry no information).  Result clamped to [0, r(0)].
+    carry no information).  Result clamped to [0, r(0)].  A constant-power
+    past p is the Toeplitz system p R + sigma_n2 I, solved through its
+    Schur columns in O(n) memory without scipy; any other profile factors
+    the dense (n-1) x (n-1) system with LAPACK.
     """
     sigma_n2 = _check_past(cov, z, sigma_n2)
     cov.validate()
     return _pred_error(cov, z, sigma_n2)
 
 
-def _check_past(cov: ToeplitzCov, z: PowerProfile, sigma_n2) -> float:
+def _check_noise(sigma_n2) -> float:
     sigma_n2 = float(sigma_n2)
-    if not sigma_n2 > 0:
-        raise ValueError("sigma_n2 must be positive")
+    if not 0.0 < sigma_n2 < math.inf:
+        raise ValueError(f"sigma_n2 must be finite and positive, got {sigma_n2}")
+    return sigma_n2
+
+
+def _check_past(cov: ToeplitzCov, z: PowerProfile, sigma_n2) -> float:
+    sigma_n2 = _check_noise(sigma_n2)
     if len(z.z) != cov.n - 1:
         raise ValueError(f"power profile must have length {cov.n - 1}, got {len(z.z)}")
     return sigma_n2
@@ -146,8 +158,20 @@ def _check_past(cov: ToeplitzCov, z: PowerProfile, sigma_n2) -> float:
 def _pred_error(cov: ToeplitzCov, z: PowerProfile, sigma_n2: float) -> float:
     # pred_error_finite on checked arguments and an already validated cov
     r0 = cov.lags[0]
-    _, b, w = _lmmse(cov, z, sigma_n2)
-    val = r0 - float(b @ w)
+    if len(set(z.z)) == 1:
+        # b^H (p R + sigma_n2 I)^{-1} b = |y|^2 with L y = b, L the Schur
+        # factor, by forward substitution one column at a time
+        p = z.z[0]
+        r = np.asarray(cov.lags)
+        y = math.sqrt(p) * r[1:]
+        with np.errstate(over="raise"):  # p R + sigma_n2 I must fit in double precision
+            for k, col in enumerate(_schur(p * r[:-1], sigma_n2)):
+                y[k] /= col[0]
+                y[k + 1 :] -= y[k] * col[1:]
+        val = r0 - float(y @ y)
+    else:
+        _, b, w = _lmmse(cov, z, sigma_n2)
+        val = r0 - float(b @ w)
     return min(max(val, 0.0), r0)
 
 
@@ -159,11 +183,9 @@ def pred_error_cm_infinite(model: PsdModel, power, sigma_n2) -> float:
     band-limited densities, to 0 as power -> infinity.
     """
     power = float(power)
-    sigma_n2 = float(sigma_n2)
     if not 0.0 <= power < math.inf:
         raise ValueError(f"power must be finite and nonnegative, got {power}")
-    if not 0.0 < sigma_n2 < math.inf:
-        raise ValueError(f"sigma_n2 must be finite and positive, got {sigma_n2}")
+    sigma_n2 = _check_noise(sigma_n2)
     if power == 0.0:
         return model.sigma_h2
     c = power * model.sigma_h2 / sigma_n2

@@ -4,10 +4,11 @@ analytic quantities empirically.
 gen_fading_batch is the one entry point that draws fading traces, by
 circulant embedding of the Toeplitz autocorrelation (exact to rounding when
 the embedded spectrum is nonnegative) or, as an independent oracle for
-moderate lengths, with the Schur factor of the lags.  Each batch builds its
-spectrum or factor once and keeps neither.  Every estimator is seeded
-through the counter-based generator, with realization i drawing from
-stream (seed, i) so results do not depend on scheduling.
+moderate lengths, by colouring with the Schur columns of the lags.  Each
+batch builds its embedding spectrum once and keeps none, and no batch
+stores the Cholesky factor.  Every estimator is seeded through the
+counter-based generator, with realization i drawing from stream (seed, i)
+so results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import struct
 import numpy as np
 
 from .model import PsdModel
-from .prediction import PowerProfile, ToeplitzCov, _lmmse, _schur
+from .prediction import PowerProfile, ToeplitzCov, _check_noise, _lmmse, _schur
 from .quadrature import McEstimate, _complex_normal, _mean_stderr, make_rng
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
 _DUMP_MAGIC = b"FADE"
 _DUMP_VERSION = 1
 _DUMP_HEADER = struct.Struct("<4sIQdQ")  # magic, version, N, f_d, seed
+_DUMP_CHUNK = 1 << 20  # bytes of complex64 per write
 
 
 def _embedding_spectrum(model: PsdModel, n: int):
@@ -58,19 +60,25 @@ def _embedding_spectrum(model: PsdModel, n: int):
     return np.maximum(lam, 0.0), m
 
 
-def _fading_cholesky_factor(model: PsdModel, n: int):
-    # the lower factor, filled row by row into its transpose: Fortran-ordered
-    chol_t = np.zeros((n, n))
-    for k, col in enumerate(_schur(ToeplitzCov.from_model(model, n).lags, 1e-12 * model.sigma_h2)):
-        chol_t[k, k:] = col
-    return chol_t.T
+_COLOR_BLOCK = 128  # Schur columns per matrix product of the Cholesky colouring
 
 
-def _color(chol, w):
-    # chol @ w for the real factor chol, as two real products: a complex
-    # product would cast the whole factor to complex on every call.  One
-    # vector at a time, so realization i depends only on its own stream.
-    return chol @ w.real + 1j * (chol @ w.imag)
+def _schur_color(lags, shift, x):
+    """x @ L^T for real x shaped (..., rows, n), L the lower Cholesky factor
+    of Toeplitz(lags) + shift I: each row r becomes L r.  L is never
+    stored: each block of _COLOR_BLOCK Schur columns is one matrix product
+    per leading index.  Pass two or more rows: numpy sends a one-row
+    product through gemv, which rounds differently from gemm."""
+    n = x.shape[-1]
+    out = np.zeros_like(x)
+    cols = _schur(lags, shift)
+    for k0 in range(0, n, _COLOR_BLOCK):
+        k1 = min(k0 + _COLOR_BLOCK, n)
+        block = np.zeros((k1 - k0, n - k0))  # rows k0..k1-1 of L^T, from column k0 on
+        for j, col in zip(range(k1 - k0), cols):
+            block[j, j:] = col
+        out[..., k0:] += x[..., k0:k1] @ block
+    return out
 
 
 def _usable_cpus():
@@ -88,11 +96,15 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
     from stream (seed, i).
 
     method "embedding" synthesizes through the circulant spectrum, its rows
-    split across threads on every usable CPU: each row depends only on its
-    own stream, so the batch is bit for bit the same for any thread count.
-    "cholesky" (n <= 2048) colours rows serially with the Schur factor of
-    the covariance + 1e-12 sigma_h2 I (no LAPACK, so also the same for any
-    thread count): an independent oracle for the embedding path.
+    split across the calling thread and one worker thread per further
+    usable CPU: each row depends only on its own stream, so the batch is bit
+    for bit the same for any thread count.  "cholesky" (n <= 2048), an
+    independent oracle for the embedding path, colours with the Schur factor
+    of the covariance + 1e-12 sigma_h2 I and never forms it: each trace's
+    real and imaginary parts are one two-row BLAS product per block of
+    Schur columns, so a trace is bit for bit the same in any batch.  It
+    holds about three count x n complex arrays and one 128 x n block at
+    once (about 8 MiB at n 2048 x 64).
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -104,7 +116,7 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
         batch = np.empty((count, n), dtype=complex)
 
         def fill(rows):
-            # numpy's generator fills and FFTs release the GIL; each worker
+            # numpy's generator fills and FFTs release the GIL; each thread
             # draws into its own buffers and writes only its rows
             z, work = np.empty(m, dtype=complex), np.empty((2, m))
             for i in rows:
@@ -114,22 +126,34 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
                 np.multiply(np.fft.ifft(z)[:n], scale, out=batch[i])
 
         workers = min(count, _usable_cpus())
+        shares = [range(w, count, workers) for w in range(workers)]
         if workers == 1:
-            fill(range(count))
+            fill(shares[0])
         else:
             from concurrent.futures import ThreadPoolExecutor
 
-            # rows round-robin; reading every result raises a worker's exception here
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(fill, [range(w, count, workers) for w in range(workers)]))
+            # rows round-robin; the caller fills share 0 itself, so one
+            # thread (and malloc arena) fewer.  Reading every result raises
+            # a worker's exception here.
+            with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+                rest = pool.map(fill, shares[1:])
+                fill(shares[0])
+                list(rest)
         return batch
     if method == "cholesky":
         if n > 2048:
             raise ValueError("cholesky path supports n <= 2048")
-        chol = _fading_cholesky_factor(model, n)
-        batch = np.empty((count, n), dtype=complex)
+        # a product over all rows at once would round a row differently as
+        # the batch size changes
+        x = np.empty((count, 2, n))
+        z, work = np.empty(n, dtype=complex), np.empty((2, n))
         for i in range(count):
-            batch[i] = _color(chol, _complex_normal(make_rng(seed, i), n))
+            _complex_normal(make_rng(seed, i), n, out=z, work=work)
+            x[i, 0], x[i, 1] = z.real, z.imag
+        lags = ToeplitzCov.from_model(model, n).lags
+        out = _schur_color(lags, 1e-12 * model.sigma_h2, x)
+        batch = np.empty((count, n), dtype=complex)
+        batch.real, batch.imag = out[:, 0], out[:, 1]
         return batch
     raise ValueError(f"unknown method {method!r}")
 
@@ -145,12 +169,10 @@ def empirical_pred_error(model: PsdModel, z: PowerProfile, sigma_n2,
     "cholesky"), stream (seed, i); all observation noise comes from the one
     stream (seed, n_realizations), realization by realization.  Memory:
     three arrays of n_realizations x horizon complex values (traces, noise,
-    one temporary), and the horizon x horizon factor while the traces are
-    drawn.  The mean must agree with pred_error_finite.
+    one temporary) and the horizon x horizon LMMSE system while its weights
+    are solved.  The mean must agree with pred_error_finite.
     """
-    sigma_n2 = float(sigma_n2)
-    if not sigma_n2 > 0:
-        raise ValueError("sigma_n2 must be positive")
+    sigma_n2 = _check_noise(sigma_n2)
     n_realizations = int(n_realizations)
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
@@ -184,12 +206,15 @@ def empirical_coherent_mi(rho, n, seed) -> McEstimate:
 def write_fading_dump(path, realizations, model: PsdModel, seed):
     """Write realizations (array shaped (count, N) or a single trace) as
     little-endian interleaved complex64 after a 32-byte header carrying the
-    magic "FADE", format version, trace length N, f_d, and the seed."""
+    magic "FADE", format version, trace length N, f_d, and the seed.  Rows
+    are converted about 1 MiB at a time, never as one full copy."""
     h = np.atleast_2d(np.asarray(realizations))
     n = h.shape[1]
+    rows = max(1, _DUMP_CHUNK // (8 * n))  # complex64 rows per write
     with open(path, "wb") as fh:
         fh.write(_DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION, n, model.f_d, int(seed)))
-        h.astype(np.complex64).tofile(fh)
+        for i in range(0, len(h), rows):
+            h[i : i + rows].astype(np.complex64).tofile(fh)
 
 
 def read_fading_dump(path):

@@ -159,6 +159,11 @@ def test_out_file_matches_stdout(tmp_path, capsys):
         ["predict", "--psd", "jakes", "--fd", "0.1", "--infinite", "--power", "inf"],
         ["predict", "--psd", "jakes", "--fd", "0.1", "--infinite", "--power", "1e308"],
         ["predict", "--psd", "rect", "--fd", "0.1", "--powers", ",".join(["1"] * 4096)],
+        ["predict", "--psd", "rect", "--fd", "0.1", "--powers", "1,2", "--sigma-n2", "inf"],
+        ["predict", "--psd", "rect", "--fd", "0.1", "--powers", "1,1", "--sigma-n2", "nan"],
+        ["predict", "--psd", "rect", "--fd", "0.1", "--powers", "1e308,1", "--sigma-h2", "10"],
+        ["predict", "--psd", "rect", "--fd", "0.1", "--powers", "1e308,1e308", "--sigma-h2",
+         "10"],
         ["verify", "--seed", "-1"],
         ["verify", "--seed", "18446744073709551616"],
         ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0", "--bounds", "lower_cm",
@@ -183,6 +188,8 @@ def test_out_file_matches_stdout(tmp_path, capsys):
          "figure-mc-n-over-cap", "sim-n-over-cap", "sim-samples-over-cap",
          "pred-power-inf", "pred-power-nan", "pred-noise-inf", "pred-power-overflow",
          "pred-jakes-power-inf", "pred-jakes-overflow", "pred-powers-over-cap",
+         "pred-finite-noise-inf", "pred-finite-noise-nan", "pred-finite-overflow",
+         "pred-constant-overflow",
          "verify-seed-negative",
          "verify-seed-overflow", "sweep-seed-negative", "sweep-seed-overflow",
          "sim-seed-overflow", "figure-seed-negative", "jakes-spectral-arg-inf",
@@ -209,6 +216,10 @@ USAGE_REASONS = {
     "pred-noise-inf": "sigma_n2 must be finite and positive, got inf",
     "pred-power-overflow": "prediction error is not finite (inf) at these powers",
     "pred-powers-over-cap": "--powers has 4096 values, over the cap of 4095",
+    "pred-finite-noise-inf": "sigma_n2 must be finite and positive, got inf",
+    "pred-finite-noise-nan": "sigma_n2 must be finite and positive, got nan",
+    "pred-finite-overflow": "overflow encountered in multiply",
+    "pred-constant-overflow": "overflow encountered in multiply",
     "verify-seed-negative": "seed and task_index must be nonnegative",
     "verify-seed-overflow": "--seed 18446744073709551616 exceeds 18446744073709551615",
     "sweep-seed-negative": "seed and task_index must be nonnegative",

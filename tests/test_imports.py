@@ -1,5 +1,6 @@
 """Cold start: importing the package and its CLI leaves scipy.integrate
-and scipy.linalg unloaded, and so does a Cholesky-synthesized batch; the
+and scipy.linalg unloaded, and so do a Cholesky-synthesized batch and a
+constant-power prediction; the
 functions that import them on first use work when they are the first
 thing called; and the package exports exactly its pinned set of public
 names."""
@@ -61,15 +62,30 @@ def test_refined_entropy_works_called_first():
     assert got == repr((want.value, want.err_bound))
 
 
+def test_constant_power_prediction_leaves_linalg_unloaded():
+    # a constant-power past is solved through the Schur columns, numpy only
+    loaded = _fresh(
+        "import sys\n"
+        "from fadingrate.model import RaisedCosine\n"
+        "from fadingrate.prediction import PowerProfile, ToeplitzCov, pred_error_finite\n"
+        "cov = ToeplitzCov.from_model(RaisedCosine(0.1, 0.2), 33)\n"
+        "pred_error_finite(cov, PowerProfile((1.0,) * 32), 0.5)\n"
+        "print('scipy.linalg' in sys.modules)"
+    )
+    assert loaded == "False"
+
+
 def test_finite_prediction_works_called_first():
+    # unequal powers take the dense route, which imports scipy.linalg on use
+    powers = tuple(1.0 + k / 32 for k in range(32))
     got = _fresh(
         "from fadingrate.model import RaisedCosine\n"
         "from fadingrate.prediction import PowerProfile, ToeplitzCov, pred_error_finite\n"
         "cov = ToeplitzCov.from_model(RaisedCosine(0.1, 0.2), 33)\n"
-        "print(repr(pred_error_finite(cov, PowerProfile((1.0,) * 32), 0.5)))"
+        f"print(repr(pred_error_finite(cov, PowerProfile({powers!r}), 0.5)))"
     )
     cov = ToeplitzCov.from_model(RaisedCosine(0.1, 0.2), 33)
-    assert got == repr(pred_error_finite(cov, PowerProfile((1.0,) * 32), 0.5))
+    assert got == repr(pred_error_finite(cov, PowerProfile(powers), 0.5))
 
 
 def test_validate_refuses_non_psd_lags_called_first():

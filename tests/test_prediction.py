@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import linalg
@@ -126,6 +127,62 @@ def test_finite_error_peak_memory():
     cov = _cov(RaisedCosine(0.1, 0.2), 1025)
     z = PowerProfile((1.0,) * 1024)
     assert _peak_bytes(lambda: pred_error_finite(cov, z, 1.0)) <= 1025**2 * 8 + 4 * 2**20
+
+
+def test_unequal_powers_peak_memory():
+    # unequal powers take the dense route: its one 1024 x 1024 past system
+    # (8 MiB), factored and solved in place without scipy's finiteness copies
+    cov = _cov(RaisedCosine(0.1, 0.2), 1025)
+    z = PowerProfile(tuple(make_rng(9).uniform(0.5, 2.0, size=1024)))
+    assert _peak_bytes(lambda: pred_error_finite(cov, z, 1.0)) <= 1024**2 * 8 + 256 * 2**10
+
+
+def test_constant_power_peak_memory():
+    # a constant-power past streams the Schur columns: no 2047 x 2047 system
+    cov = _cov(RaisedCosine(0.1, 0.2), 2048)
+    z = PowerProfile((1.0,) * 2047)
+    assert _peak_bytes(lambda: pred_error_finite(cov, z, 1.0)) <= 2**20
+
+
+def _mp_constant_power_error(lags, p, sigma_n2):
+    # r(0) - b^T T^{-1} b at 40 digits, T = p Toeplitz(lags[:-1]) + sigma_n2 I
+    # and b = sqrt(p) lags[1:], taking the double lags as exact.  T x = b is
+    # solved by Levinson's recursion for a general right-hand side (Golub &
+    # Van Loan, Algorithm 4.7.3): O(n^2) and independent of the Schur route.
+    with mpmath.workdps(40):
+        r = [mpmath.mpf(v) for v in lags]
+        p = mpmath.mpf(p)
+        t0 = p * r[0] + sigma_n2
+        t = [p * v / t0 for v in r[1:-1]]  # T / t0 has unit diagonal
+        b = [mpmath.sqrt(p) * v for v in r[1:]]
+        x, y = [b[0] / t0], [-t[0]] if t else []
+        alpha, beta = (y[0] if y else 0), mpmath.mpf(1)
+        for k in range(1, len(b)):
+            beta *= 1 - alpha * alpha
+            mu = (b[k] / t0 - mpmath.fdot(t[:k], x[::-1])) / beta
+            x = [x[j] + mu * y[k - 1 - j] for j in range(k)] + [mu]
+            if k < len(b) - 1:
+                alpha = (-t[k] - mpmath.fdot(t[:k], y[::-1])) / beta
+                y = [y[j] + alpha * y[k - 1 - j] for j in range(k)] + [alpha]
+        return r[0] - mpmath.fdot(b, x)
+
+
+@pytest.mark.parametrize("model", [
+    Rectangular(0.01), Rectangular(0.1), Jakes(0.01), Jakes(0.1),
+    RaisedCosine(0.01, 0.2), RaisedCosine(0.1, 0.2),
+], ids=["rect-0.01", "rect-0.1", "jakes-0.01", "jakes-0.1", "rc0.2-0.01", "rc0.2-0.1"])
+def test_constant_power_error_matches_mpmath(model):
+    # the Schur route of a constant-power past at unit noise; above 40 dB
+    # the error is a small difference r(0) - |y|^2, and the dense LAPACK
+    # route was off by up to 1.1e-9 there
+    for n in (16, 128):
+        cov = _cov(model, n)
+        for db in (-30, -20, -10, 0, 10, 20, 40, 50, 60):
+            p = 10.0 ** (db / 10)
+            got = pred_error_finite(cov, PowerProfile((p,) * (n - 1)), 1.0)
+            want = _mp_constant_power_error(cov.lags, p, 1)
+            rel = float(abs(got - want) / want)
+            assert rel <= (1e-12 if db <= 20 else 2e-9), (n, db, rel)
 
 
 def test_validate_peak_memory():

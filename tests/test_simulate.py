@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,9 +16,8 @@ from fadingrate import simulate
 from fadingrate.cli import main
 from fadingrate.mcrates import coherent_mi_cm
 from fadingrate.simulate import (
-    _color,
     _embedding_spectrum,
-    _fading_cholesky_factor,
+    _schur_color,
     empirical_coherent_mi,
     empirical_pred_error,
     gen_fading_batch,
@@ -62,11 +62,10 @@ def test_batch_row_zero_matches_single(method):
 
 
 def _schur_factor(lags, shift):
-    # the lower factor of Toeplitz(lags) + shift I from the Schur columns, in
-    # Fortran order as the synthesis stores it: a C-ordered copy colours
-    # traces with other rounding
+    # the dense lower factor of Toeplitz(lags) + shift I from the Schur
+    # columns, which the synthesis never forms
     n = len(lags)
-    chol = np.zeros((n, n), order="F")
+    chol = np.zeros((n, n))
     for k, col in enumerate(_schur(lags, shift)):
         chol[k:, k] = col
     return chol
@@ -95,8 +94,6 @@ def test_cholesky_factor_matches_jittered_matrix(model, n, jitter):
     linalg.cholesky(dense, lower=True)  # LAPACK accepts every case, so Schur must too
     chol = _schur_factor(lags, jitter * lags[0])
     assert np.max(np.abs(chol @ chol.T - dense)) <= 1e-13 * lags[0]
-    if jitter == 1e-12:
-        assert np.array_equal(_fading_cholesky_factor(model, n), chol)
 
 
 @pytest.mark.parametrize("method,model,n", [
@@ -105,18 +102,23 @@ def test_cholesky_factor_matches_jittered_matrix(model, n, jitter):
     ("cholesky", Jakes(0.2), 200),
 ])
 def test_batch_matches_stacked_row_draws(method, model, n):
-    # the batch is filled row by row in place; each row must be bit for bit
-    # the trace the per-row draw gives on its own, stacked
+    # embedding rows are filled in place, each bit for bit the trace the
+    # per-row draw gives on its own, stacked.  Cholesky rows are coloured
+    # block by block of Schur columns, so they match the dense factor's
+    # product with the stacked draws up to rounding.
     count, seed = 7, 31
+    got = gen_fading_batch(model, n, count, seed, method=method)
     if method == "embedding":
         lam, m = _embedding_spectrum(model, n)
         draw = lambda rng: (np.fft.ifft(np.sqrt(lam) * _complex_normal(rng, m)) * math.sqrt(m))[:n]
+        want = np.stack([draw(make_rng(seed, i)) for i in range(count)])
+        assert np.array_equal(got, want)
     else:
         lags = ToeplitzCov.from_model(model, n).lags
         chol = _schur_factor(lags, 1e-12 * model.sigma_h2)
-        draw = lambda rng: _color(chol, _complex_normal(rng, n))
-    want = np.stack([draw(make_rng(seed, i)) for i in range(count)])
-    assert np.array_equal(gen_fading_batch(model, n, count, seed, method=method), want)
+        w = np.stack([_complex_normal(make_rng(seed, i), n) for i in range(count)])
+        want = w @ chol.T.astype(complex)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_batch_peak_memory(monkeypatch):
@@ -150,6 +152,37 @@ def test_cholesky_batch_keeps_no_factor():
     finally:
         tracemalloc.stop()
     assert abs(after - before) <= 2**20
+
+
+def test_cholesky_batch_peak_memory():
+    # 64 traces of 2048 samples are 2 MiB of complex128; the draws, the
+    # coloured rows, one 128-column block of the factor and its product
+    # are about that each.  The dense factor alone would be 32 MiB.
+    tracemalloc.start()
+    try:
+        gen_fading_batch(Rectangular(0.1), 2048, 64, seed=0, method="cholesky")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
+
+
+def test_caller_thread_fills_one_share(monkeypatch):
+    # with three usable CPUs the calling thread draws rows 0, 3, 6, ... and
+    # pool threads the other two shares
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    drawn = {}
+
+    def rng(seed, i):
+        drawn[i] = threading.get_ident()
+        return make_rng(seed, i)
+
+    monkeypatch.setattr(simulate, "make_rng", rng)
+    gen_fading_batch(Rectangular(0.25), 64, 9, seed=0)
+    shares = [{drawn[i] for i in range(w, 9, 3)} for w in range(3)]
+    assert all(len(share) == 1 for share in shares)
+    assert shares[0] == {threading.get_ident()}
+    assert threading.get_ident() not in shares[1] | shares[2]
 
 
 @pytest.mark.parametrize("model,n", [
@@ -213,12 +246,14 @@ def test_complex_normal_matches_reference_formula(size):
 
 
 def test_cholesky_coloring_matches_complex_product():
-    # the real factor applied to the real and imaginary parts separately is
-    # the complex product chol @ w up to rounding
-    chol = _fading_cholesky_factor(Rectangular(0.1), 2048)
+    # the blocked colouring of the real and imaginary parts, as two rows, is
+    # the complex product chol @ w with the dense factor up to rounding
+    lags = ToeplitzCov.from_model(Rectangular(0.1), 2048).lags
+    chol = _schur_factor(lags, 1e-12 * lags[0])
     w = _complex_normal(make_rng(4), 2048)
     want = chol.astype(complex) @ w
-    got = _color(chol, w)
+    re, im = _schur_color(lags, 1e-12 * lags[0], np.stack([w.real, w.imag]))
+    got = re + 1j * im
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
