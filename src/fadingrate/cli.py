@@ -52,8 +52,9 @@ _MAX_MC_N = 100_000_000
 # bytes per sample, and the batch about 50 bytes per sample in flight
 _MAX_TRACE_N = 1 << 20
 _MAX_SIM_SAMPLES = 50_000_000
-# largest --powers list: the past system is a dense n x n matrix, so a query
-# at the cap peaks at about 218 MiB resident, one with 2047 powers at 104 MiB
+# largest --powers list: a past whose powers differ is a dense n x n system,
+# about 202 MiB resident at the cap; a constant-power past streams its Schur
+# columns in O(n) memory, about 56 MiB resident at the cap
 _MAX_PAST = 4095
 # largest --seed: make_rng keys its streams with unsigned 64-bit seeds
 _MAX_SEED = 2**64 - 1

@@ -1,11 +1,13 @@
 """One-step LMMSE prediction of the fading process from noisy observations.
 
-The finite-horizon error variance is the Toeplitz quadratic form evaluated
-in its power-conjugated shape, which stays regular when individual past
-powers vanish.  The infinite-horizon constant-power error has the spectral
-closed form; a circulant surrogate and an exact rank-one decomposition in a
-single past power round out the toolbox that the convexity checks and the
-prediction-based rate bounds build on.
+A ToeplitzCov passes the Schur PSD verdict when it is built.  The
+finite-horizon error variance is the Toeplitz quadratic form evaluated in
+its power-conjugated shape, which stays regular when individual past
+powers vanish; one in-place Cholesky (_lmmse) solves every past system
+that is not constant-power, the exact rank-one decomposition in a single
+past power included.  The infinite-horizon constant-power error has the
+spectral closed form, and a circulant surrogate rounds out the toolbox
+that the convexity checks and the prediction-based rate bounds build on.
 """
 
 from __future__ import annotations
@@ -33,33 +35,36 @@ __all__ = [
 @dataclass(frozen=True)
 class ToeplitzCov:
     """Autocorrelation lags r_h(0..n-1) defining a Hermitian Toeplitz
-    covariance of the fading vector (h_1, ..., h_n)."""
+    covariance of the fading vector (h_1, ..., h_n).
+
+    Valid once built: the lags must be finite with r(0) > 0, and the
+    Toeplitz matrix positive semidefinite (tolerance 1e-10 r(0)) by the
+    Schur recursion, which forms no matrix and keeps O(n) memory."""
 
     lags: tuple
-    n: int
 
     def __post_init__(self):
         lags = tuple(float(x) for x in self.lags)
-        if len(lags) != self.n or self.n < 1:
-            raise ValueError("need exactly n lag values r(0..n-1)")
+        if not lags:
+            raise ValueError("need at least the lag value r(0)")
         if not all(map(math.isfinite, lags)):
             raise ValueError("covariance lags must be finite")
         if not lags[0] > 0:
             raise ValueError("r(0) must be positive")
-        object.__setattr__(self, "lags", lags)
-
-    @classmethod
-    def from_model(cls, model: PsdModel, n: int) -> "ToeplitzCov":
-        return cls(tuple(model.autocorr(np.arange(n)).tolist()), n)
-
-    def validate(self):
-        """Raise unless the Toeplitz matrix is positive semidefinite (tolerance
-        1e-10 r(0)), by the Schur recursion: no matrix is formed, O(n) memory."""
         try:
-            for _ in _schur(self.lags, 1e-10 * self.lags[0]):
+            for _ in _schur(lags, 1e-10 * lags[0]):
                 pass
         except np.linalg.LinAlgError:
             raise ValueError("covariance lags do not define a PSD Toeplitz matrix")
+        object.__setattr__(self, "lags", lags)
+
+    @property
+    def n(self) -> int:
+        return len(self.lags)
+
+    @classmethod
+    def from_model(cls, model: PsdModel, n: int) -> "ToeplitzCov":
+        return cls(tuple(model.autocorr(np.arange(n)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -100,45 +105,24 @@ def _schur(lags, shift):
         yield a
 
 
-def _past_system(cov: ToeplitzCov):
+def _lmmse(cov: ToeplitzCov, s, sigma_n2, *cols):
+    """The one-step LMMSE system of the past for the power roots s = sqrt(z):
+    with S = diag(s) and M = S R S + sigma_n2 I, returns B = S [r(1..), *cols]
+    and M^{-1} B by one in-place Cholesky factor of M.  Column 0 gives b = S r
+    and the weights w = M^{-1} b: the prediction from the past observations
+    y is w @ y, and its error variance r(0) - b @ w.  Lags, powers and noise
+    are finite by their checks and an overflow raises FloatingPointError, so
+    scipy's finiteness scans (an n x n copy) are skipped."""
     from scipy import linalg
     r = np.asarray(cov.lags)
-    return r[0], linalg.toeplitz(r[: cov.n - 1]), r[1:]
-
-
-def _lmmse(cov: ToeplitzCov, z: PowerProfile, sigma_n2):
-    """The one-step LMMSE system of the past: returns (s, b, w) with
-    s = sqrt(z), b = S r and the weights w = (S R S + sigma_n2 I)^{-1} b,
-    S = diag(s).  The prediction from the past observations y is w @ y and
-    its error variance r(0) - b @ w.  Lags, powers and noise are finite by
-    their checks and an overflow raises FloatingPointError, so scipy's
-    finiteness scans (an n x n copy) are skipped."""
-    from scipy import linalg
-    _, m, r_cross = _past_system(cov)
-    s = np.sqrt(np.asarray(z.z))
+    m = linalg.toeplitz(r[:-1])
     with np.errstate(over="raise"):
         for i, s_i in enumerate(s):
             m[i] *= s_i * s  # (s_i s_j) R_ij row by row: no n x n outer product
-        b = s * r_cross
+        rhs = s[:, None] * np.column_stack((r[1:], *cols))
         m.flat[:: len(m) + 1] += sigma_n2  # symmetric: m.T is m in Fortran order, factored in place
     chol = linalg.cholesky(m.T, lower=True, overwrite_a=True, check_finite=False)
-    return s, b, linalg.cho_solve((chol, True), b, check_finite=False)
-
-
-def pred_error_finite(cov: ToeplitzCov, z: PowerProfile, sigma_n2) -> float:
-    """LMMSE error variance of h_0 given y_{-k} = h_{-k} x_{-k} + n_{-k},
-    |x_{-k}|^2 = z[k-1], for k = 1..n-1.
-
-    Evaluates r(0) - b^H (S R S + sigma_n2 I)^{-1} b with S = diag(sqrt(z))
-    and b = S r, so zero powers are perfectly regular (their rows simply
-    carry no information).  Result clamped to [0, r(0)].  A constant-power
-    past p is the Toeplitz system p R + sigma_n2 I, solved through its
-    Schur columns in O(n) memory without scipy; any other profile factors
-    the dense (n-1) x (n-1) system with LAPACK.
-    """
-    sigma_n2 = _check_past(cov, z, sigma_n2)
-    cov.validate()
-    return _pred_error(cov, z, sigma_n2)
+    return rhs, linalg.cho_solve((chol, True), rhs, check_finite=False)
 
 
 def _check_noise(sigma_n2) -> float:
@@ -155,8 +139,18 @@ def _check_past(cov: ToeplitzCov, z: PowerProfile, sigma_n2) -> float:
     return sigma_n2
 
 
-def _pred_error(cov: ToeplitzCov, z: PowerProfile, sigma_n2: float) -> float:
-    # pred_error_finite on checked arguments and an already validated cov
+def pred_error_finite(cov: ToeplitzCov, z: PowerProfile, sigma_n2) -> float:
+    """LMMSE error variance of h_0 given y_{-k} = h_{-k} x_{-k} + n_{-k},
+    |x_{-k}|^2 = z[k-1], for k = 1..n-1.
+
+    Evaluates r(0) - b^H (S R S + sigma_n2 I)^{-1} b with S = diag(sqrt(z))
+    and b = S r, so zero powers are perfectly regular (their rows simply
+    carry no information).  Result clamped to [0, r(0)].  A constant-power
+    past p is the Toeplitz system p R + sigma_n2 I, solved through its
+    Schur columns in O(n) memory without scipy; any other profile factors
+    the dense (n-1) x (n-1) system with LAPACK.
+    """
+    sigma_n2 = _check_past(cov, z, sigma_n2)
     r0 = cov.lags[0]
     if len(set(z.z)) == 1:
         # b^H (p R + sigma_n2 I)^{-1} b = |y|^2 with L y = b, L the Schur
@@ -170,8 +164,8 @@ def _pred_error(cov: ToeplitzCov, z: PowerProfile, sigma_n2: float) -> float:
                 y[k + 1 :] -= y[k] * col[1:]
         val = r0 - float(y @ y)
     else:
-        _, b, w = _lmmse(cov, z, sigma_n2)
-        val = r0 - float(b @ w)
+        b, w = _lmmse(cov, np.sqrt(np.asarray(z.z)), sigma_n2)
+        val = r0 - float(b[:, 0] @ w[:, 0])
     return min(max(val, 0.0), r0)
 
 
@@ -229,33 +223,24 @@ def pred_rational_exact(cov: ToeplitzCov, z: PowerProfile, sigma_n2, i: int):
     i-th past power: sigma2(t) = s0 - a t / (1 + lam t) with a >= 0.
 
     Returns (s0, a, lam) where t replaces z[i] and all other powers stay
-    fixed.  Derived by a Sherman-Morrison step on the regularized system
-    (Z R + sigma_n2 I), which is rank-one in t.
+    fixed.  A Sherman-Morrison step on Z R + sigma_n2 I, rank-one in t, whose
+    row i at t = 0 is sigma_n2 e_i^T: with S0 = diag(sqrt(z)) but S0_ii = 0,
+    M0 = S0 R S0 + sigma_n2 I, b0 = S0 r, c = S0 R e_i, w0 = M0^{-1} b0 and
+    v = M0^{-1} c, s0 = r(0) - b0.w0, a = sigma_n2 phi^2 with
+    phi = (r(i+1) - b0.v)/sigma_n2, and lam = (r(0) - c.v)/sigma_n2.
     """
     sigma_n2 = _check_past(cov, z, sigma_n2)
     if not 0 <= i < cov.n - 1:
         raise ValueError(f"index {i} outside the past horizon")
-    cov.validate()
-    return _rational(cov, z, sigma_n2, i)
-
-
-def _rational(cov: ToeplitzCov, z: PowerProfile, sigma_n2: float, i: int):
-    # pred_rational_exact on checked arguments and an already validated cov
-    r0, n0, r_cross = _past_system(cov)
-    row_i = n0[i].copy()  # row i of R, before n0 becomes Z0 R + sigma_n2 I
-    z0 = np.array(z.z, dtype=float)
-    z0[i] = 0.0
-    n0 *= z0[:, None]
-    n0.flat[:: len(n0) + 1] += sigma_n2
-    rhs = np.zeros((cov.n - 1, 2))
-    rhs[i, 0] = 1.0  # e_i
-    rhs[:, 1] = z0 * r_cross
-    u, w0 = np.linalg.solve(n0, rhs).T  # one LU factorization for both
-    phi = float(r_cross @ u)
-    lam = float(row_i @ u)
-    s0 = r0 - float(r_cross @ w0)
-    a = sigma_n2 * phi * phi
-    return s0, a, lam
+    r = np.asarray(cov.lags)
+    s = np.sqrt(np.asarray(z.z))
+    s[i] = 0.0
+    rhs, x = _lmmse(cov, s, sigma_n2, r[abs(np.arange(cov.n - 1) - i)])  # column i of R
+    (b0, c), (w0, v) = rhs.T, x.T
+    r0 = cov.lags[0]
+    phi = (cov.lags[i + 1] - float(b0 @ v)) / sigma_n2
+    lam = (r0 - float(c @ v)) / sigma_n2
+    return r0 - float(b0 @ w0), sigma_n2 * phi * phi, lam
 
 
 def convexity_check(cov: ToeplitzCov, z: PowerProfile, x_power, sigma_n2, i: int) -> bool:
@@ -265,35 +250,28 @@ def convexity_check(cov: ToeplitzCov, z: PowerProfile, x_power, sigma_n2, i: int
     K(t) = log(1 + (x_power/sigma_n2) sigma2(t)) has nonnegative second
     differences (tolerance -1e-9), that the rational form
     sigma2(t) = s0 - a t/(1 + lam t) reproduces every grid value within
-    1e-8, and that a >= 0, with (s0, a, lam) from the exact rank-one
-    decomposition pred_rational_exact at every horizon.
-    Raises if the covariance is not PSD; returns False on any violation.
+    1e-8, with (s0, a, lam) from the exact rank-one decomposition
+    pred_rational_exact at every horizon (a = sigma_n2 phi^2 >= 0 there).
+    Returns False on any violation.
     """
     x_power = float(x_power)
     if x_power < 0:
         raise ValueError("x_power must be nonnegative")
-    sigma_n2 = _check_past(cov, z, sigma_n2)
-    if not 0 <= i < cov.n - 1:
-        raise ValueError(f"index {i} outside the past horizon")
-    cov.validate()  # once: the sweep and the decomposition reuse it
+    s0, a, lam = pred_rational_exact(cov, z, sigma_n2, i)  # checks the past and i
+    sigma_n2 = float(sigma_n2)
     zz = np.asarray(z.z, dtype=float)
-    t_max = 10.0 * max(x_power, zz.max() if zz.size else 0.0, 0.1)
+    t_max = 10.0 * max(x_power, zz.max(), 0.1)
     t_grid = np.linspace(0.0, t_max, 50)
 
     def sigma2(t):
         zt = zz.copy()
         zt[i] = t
-        return _pred_error(cov, PowerProfile(tuple(zt)), sigma_n2)
+        return pred_error_finite(cov, PowerProfile(tuple(zt)), sigma_n2)
 
     s_vals = np.array([sigma2(t) for t in t_grid])
     k_vals = np.log1p((x_power / sigma_n2) * s_vals)
     if np.any(np.diff(k_vals, 2) < -1e-9):
         return False
 
-    s0, a, lam = _rational(cov, z, sigma_n2, i)
-    if a < 0 and a > -1e-14:
-        a = 0.0
-    if a < 0:
-        return False
     pred = s0 - a * t_grid / (1.0 + lam * t_grid)
     return bool(np.max(np.abs(pred - s_vals)) <= 1e-8)

@@ -150,8 +150,7 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
         for i in range(count):
             _complex_normal(make_rng(seed, i), n, out=z, work=work)
             x[i, 0], x[i, 1] = z.real, z.imag
-        lags = ToeplitzCov.from_model(model, n).lags
-        out = _schur_color(lags, 1e-12 * model.sigma_h2, x)
+        out = _schur_color(model.autocorr(np.arange(n)), 1e-12 * model.sigma_h2, x)
         batch = np.empty((count, n), dtype=complex)
         batch.real, batch.imag = out[:, 0], out[:, 1]
         return batch
@@ -179,7 +178,8 @@ def empirical_pred_error(model: PsdModel, z: PowerProfile, sigma_n2,
     horizon = len(z.z) + 1
     if horizon > 2048:
         raise ValueError("horizon must be at most 2048")
-    s, _, weights = _lmmse(ToeplitzCov.from_model(model, horizon), z, sigma_n2)
+    s = np.sqrt(np.asarray(z.z))
+    weights = _lmmse(ToeplitzCov.from_model(model, horizon), s, sigma_n2)[1][:, 0]
     h = gen_fading_batch(model, max(horizon, 2), n_realizations, seed, "cholesky")[:, :horizon]
     noise = _complex_normal(make_rng(seed, n_realizations), n_realizations * (horizon - 1))
     noise = (noise * math.sqrt(sigma_n2)).reshape(n_realizations, horizon - 1)

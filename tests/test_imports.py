@@ -88,17 +88,17 @@ def test_finite_prediction_works_called_first():
     assert got == repr(pred_error_finite(cov, PowerProfile(powers), 0.5))
 
 
-def test_validate_refuses_non_psd_lags_called_first():
+def test_constructor_refuses_non_psd_lags():
     got = _fresh(
         "from fadingrate.prediction import ToeplitzCov\n"
         "try:\n"
-        "    ToeplitzCov((1.0, 1.5, 0.0), 3).validate()\n"
+        "    ToeplitzCov((1.0, 1.5, 0.0))\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
     assert got == "covariance lags do not define a PSD Toeplitz matrix"
     with pytest.raises(ValueError, match="do not define a PSD"):
-        ToeplitzCov((1.0, 1.5, 0.0), 3).validate()
+        ToeplitzCov((1.0, 1.5, 0.0))
 
 
 # the package's public names, fixed here so that how __init__ gathers them

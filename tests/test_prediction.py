@@ -84,11 +84,11 @@ def test_finite_validation_errors():
     with pytest.raises(ValueError):
         PowerProfile((1.0, -0.5))
     with pytest.raises(ValueError, match="PSD Toeplitz"):
-        pred_error_finite(ToeplitzCov((1.0, 1.5, 0.0), 3), PowerProfile((1.0, 1.0)), 1.0)
+        ToeplitzCov((1.0, 1.5, 0.0))
     with pytest.raises(ValueError):
-        ToeplitzCov((1.0, 0.5), 3)  # wrong lag count
-    with pytest.raises(ValueError):
-        ToeplitzCov((0.0, 0.0), 2)  # r(0) not positive
+        ToeplitzCov((0.0, 0.0))  # r(0) not positive
+    with pytest.raises(ValueError, match="need at least the lag value r"):
+        ToeplitzCov(())
 
 
 @pytest.mark.parametrize("model,n", [
@@ -118,15 +118,6 @@ def _peak_bytes(call):
     finally:
         tracemalloc.stop()
     return peak
-
-
-def test_finite_error_peak_memory():
-    # the past system is 1024 x 1024 (8 MiB), factored in its own memory, and
-    # validate() forms no matrix; scipy's finiteness checks and other
-    # temporaries took about 3 MiB more when this was written
-    cov = _cov(RaisedCosine(0.1, 0.2), 1025)
-    z = PowerProfile((1.0,) * 1024)
-    assert _peak_bytes(lambda: pred_error_finite(cov, z, 1.0)) <= 1025**2 * 8 + 4 * 2**20
 
 
 def test_unequal_powers_peak_memory():
@@ -186,9 +177,9 @@ def test_constant_power_error_matches_mpmath(model):
 
 
 def test_validate_peak_memory():
-    # the Schur verdict keeps two generator vectors, not the 32 MiB matrix
-    cov = _cov(RaisedCosine(0.1, 0.2), 2048)
-    assert _peak_bytes(cov.validate) <= 2**20
+    # construction runs the Schur verdict, which keeps two generator vectors,
+    # not the 32 MiB matrix
+    assert _peak_bytes(lambda: _cov(RaisedCosine(0.1, 0.2), 2048)) <= 2**20
 
 
 def test_non_finite_lags_refused_without_warning():
@@ -196,9 +187,9 @@ def test_non_finite_lags_refused_without_warning():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^covariance lags must be finite$"):
-                ToeplitzCov((1.0, bad, 0.0), 3)
+                ToeplitzCov((1.0, bad, 0.0))
             with pytest.raises(ValueError, match="^covariance lags must be finite$"):
-                ToeplitzCov((bad, 0.5, 0.0), 3)
+                ToeplitzCov((bad, 0.5, 0.0))
 
 
 # every entry point that takes past powers, on a two-power past
@@ -221,6 +212,19 @@ def test_non_finite_powers_refused_without_warning(entry):
         for bad, text in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
             with pytest.raises(ValueError, match=rf"^powers must be finite, got \[{text}\]$"):
                 call(PowerProfile((1.0, bad)))
+
+
+def test_overflowing_past_refused_without_warning():
+    # 1e308 times r(0) = 10 does not fit in double precision: the scaled past
+    # system raises instead of warning and returning nan
+    cov = _cov(Rectangular(0.1, sigma_h2=10), 3)
+    z = PowerProfile((1.0, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            pred_error_finite(cov, z, 1.0)
+        with pytest.raises(FloatingPointError):
+            pred_rational_exact(cov, z, 1.0, 0)
 
 
 def test_infinite_horizon_flat_closed_form():
@@ -314,6 +318,54 @@ def test_rational_decomposition_matches_direct_sweep():
             assert s0 - a * t / (1.0 + lam * t) == pytest.approx(direct, abs=1e-10)
 
 
+def _mp_rational(lags, z, sigma_n2, i):
+    # (s0, phi, lam) at 50 digits from the non-symmetric system N0 = Z0 R + sigma_n2 I,
+    # taking the double lags and powers as exact: s0 = r(0) - r.N0^{-1} Z0 r,
+    # u = N0^{-1} e_i, phi = r.u (a = sigma_n2 phi^2) and lam = (R e_i).u; also
+    # sum_j |r_j u_j|, the size of the terms that phi sums
+    with mpmath.workdps(50):
+        r = [mpmath.mpf(v) for v in lags]
+        m = len(z)
+        z0 = [mpmath.mpf(v) for v in z]
+        z0[i] = mpmath.mpf(0)
+        n0 = mpmath.matrix(m, m)
+        for j in range(m):
+            for k in range(m):
+                n0[j, k] = z0[j] * r[abs(j - k)] + (sigma_n2 if j == k else 0)
+        cross = mpmath.matrix(r[1:])
+        w0 = mpmath.lu_solve(n0, mpmath.matrix([z0[j] * r[j + 1] for j in range(m)]))
+        u = mpmath.lu_solve(n0, mpmath.matrix([int(j == i) for j in range(m)]))
+        phi = mpmath.fdot(cross, u)
+        lam = mpmath.fdot([r[abs(i - j)] for j in range(m)], u)
+        scale = mpmath.fsum(abs(c * v) for c, v in zip(cross, u))
+        return r[0] - mpmath.fdot(cross, w0), phi, lam, scale
+
+
+def test_rational_decomposition_matches_mpmath():
+    # 200 seeded instances on rect, Jakes and rc:0.2, n 2-12, about 20% zero
+    # powers, against 50 digits: s0 and lam within 1e-12 relative, and
+    # phi = sqrt(a / sigma_n2) within 1e-12 of the terms it sums, since phi
+    # is a difference that can cancel (case 142 has a = 1.4e-7 from terms of
+    # size 1, and there a is off by 1.4e-12 relative, 2.4e-12 by an LU solve)
+    rng = make_rng(25)
+    worst = 0.0
+    for case in range(200):
+        f_d = float(rng.uniform(0.02, 0.4))
+        model = (Rectangular(f_d), Jakes(f_d), RaisedCosine(f_d, 0.2))[case % 3]
+        n = int(rng.integers(2, 13))
+        z = 10.0 ** rng.uniform(-1.5, 1.0, size=n - 1)
+        z[rng.random(n - 1) < 0.2] = 0.0
+        sigma_n2 = float(10.0 ** rng.uniform(-1, 1))
+        i = int(rng.integers(0, n - 1))
+        cov = _cov(model, n)
+        got = pred_rational_exact(cov, PowerProfile(z), sigma_n2, i)
+        s0, phi, lam, scale = _mp_rational(cov.lags, z, sigma_n2, i)
+        errs = (abs(got[0] - s0) / s0, abs(math.sqrt(got[1] / sigma_n2) - abs(phi)) / scale,
+                abs(got[2] - lam) / lam)
+        worst = max(worst, *map(float, errs))
+    assert worst <= 1e-12, worst
+
+
 def test_rational_index_validation():
     cov = _cov(Rectangular(0.1), 3)
     z = PowerProfile((1.0, 1.0))
@@ -343,9 +395,9 @@ def test_convexity_check_large_horizon_exact_path():
 
 
 def test_convexity_check_factors_once_per_grid_point(monkeypatch):
-    # one Schur verdict on the covariance, then one LAPACK factorization of
-    # the 7 x 7 LMMSE system per grid power; the rank-one decomposition
-    # reuses the verdict
+    # one Schur verdict when the covariance is built, then one LAPACK
+    # factorization of the 7 x 7 LMMSE system for the rank-one decomposition
+    # and one per grid power
     calls = []
     schur, cholesky = prediction._schur, linalg.cholesky
 
@@ -362,7 +414,7 @@ def test_convexity_check_factors_once_per_grid_point(monkeypatch):
     cov = _cov(Jakes(0.15), 8)
     z = PowerProfile(tuple(make_rng(32).uniform(0.0, 4.0, size=7)))
     assert convexity_check(cov, z, 2.0, 1.0, 3)
-    assert calls == [("schur", 8)] + [("cholesky", 7)] * 50
+    assert calls == [("schur", 8)] + [("cholesky", 7)] * 51
 
 
 def test_rational_decomposition_peak_memory():

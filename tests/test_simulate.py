@@ -73,7 +73,7 @@ def _schur_factor(lags, shift):
 
 # rect, Jakes and rc:0.2 at f_d 0.1 and 0.01, n 512 and 2048, and the earlier
 # cases (rect f_d 0.1, n 2048 is on the grid), each with the factor's jitter
-# 1e-12 r(0) and validate's 1e-10 r(0)
+# 1e-12 r(0) and ToeplitzCov's PSD tolerance 1e-10 r(0)
 _FACTOR_CASES = [
     pytest.param(make(f_d), n, id=f"{name}-{f_d}-{n}")
     for name, make in [("rect", Rectangular), ("jakes", Jakes),
