@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from fadingrate import mcrates
 from fadingrate.mcrates import (
     coherent_mi_cm,
     rate_lower_cm,
     rate_lower_cm_timeshare,
     sethuraman_lower,
 )
-from fadingrate.model import ChannelParams, Rectangular
+from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
 from fadingrate.quadrature import g_logmoment
 from fadingrate.rates import PeakConstraint
 
@@ -56,11 +58,11 @@ def test_estimates_pinned_to_the_bit():
     ts = sethuraman_lower(ChannelParams(f_d=0.05, sigma_x2=0.25), model, timeshare=True,
                           peak=PeakConstraint(2.0), seed=11, n=2000)
     assert (ts.value, ts.stderr, ts.alpha_used) == (
-        0.10832946129167798, 0.011306534400974443, 0.51236505616397143)
+        0.10832946129039879, 0.011306428057363423, 0.51236038748826118)
     cm = rate_lower_cm_timeshare(ChannelParams(f_d=0.05, sigma_x2=0.5), model,
                                  PeakConstraint(2.0), seed=11, n=2000)
     assert (cm.value, cm.stderr, cm.alpha_used) == (
-        0.17459847365204775, 0.014764661531674184, 0.89757523075929602)
+        0.17459847364856509, 0.014764543555009295, 0.89756564294500685)
     mi = coherent_mi_cm(2.0, seed=11, n=2000)
     assert (mi.mean, mi.stderr) == (0.84683132012094886, 0.020642705835506637)
 
@@ -115,6 +117,77 @@ def test_timeshare_never_loses():
     ts = rate_lower_cm_timeshare(p, model, PeakConstraint(4.0), seed=6, n=N_SMALL)
     assert ts.value >= plain.value - 3.0 * (plain.stderr + ts.stderr)
     assert 0.0 < ts.alpha_used <= 1.0
+
+
+MODELS = {"rect": Rectangular, "rc:0.2": lambda f_d: RaisedCosine(f_d, 0.2), "jakes": Jakes}
+
+
+def _case(psd, f_d, snr_db, beta):
+    return (ChannelParams(f_d=f_d, sigma_x2=10.0 ** (snr_db / 10.0)), MODELS[psd](f_d),
+            PeakConstraint(beta))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([0.001, 0.01, 0.1, 0.3]), st.floats(-10.0, 40.0), st.floats(0.0, 12.0),
+       st.sampled_from(sorted(MODELS)), st.integers(0, 2 ** 16))
+@example(0.1, 30.0, 9.0, "rect", 0)
+def test_timeshare_never_below_plain_on_same_samples(f_d, snr_db, log10_beta, psd, seed):
+    """gamma = 1 is the first scan point and the search returns the best
+    point it evaluated; at n <= 10^4 the final estimate reuses the search's
+    samples, so each time-shared value is at least its plain one, exactly.
+    The example lost the whole rate to an unevaluated bracket midpoint."""
+    p, model, peak = _case(psd, f_d, snr_db, 10.0 ** log10_beta)
+    plain = rate_lower_cm(p, model, seed=seed, n=400)
+    ts = rate_lower_cm_timeshare(p, model, peak, seed=seed, n=400)
+    assert ts.unclamped >= plain.unclamped
+    plain = sethuraman_lower(p, model, seed=seed, n=400)
+    ts = sethuraman_lower(p, model, timeshare=True, peak=peak, seed=seed, n=400)
+    assert ts.unclamped >= plain.unclamped
+
+
+def test_timeshare_search_size(monkeypatch):
+    """At figure 4's beta = 2 one time-shared estimate makes a 16-point
+    scan, golden section to 1e-4 on a bracket at most 2/15 wide (at most
+    18 evaluations) and one final estimate, one kernel call each."""
+    calls = []
+    kernel = mcrates._log_mix_psk
+    monkeypatch.setattr(mcrates, "_log_mix_psk", lambda *a: calls.append(a) or kernel(*a))
+    for psd, snr_db in [("rect", -10.0), ("rc:0.2", 10.0), ("jakes", 30.0)]:
+        p, model, peak = _case(psd, 0.01, snr_db, 2.0)
+        for estimate in (lambda: rate_lower_cm_timeshare(p, model, peak, seed=1, n=400),
+                         lambda: sethuraman_lower(p, model, timeshare=True, peak=peak, seed=1,
+                                                  n=400)):
+            calls.clear()
+            estimate()
+            assert 16 + 1 < len(calls) <= 16 + 18 + 1
+
+
+def test_timeshare_search_finds_grid_maximum(monkeypatch):
+    """The 16-point scan stands in for unimodality: at the returned gamma
+    the search objective is at least its maximum on a 1025-point grid over
+    [1, beta], up to rounding."""
+    searches = []
+    timeshared = mcrates._timeshared
+
+    def spy(samples, rate, beta, n):
+        out = timeshared(samples, rate, beta, n)
+        searches.append((samples, rate, beta, n, out[0]))
+        return out
+
+    monkeypatch.setattr(mcrates, "_timeshared", spy)
+    for psd, f_d, snr_db, beta, seed in [("rect", 0.1, 0.0, 1.5, 2), ("rc:0.2", 0.01, 10.0, 2.0, 3),
+                                         ("jakes", 0.1, 20.0, 4.0, 4),
+                                         ("jakes", 0.001, -10.0, 8.0, 5)]:
+        p, model, peak = _case(psd, f_d, snr_db, beta)
+        rate_lower_cm_timeshare(p, model, peak, seed=seed, n=400)
+        sethuraman_lower(p, model, timeshare=True, peak=peak, seed=seed, n=400)
+    assert len(searches) == 8
+    for samples, rate, beta, n, gamma_opt in searches:
+        def objective(gamma):
+            return rate(gamma, float(np.mean(samples(gamma, min(n, 10_000)))))
+
+        best = max(objective(g) for g in np.linspace(1.0, beta, 1025))
+        assert objective(gamma_opt) >= best - 1e-9 * abs(best)
 
 
 def test_sethuraman_lower_vanishes_at_low_snr():
