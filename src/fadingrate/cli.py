@@ -39,7 +39,7 @@ from .rates import (
     sd_optimal_L,
     sethuraman_upper,
 )
-from .simulate import gen_fading_batch, write_fading_dump
+from .simulate import _fading_blocks, write_fading_dump
 from .verify import run_suite
 
 _LN2 = math.log(2.0)
@@ -49,7 +49,8 @@ _MAX_ROWS = 100_000
 # largest --mc-n: the base draws z and w of a grid point take 24 bytes a sample
 _MAX_MC_N = 100_000_000
 # largest simulate request: the embedding of one trace takes a few hundred
-# bytes per sample, and the batch about 50 bytes per sample in flight
+# bytes per sample; traces stream to the dump about 1 MiB of complex64 at a
+# time (Cholesky: 1024 traces at a time)
 _MAX_TRACE_N = 1 << 20
 _MAX_SIM_SAMPLES = 50_000_000
 # largest --powers list: a past whose powers differ is a dense n x n system,
@@ -427,12 +428,16 @@ def cmd_simulate(args):
         raise _UsageError(f"--n x --realizations = {args.n * args.realizations} exceeds "
                           f"the cap of {_MAX_SIM_SAMPLES} samples")
     try:
-        batch = gen_fading_batch(model, args.n, args.realizations, args.seed, args.method)
+        # the set-up and its refusals come before --out is opened; the
+        # traces then stream into the dump block by block
+        blocks, m, share = _fading_blocks(model, args.n, args.realizations, args.seed,
+                                          args.method)
     except ValueError as exc:
         raise _UsageError(str(exc))
     with _writing(args.out):
-        write_fading_dump(args.out, batch, model, args.seed)
-    print(f"wrote {args.realizations} x {args.n} trace(s) to {args.out}")
+        write_fading_dump(args.out, blocks, model, args.seed)
+    how = "cholesky" if m is None else f"embedding, m {m}, floored share {share:.3g}"
+    print(f"wrote {args.realizations} x {args.n} trace(s) to {args.out} ({how})")
     return 0
 
 

@@ -184,10 +184,21 @@ def _szego_shaped(model, c):
 
 def _mean_stderr(vals):
     # sample mean and its standard error sqrt(biased variance / n); every
-    # Monte Carlo estimate in the package reduces its samples here
-    mean = float(np.mean(vals))
-    var = float(np.var(vals))
-    return mean, math.sqrt(var / len(vals))
+    # Monte Carlo estimate in the package reduces its samples here.  vals
+    # is one array or an iterable of sample blocks, whose means and biased
+    # variances are merged pairwise (Chan, Golub & LeVeque 1979); an array,
+    # or a first block, is taken as it is, so one block keeps its bits
+    n = 0
+    for block in [vals] if isinstance(vals, np.ndarray) else vals:
+        k, b_mean, b_var = len(block), float(np.mean(block)), float(np.var(block))
+        if n == 0:
+            mean, var = b_mean, b_var
+        else:
+            w, delta = k / (n + k), b_mean - mean
+            mean += w * delta
+            var = (1.0 - w) * var + w * b_var + w * (1.0 - w) * delta * delta
+        n += k
+    return mean, math.sqrt(var / n)
 
 
 # rows per block of the m-PSK kernel; at 100 points its window is 26

@@ -1,12 +1,14 @@
 """Monte Carlo oracle: synthesize stationary fading and re-estimate
 analytic quantities empirically.
 
-gen_fading_batch is the one entry point that draws fading traces, by
+gen_fading_batch is the one public entry point that draws fading traces, by
 circulant embedding of the Toeplitz autocorrelation (exact to rounding when
 the embedded spectrum is nonnegative) or, as an independent oracle for
-moderate lengths, by colouring with the Schur columns of the lags.  Each
-batch builds its embedding spectrum once and keeps none, and no batch
-stores the Cholesky factor.  Every estimator is seeded through the
+moderate lengths, by colouring with the Schur columns of the lags.  It is
+the one-block case of the row blocks that `simulate` streams into its dump,
+so the dump holds one block in memory, not the batch.  Each batch builds
+its embedding spectrum once and keeps none, and no batch stores the
+Cholesky factor.  Every estimator is seeded through the
 counter-based generator, with realization i drawing from stream (seed, i)
 so results do not depend on scheduling.
 """
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterator
+from itertools import repeat
 
 import numpy as np
 
@@ -33,44 +37,54 @@ __all__ = [
 _DUMP_MAGIC = b"FADE"
 _DUMP_VERSION = 1
 _DUMP_HEADER = struct.Struct("<4sIQdQ")  # magic, version, N, f_d, seed
-_DUMP_CHUNK = 1 << 20  # bytes of complex64 per write
+_DUMP_CHUNK = 1 << 20  # bytes of complex64 per write, and per streamed embedding block
+# traces per streamed Cholesky block: each block reruns the Schur recursion,
+# which took 12 ms at n 2048 against 0.56 ms to colour one trace (2 vCPUs),
+# so a block of 1024 spends about 2% of its time on it
+_CHOLESKY_ROWS = 1024
+_MI_BLOCK = 1_000_000  # draws per block of empirical_coherent_mi
 
 
 def _embedding_spectrum(model: PsdModel, n: int):
-    """Eigenvalues of the circulant embedding of the length-n Toeplitz
-    covariance, doubling the embedding until the spectrum is nonnegative
-    (cap 8n).  Otherwise the size whose negative mass is the smallest share
-    of the trace m r(0) is kept and its negative mass floored, provided
-    that share is at most 1%."""
+    """(lam, m, share): eigenvalues lam of the circulant embedding of size m
+    of the length-n Toeplitz covariance, and the share of the trace m r(0)
+    floored in them (0 when exact).  The embedding doubles until the
+    spectrum is nonnegative (cap 8n); otherwise the size whose negative
+    mass is the smallest share is kept and that mass floored, provided the
+    share is at most 1%.  Only the best size so far is kept, as a float
+    copy: no complex m-point transform outlives its size."""
     r = model.autocorr(np.arange(4 * n + 1))
-    candidates = []
+    best = None
     for m in (2 * n, 4 * n, 8 * n):
         half = m // 2
-        c = np.concatenate([r[: half + 1], r[half - 1 : 0 : -1]])
-        lam = np.fft.fft(c).real
+        lam = np.fft.fft(np.concatenate([r[: half + 1], r[half - 1 : 0 : -1]])).real.copy()
         if lam.min() >= 0.0:
-            return lam, m
-        candidates.append((-lam[lam < 0.0].sum() / (m * r[0]), m, lam))
-    share, m, lam = min(candidates, key=lambda cand: cand[0])
-    if share > 0.01:
+            return lam, m, 0.0
+        share = -lam[lam < 0.0].sum() / (m * r[0])
+        if best is None or share < best[2]:
+            best = np.maximum(lam, 0.0, out=lam), m, share
+    if best[2] > 0.01:
         raise ValueError(
             "circulant embedding spectrum has negative mass "
-            f"{share:.2%} of the trace at its best size {m} (> 1%)"
+            f"{best[2]:.2%} of the trace at its best size {best[1]} (> 1%)"
         )
-    return np.maximum(lam, 0.0), m
+    return best
 
 
 _COLOR_BLOCK = 128  # Schur columns per matrix product of the Cholesky colouring
 
 
-def _schur_color(lags, shift, x):
+def _schur_color(lags, shift, x, out=None):
     """x @ L^T for real x shaped (..., rows, n), L the lower Cholesky factor
-    of Toeplitz(lags) + shift I: each row r becomes L r.  L is never
+    of Toeplitz(lags) + shift I: each row r becomes L r, summed into `out`
+    (x's shape, any strides; a new array by default) from zero.  L is never
     stored: each block of _COLOR_BLOCK Schur columns is one matrix product
     per leading index.  Pass two or more rows: numpy sends a one-row
     product through gemv, which rounds differently from gemm."""
     n = x.shape[-1]
-    out = np.zeros_like(x)
+    if out is None:
+        out = np.empty_like(x)
+    out[...] = 0.0
     cols = _schur(lags, shift)
     for k0 in range(0, n, _COLOR_BLOCK):
         k1 = min(k0 + _COLOR_BLOCK, n)
@@ -91,9 +105,82 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _row_blocks(fill, n, count, rows, workers):
+    """Consecutive blocks of `rows` (the last maybe fewer) of the (count, n)
+    complex batch, each filled by fill(block, first, part) for the rows
+    `part` of the block starting at trace `first`.  One buffer is refilled
+    for every block, so a block is used up before the next is asked for.
+    A block's rows go round-robin to the calling thread and a pool of
+    workers - 1 threads that serves every block."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    buf = np.empty((min(rows, count), n), dtype=complex)
+    workers = min(len(buf), workers)
+    # the caller fills share 0 itself, so one thread (and malloc arena)
+    # fewer; a one-worker pool is never given a task and starts no thread.
+    # Reading every result raises a worker's exception here.
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        for first in range(0, count, rows):
+            block = buf[: count - first]
+            shares = [range(w, len(block), workers) for w in range(workers)]
+            rest = pool.map(fill, repeat(block), repeat(first), shares[1:])
+            fill(block, first, shares[0])
+            list(rest)
+            yield block
+
+
+def _fading_blocks(model: PsdModel, n: int, count: int, seed, method, rows=None):
+    """(blocks, m, share) for a batch of `count` traces shaped (count, n),
+    trace i drawn from stream (seed, i): blocks yields its consecutive row
+    blocks, `rows` traces each (the last maybe fewer), and m, share are the
+    embedding size and its floored share of the trace (None and 0 for
+    "cholesky").  The set-up, and with it every refusal, happens here,
+    before the first block.  By default an embedding block is _DUMP_CHUNK
+    bytes of complex64 and a Cholesky block _CHOLESKY_ROWS traces."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if method == "embedding":
+        lam, m, share = _embedding_spectrum(model, n)
+        amp, scale = np.sqrt(lam), math.sqrt(m)
+
+        def fill(block, first, part):
+            # numpy's generator fills and FFTs release the GIL; each thread
+            # draws into its own buffers and writes only its rows
+            z, work = np.empty(m, dtype=complex), np.empty((2, m))
+            for j in part:
+                _complex_normal(make_rng(seed, first + j), m, out=z, work=work)
+                z *= amp
+                # only the first n of the m circulant samples are kept and scaled
+                np.multiply(np.fft.ifft(z)[:n], scale, out=block[j])
+
+        rows, workers = rows or max(1, _DUMP_CHUNK // (8 * n)), _usable_cpus()
+    elif method == "cholesky":
+        if n > 2048:
+            raise ValueError("cholesky path supports n <= 2048")
+        lags, shift, m, share = model.autocorr(np.arange(n)), 1e-12 * model.sigma_h2, None, 0.0
+
+        def fill(block, first, part):
+            # a product over all rows at once would round a row differently
+            # as the batch size changes, so each trace is its own (2, n) x[j]
+            z, work, x = np.empty(n, dtype=complex), np.empty((2, n)), np.empty((len(block), 2, n))
+            for j in part:
+                _complex_normal(make_rng(seed, first + j), n, out=z, work=work)
+                x[j, 0], x[j, 1] = z.real, z.imag
+            # block's real and imaginary parts, as a (rows, 2, n) view
+            _schur_color(lags, shift, x, out=block.view(float).reshape(-1, n, 2).transpose(0, 2, 1))
+
+        rows, workers = rows or _CHOLESKY_ROWS, 1
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return _row_blocks(fill, n, count, rows, workers), m, share
+
+
 def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embedding") -> np.ndarray:
     """Stack of `count` independent traces shaped (count, n); trace i draws
-    from stream (seed, i).
+    from stream (seed, i).  It is the one-block case of the blocks that
+    `simulate` streams into its dump, with the same bytes.
 
     method "embedding" synthesizes through the circulant spectrum, its rows
     split across the calling thread and one worker thread per further
@@ -102,59 +189,12 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
     independent oracle for the embedding path, colours with the Schur factor
     of the covariance + 1e-12 sigma_h2 I and never forms it: each trace's
     real and imaginary parts are one two-row BLAS product per block of
-    Schur columns, so a trace is bit for bit the same in any batch.  It
-    holds about three count x n complex arrays and one 128 x n block at
-    once (about 8 MiB at n 2048 x 64).
+    Schur columns, so a trace is bit for bit the same in any batch.
+    Memory: the embedding path holds the batch and three m-point arrays per
+    thread, m its embedding size; the Cholesky path about three count x n
+    complex arrays and one 128 x n block (about 8 MiB at n 2048 x 64).
     """
-    if count < 1:
-        raise ValueError("count must be positive")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if method == "embedding":
-        lam, m = _embedding_spectrum(model, n)
-        amp, scale = np.sqrt(lam), math.sqrt(m)
-        batch = np.empty((count, n), dtype=complex)
-
-        def fill(rows):
-            # numpy's generator fills and FFTs release the GIL; each thread
-            # draws into its own buffers and writes only its rows
-            z, work = np.empty(m, dtype=complex), np.empty((2, m))
-            for i in rows:
-                _complex_normal(make_rng(seed, i), m, out=z, work=work)
-                z *= amp
-                # only the first n of the m circulant samples are kept and scaled
-                np.multiply(np.fft.ifft(z)[:n], scale, out=batch[i])
-
-        workers = min(count, _usable_cpus())
-        shares = [range(w, count, workers) for w in range(workers)]
-        if workers == 1:
-            fill(shares[0])
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # rows round-robin; the caller fills share 0 itself, so one
-            # thread (and malloc arena) fewer.  Reading every result raises
-            # a worker's exception here.
-            with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-                rest = pool.map(fill, shares[1:])
-                fill(shares[0])
-                list(rest)
-        return batch
-    if method == "cholesky":
-        if n > 2048:
-            raise ValueError("cholesky path supports n <= 2048")
-        # a product over all rows at once would round a row differently as
-        # the batch size changes
-        x = np.empty((count, 2, n))
-        z, work = np.empty(n, dtype=complex), np.empty((2, n))
-        for i in range(count):
-            _complex_normal(make_rng(seed, i), n, out=z, work=work)
-            x[i, 0], x[i, 1] = z.real, z.imag
-        out = _schur_color(model.autocorr(np.arange(n)), 1e-12 * model.sigma_h2, x)
-        batch = np.empty((count, n), dtype=complex)
-        batch.real, batch.imag = out[:, 0], out[:, 1]
-        return batch
-    raise ValueError(f"unknown method {method!r}")
+    return next(_fading_blocks(model, n, count, seed, method, rows=count)[0])
 
 
 def empirical_pred_error(model: PsdModel, z: PowerProfile, sigma_n2,
@@ -191,30 +231,40 @@ def empirical_pred_error(model: PsdModel, z: PowerProfile, sigma_n2,
 
 def empirical_coherent_mi(rho, n, seed) -> McEstimate:
     """Coherent mutual information E log(1 + rho |h|^2/sigma_h2) of the
-    proper Gaussian input, by direct simulation of the fading magnitude."""
+    proper Gaussian input, by direct simulation of the fading magnitude:
+    stream (seed, 0) is drawn _MI_BLOCK samples at a time, so memory stays
+    at a few blocks for any n."""
     rho = float(rho)
     if rho < 0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
     n = int(n)
     if n < 10_000:
         raise ValueError("need at least 1e4 samples")
-    vals = np.log1p(rho * make_rng(seed, 0).exponential(size=n))
-    mean, stderr = _mean_stderr(vals)
+    rng = make_rng(seed, 0)
+    blocks = (np.log1p(rho * rng.exponential(size=min(_MI_BLOCK, n - i)))
+              for i in range(0, n, _MI_BLOCK))
+    mean, stderr = _mean_stderr(blocks)
     return McEstimate(mean=mean, stderr=stderr, n=n, seed=int(seed))
 
 
 def write_fading_dump(path, realizations, model: PsdModel, seed):
-    """Write realizations (array shaped (count, N) or a single trace) as
+    """Write realizations (array shaped (count, N), a single trace, or an
+    iterator of (rows, N) blocks such as `simulate` streams) as
     little-endian interleaved complex64 after a 32-byte header carrying the
     magic "FADE", format version, trace length N, f_d, and the seed.  Rows
-    are converted about 1 MiB at a time, never as one full copy."""
-    h = np.atleast_2d(np.asarray(realizations))
+    are converted about 1 MiB at a time, never as one full copy; the file
+    is opened once the first block is at hand."""
+    blocks = (realizations if isinstance(realizations, Iterator)
+              else iter([np.atleast_2d(np.asarray(realizations))]))
+    h = next(blocks)
     n = h.shape[1]
     rows = max(1, _DUMP_CHUNK // (8 * n))  # complex64 rows per write
     with open(path, "wb") as fh:
         fh.write(_DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION, n, model.f_d, int(seed)))
-        for i in range(0, len(h), rows):
-            h[i : i + rows].astype(np.complex64).tofile(fh)
+        while h is not None:
+            for i in range(0, len(h), rows):
+                h[i : i + rows].astype(np.complex64).tofile(fh)
+            h = next(blocks, None)
 
 
 def read_fading_dump(path):

@@ -479,7 +479,7 @@ def test_simulate_writes_readable_dump(tmp_path, capsys):
                               "--n", "64", "--realizations", "2",
                               "--seed", "5", "--out", str(path)])
     assert code == 0
-    assert out.strip() == f"wrote 2 x 64 trace(s) to {path}"
+    assert out.strip() == f"wrote 2 x 64 trace(s) to {path} (embedding, m 256, floored share 0.00336)"
     back, meta = read_fading_dump(path)
     assert back.shape == (2, 64)
     assert meta["f_d"] == 0.1 and meta["seed"] == 5
@@ -500,7 +500,7 @@ def test_unwritable_out_exits_2(argv, target, tmp_path, capsys, monkeypatch):
     # an --out that cannot be opened is a usage error naming the path, not
     # a traceback, and it is refused before anything is computed
     monkeypatch.setattr(cli, "_evaluate_grid", _must_not_run)
-    monkeypatch.setattr(cli, "gen_fading_batch", _must_not_run)
+    monkeypatch.setattr(cli, "_fading_blocks", _must_not_run)
     path = str(tmp_path / target)
     assert main(argv + ["--out", path]) == 2
     captured = capsys.readouterr()
@@ -547,3 +547,13 @@ def test_refused_run_leaves_out_untouched(tmp_path, capsys):
     out.write_text("kept\n")
     assert main(["figure", "9", "--out", str(out)]) == 2
     assert out.read_text() == "kept\n"
+
+
+def test_refused_simulate_leaves_existing_out_untouched(tmp_path, capsys):
+    # the embedding refusal comes from the set-up, before --out is opened
+    out = tmp_path / "x.bin"
+    out.write_bytes(b"kept")
+    assert main(["simulate", "--psd", "jakes", "--fd", "0.1", "--n", "512",
+                 "--realizations", "4", "--out", str(out)]) == 2
+    assert "negative mass" in capsys.readouterr().err
+    assert out.read_bytes() == b"kept"

@@ -109,7 +109,7 @@ def test_batch_matches_stacked_row_draws(method, model, n):
     count, seed = 7, 31
     got = gen_fading_batch(model, n, count, seed, method=method)
     if method == "embedding":
-        lam, m = _embedding_spectrum(model, n)
+        lam, m, _ = _embedding_spectrum(model, n)
         draw = lambda rng: (np.fft.ifft(np.sqrt(lam) * _complex_normal(rng, m)) * math.sqrt(m))[:n]
         want = np.stack([draw(make_rng(seed, i)) for i in range(count)])
         assert np.array_equal(got, want)
@@ -138,6 +138,50 @@ def test_batch_peak_memory(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20, workers
+
+
+@pytest.mark.parametrize("method,psd,n", [("embedding", "rect", 4096), ("cholesky", "rect", 256)])
+def test_streamed_dump_matches_one_batch(method, psd, n, tmp_path, monkeypatch, capsys):
+    # simulate streams its dump block by block, refilling one buffer through
+    # one worker pool: at n 4096 an embedding block is 32 rows; Cholesky
+    # blocks are cut to 32 rows here so several of them stay cheap.  Each
+    # dump has the bytes of the whole batch written at once, for any block
+    # split and CPU count, with the workers interleaved as finely as can be.
+    monkeypatch.setattr(simulate, "_CHOLESKY_ROWS", 32)
+    model = Rectangular(0.1)
+    argv = ["simulate", "--psd", psd, "--fd", "0.1", "--n", str(n), "--seed", "3",
+            "--method", method, "--out", str(tmp_path / "cli.bin")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in (1, 31, 32, 33, 100):
+            want = tmp_path / "batch.bin"
+            write_fading_dump(want, gen_fading_batch(model, n, count, 3, method), model, 3)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
+                assert main(argv + ["--realizations", str(count)]) == 0
+                got = (tmp_path / "cli.bin").read_bytes()
+                assert got == want.read_bytes(), (count, workers)
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+
+
+def test_streamed_dump_peak_memory(tmp_path, monkeypatch, capsys):
+    # 256 traces of 4096 samples are a 16 MiB complex128 batch; streamed,
+    # simulate holds one 32-row block (2 MiB), the m = 32768 draw buffers
+    # and one 1 MiB complex64 write at a time
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--psd", "rc:0.2", "--fd", "0.1", "--n", "4096",
+                     "--realizations", "256", "--out", str(tmp_path / "x.bin")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.endswith("(embedding, m 32768, floored share 3.11e-11)\n")
+    assert peak <= 5 * 2**20
 
 
 def test_cholesky_batch_keeps_no_factor():
