@@ -140,7 +140,8 @@ class Bound:
     monte_carlo: bool = False
 
 
-# BoundValue field behind each column suffix, and whether the column is a rate
+# BoundValue field behind each column suffix (every bound and Monte Carlo
+# estimate returns that one record), and whether the column is a rate
 _SUFFIX_FIELDS = {"": ("value", True), "_stderr": ("stderr", True),
                   "_clamped": ("clamped", False), "_alpha": ("alpha_used", False)}
 
@@ -224,12 +225,12 @@ def _check_bounds(names, psd_kind, betas, mc_n):
         raise _UsageError(f"--beta must be a finite peak-to-average ratio >= 1, got {betas[0]}")
 
 
-def _evaluate_grid(bound_names, psd_kind, rolloff, fds, snrs, betas, seed, mc_n,
-                   beta_axis=False):
-    """Rows in deterministic grid order (f_d, then SNR, then beta when it is
-    an axis); Monte Carlo bounds at row k draw their seeds, one per bound in
-    bound_names order, from stream (seed, k)."""
+def _evaluate_grid(bound_names, psd_kind, rolloff, fds, snrs, betas, seed, mc_n):
+    """Rows in deterministic grid order (f_d, then SNR, then beta, a column
+    of its own when the grid has more than one); Monte Carlo bounds at row k
+    draw their seeds, one per bound in bound_names order, from stream (seed, k)."""
     _check_bounds(bound_names, psd_kind, betas, mc_n)
+    beta_axis = len(betas) > 1
     bounds = [BOUNDS[name] for name in bound_names]
     monte_carlo = any(bound.monte_carlo for bound in bounds)
     models = {f_d: _make_model(psd_kind, rolloff, f_d) for f_d in fds}
@@ -341,24 +342,24 @@ _FD_FINE = [round(f, 3) for f in np.arange(0.005, 0.4951, 0.005)]
 _FD_COARSE = [round(f, 2) for f in np.arange(0.01, 0.4901, 0.01)]
 
 
-# figure number -> (bounds, f_d values, SNR values in dB, beta values, beta is an axis)
+# figure number -> (bounds, f_d values, SNR values in dB, beta values)
 _FIGURES = {
-    1: (["lower_pg", "upper_pg"], _FD_FINE, [0.0, 6.0, 12.0], [None], False),
-    2: (["upper_pg", "upper_peak", "lower_cm"], _FD_COARSE, [0.0, 12.0], [1.0, 2.0, 4.0], True),
+    1: (["lower_pg", "upper_pg"], _FD_FINE, [0.0, 6.0, 12.0], [None]),
+    2: (["upper_pg", "upper_peak", "lower_cm"], _FD_COARSE, [0.0, 12.0], [1.0, 2.0, 4.0]),
     3: (["lower_pg", "upper_pg", "lapidoth", "coherent"], [0.1, 0.3],
-        [float(d) for d in range(-10, 51, 2)], [None], False),
+        [float(d) for d in range(-10, 51, 2)], [None]),
     4: (["sethuraman_upper", "upper_pred_peak", "sethuraman_lower", "sethuraman_lower_ts",
-         "coherent"], [0.001, 0.01, 0.1], [float(d) for d in range(-10, 31, 5)], [2.0], False),
+         "coherent"], [0.001, 0.01, 0.1], [float(d) for d in range(-10, 31, 5)], [2.0]),
     5: (["lower_pg", "upper_pg", "upper_pred_pg", "coherent"], _FD_FINE, [0.0, 6.0, 12.0],
-        [None], False),
-    6: (["lower_pg", "upper_pg", "sd"], _FD_FINE, [0.0, 6.0, 12.0], [None], False),
+        [None]),
+    6: (["lower_pg", "upper_pg", "sd"], _FD_FINE, [0.0, 6.0, 12.0], [None]),
 }
 
 
 def _figure_rows(n, seed, mc_n):
     if n in _FIGURES:
-        names, fds, snrs, betas, beta_axis = _FIGURES[n]
-        return _evaluate_grid(names, "rect", None, fds, snrs, betas, seed, mc_n, beta_axis)
+        names, fds, snrs, betas = _FIGURES[n]
+        return _evaluate_grid(names, "rect", None, fds, snrs, betas, seed, mc_n)
     if n == 7:
         columns = [("snr_db", False), ("delta_hy", True), ("delta_hy_refined", True),
                    ("delta_hy_refined_err", True), ("euler_gamma", True)]

@@ -4,21 +4,20 @@ Bounds on h'(y) and on the conditional rate h'(y|x) for independent
 identically distributed inputs.  The proper-Gaussian-output upper bound
 and the Exp(1)-mixture lower bound sandwich h'(y); the refined upper
 bound integrates the exact marginal output density of a single output
-sample.  Everything is in nats.
+sample.  Everything is in nats, returned as a BoundValue whose err_bound
+only the refined upper bound fills.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ChannelParams, PsdModel, _check_model, _panel_rule
-from .quadrature import EULER_GAMMA, g_logmoment, szego_log_integral
+from .quadrature import EULER_GAMMA, BoundValue, g_logmoment, szego_log_integral
 
 __all__ = [
-    "EntropyRate",
     "noise_entropy",
     "h_y_lower",
     "h_y_upper",
@@ -33,39 +32,22 @@ _LOG_PI_E = math.log(math.pi) + 1.0
 _S_PANELS = 48
 
 
-@dataclass(frozen=True)
-class EntropyRate:
-    """An entropy-rate bound in nats per channel use.
-
-    err_bound is populated only by the refined upper bound, where it is
-    QUADPACK's error estimate for the entropy integral plus the analytic
-    tail beyond its truncation point: an estimate, not a proven bound.
-    """
-
-    value: float
-    kind: str
-    err_bound: float | None = None
-
-
 def noise_entropy(sigma_n2):
     """Differential entropy log(pi e sigma_n2) of the complex noise sample."""
     return _LOG_PI_E + math.log(sigma_n2)
 
 
-def h_y_lower(params: ChannelParams) -> EntropyRate:
+def h_y_lower(params: ChannelParams) -> BoundValue:
     """Lower bound on h'(y): entropy rate of the i.i.d. conditionally
     Gaussian process with the fading marginal, log(pi e sigma_n2) + g(rho)."""
-    return EntropyRate(
-        value=noise_entropy(params.sigma_n2) + g_logmoment(params.rho),
-        kind="hy_lower",
-    )
+    return BoundValue(value=noise_entropy(params.sigma_n2) + g_logmoment(params.rho))
 
 
-def h_y_upper(params: ChannelParams) -> EntropyRate:
+def h_y_upper(params: ChannelParams) -> BoundValue:
     """Upper bound on h'(y): entropy of a proper Gaussian output sample at
     input power sigma_x2."""
     power = params.sigma_x2 * params.sigma_h2 + params.sigma_n2
-    return EntropyRate(value=_LOG_PI_E + math.log(power), kind="hy_upper")
+    return BoundValue(value=_LOG_PI_E + math.log(power))
 
 
 def _s_rule(rho, sigma_n2):
@@ -82,7 +64,7 @@ def _s_rule(rho, sigma_n2):
     return w * np.exp(-np.expm1(s) / rho) / rho, sigma_n2 * np.exp(s)
 
 
-def h_y_upper_refined(params: ChannelParams) -> EntropyRate:
+def h_y_upper_refined(params: ChannelParams) -> BoundValue:
     """Refined upper bound on h'(y): the exact marginal entropy h(y_k) for a
     proper Gaussian input.
 
@@ -100,9 +82,7 @@ def h_y_upper_refined(params: ChannelParams) -> EntropyRate:
     sigma_n2 = params.sigma_n2
     if rho == 0.0:
         # output is pure complex Gaussian noise
-        return EntropyRate(
-            value=noise_entropy(sigma_n2), kind="hy_upper_refined", err_bound=0.0
-        )
+        return BoundValue(value=noise_entropy(sigma_n2), err_bound=0.0)
     v_max = sigma_n2 * (1.0 + 60.0 * rho)
     mix, v = _s_rule(rho, sigma_n2)
 
@@ -155,24 +135,18 @@ def h_y_upper_refined(params: ChannelParams) -> EntropyRate:
         - 0.5 * EULER_GAMMA
         + 0.5 * (math.log(sigma_n2) + g_logmoment(rho))
     )
-    return EntropyRate(
-        value=val + closed,
-        kind="hy_upper_refined",
-        err_bound=quad_err + tail,
-    )
+    return BoundValue(value=val + closed, err_bound=quad_err + tail)
 
 
-def h_yx_upper(params: ChannelParams, model: PsdModel) -> EntropyRate:
+def h_yx_upper(params: ChannelParams, model: PsdModel) -> BoundValue:
     """Upper bound on the conditional entropy rate h'(y|x) for i.d. inputs of
     power sigma_x2: the spectral log integral at SNR rho plus the noise floor."""
     _check_model(params, model)
-    return EntropyRate(
-        value=szego_log_integral(model, params.rho) + noise_entropy(params.sigma_n2),
-        kind="hyx_upper",
-    )
+    return BoundValue(
+        value=szego_log_integral(model, params.rho) + noise_entropy(params.sigma_n2))
 
 
-def h_yx_lower_rect(params: ChannelParams, input_dist="pg") -> EntropyRate:
+def h_yx_lower_rect(params: ChannelParams, input_dist="pg") -> BoundValue:
     """Lower bound on h'(y|x) under the flat band-limited density.
 
     input_dist selects the i.d. input power law |x_k|^2:
@@ -186,23 +160,14 @@ def h_yx_lower_rect(params: ChannelParams, input_dist="pg") -> EntropyRate:
     floor = noise_entropy(params.sigma_n2)
     two_fd = 2.0 * fd
     if isinstance(input_dist, str) and input_dist == "pg":
-        return EntropyRate(
-            value=two_fd * g_logmoment(params.rho / two_fd) + floor,
-            kind="hyx_lower_rect",
-        )
+        return BoundValue(value=two_fd * g_logmoment(params.rho / two_fd) + floor)
     if isinstance(input_dist, str) and input_dist == "cm":
-        return EntropyRate(
-            value=two_fd * math.log1p(params.rho / two_fd) + floor,
-            kind="hyx_lower_rect",
-        )
+        return BoundValue(value=two_fd * math.log1p(params.rho / two_fd) + floor)
     z = np.asarray(input_dist, dtype=float)
     if z.ndim != 1 or z.size == 0 or not np.all((z >= 0) & (z < math.inf)):
         raise ValueError("power samples must be a nonempty 1-D nonnegative finite array")
     gain = params.sigma_h2 / (two_fd * params.sigma_n2)
-    return EntropyRate(
-        value=two_fd * float(np.mean(np.log1p(gain * z))) + floor,
-        kind="hyx_lower_rect",
-    )
+    return BoundValue(value=two_fd * float(np.mean(np.log1p(gain * z))) + floor)
 
 
 def entropy_gaps(params: ChannelParams):

@@ -11,7 +11,6 @@ search objective is smooth.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -19,10 +18,10 @@ from .entropy import noise_entropy
 from .model import ChannelParams, PsdModel, _check_model
 from .prediction import pred_error_cm_infinite
 from .quadrature import (
-    McEstimate, QuadratureConfig, _complex_normal, _log_mix_psk, _mean_stderr, make_rng,
-    szego_log_integral,
+    BoundValue, QuadratureConfig, _complex_normal, _finite_nonnegative, _log_mix_psk,
+    _mean_stderr, make_rng, szego_log_integral,
 )
-from .rates import BoundValue, PeakConstraint
+from .rates import PeakConstraint
 
 __all__ = [
     "coherent_mi_cm",
@@ -55,20 +54,18 @@ def _cm_mi_samples(z, w, snr, m):
     return math.log(m) - np.abs(w) ** 2 - _log_mix_psk(h + w, h, m, 1.0)
 
 
-def coherent_mi_cm(rho, m_points=100, seed=0, n=None) -> McEstimate:
+def coherent_mi_cm(rho, m_points=100, seed=0, n=None) -> BoundValue:
     """Mutual information of an m-point uniform-phase constant-modulus
     constellation over the coherent channel, in nats.
 
     Monte Carlo over the fading magnitude and noise; the estimate sits
     below both coherent capacity and log(m_points).
     """
-    rho = float(rho)
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
+    rho = _finite_nonnegative(rho, "rho")
     m = _points(m_points)
-    n, z, w = _draw_base(seed, n)
+    _, z, w = _draw_base(seed, n)
     mean, stderr = _mean_stderr(_cm_mi_samples(z, w, rho, m))
-    return McEstimate(mean=mean, stderr=stderr, n=n, seed=int(seed))
+    return BoundValue(value=mean, stderr=stderr)
 
 
 def _golden_max(fun, lo, hi, best):
@@ -127,8 +124,7 @@ def rate_lower_cm(params: ChannelParams, model: PsdModel, m_points=100,
     """Achievable rate with i.i.d. constant-modulus inputs: the coherent
     constellation information minus the spectral log integral, clamped at 0.
     This is the time-sharing bound without peak headroom (beta = 1)."""
-    b = rate_lower_cm_timeshare(params, model, PeakConstraint(1.0), m_points, seed, n)
-    return replace(b, kind="lower_cm")
+    return rate_lower_cm_timeshare(params, model, PeakConstraint(1.0), m_points, seed, n)
 
 
 def rate_lower_cm_timeshare(params: ChannelParams, model: PsdModel, peak: PeakConstraint,
@@ -151,14 +147,8 @@ def rate_lower_cm_timeshare(params: ChannelParams, model: PsdModel, peak: PeakCo
         return (mean - szego_log_integral(model, gamma * rho)) / gamma
 
     gamma_opt, raw, stderr = _timeshared(samples, rate, peak.beta, n)
-    return BoundValue(
-        value=max(0.0, raw),
-        kind="lower_cm_ts",
-        clamped=raw < 0.0,
-        alpha_used=1.0 / gamma_opt,
-        unclamped=raw,
-        stderr=stderr,
-    )
+    return BoundValue(value=max(0.0, raw), clamped=raw < 0.0, alpha_used=1.0 / gamma_opt,
+                      unclamped=raw, stderr=stderr)
 
 
 def _sd_entropy_samples(z, w, hat_var, amp, sigma_eff2, m):
@@ -207,10 +197,4 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
         return c_l1 / gamma
 
     gamma_opt, raw, stderr = _timeshared(samples, rate, peak.beta if timeshare else 1.0, n)
-    return BoundValue(
-        value=raw,
-        kind="sethuraman_lower_ts" if timeshare else "sethuraman_lower",
-        alpha_used=1.0 / gamma_opt,
-        unclamped=raw,
-        stderr=stderr,
-    )
+    return BoundValue(value=raw, alpha_used=1.0 / gamma_opt, unclamped=raw, stderr=stderr)

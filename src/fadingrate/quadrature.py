@@ -1,6 +1,8 @@
 """Numerical workhorses: the exponential log-moment, Szego-type spectral
 log integrals, the seeded draws and mean/stderr reduction every Monte Carlo
-estimate shares, and the constant-modulus bounds' m-PSK log-mixture kernel.
+estimate shares, the constant-modulus bounds' m-PSK log-mixture kernel, and
+BoundValue, the one record every rate bound, entropy-rate bound and Monte
+Carlo estimate in the package returns.
 
 ``g_logmoment(a)`` evaluates E[log(1 + a Z)] for Z ~ Exp(1), the function
 every Gaussian-input rate expression in the package reduces to.  It is
@@ -24,8 +26,8 @@ from .model import Rectangular
 
 __all__ = [
     "EULER_GAMMA",
+    "BoundValue",
     "QuadratureConfig",
-    "McEstimate",
     "make_rng",
     "g_logmoment",
     "g_logmoment_gauss",
@@ -52,13 +54,27 @@ class QuadratureConfig:
 
 
 @dataclass(frozen=True)
-class McEstimate:
-    """Monte Carlo mean with its standard error and reproducibility info."""
+class BoundValue:
+    """A rate bound, an entropy-rate bound or a Monte Carlo estimate, in nats.
 
-    mean: float
-    stderr: float
-    n: int
-    seed: int
+    clamped records whether the nonnegativity / coherent-capacity clamp
+    actually changed the value; unclamped retains the raw bound for gap
+    arithmetic.  alpha_used is the average-power fraction the bound was
+    evaluated at (1 unless a peak constraint made a smaller value optimal).
+    stderr is the standard error of a Monte Carlo value; err_bound is the
+    refined entropy bound's error estimate (an estimate, not a proven bound).
+    """
+
+    value: float
+    clamped: bool = False
+    alpha_used: float = 1.0
+    unclamped: float | None = None
+    stderr: float | None = None
+    err_bound: float | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.alpha_used <= 1.0:
+            raise ValueError(f"alpha_used must lie in [0, 1], got {self.alpha_used}")
 
 
 def make_rng(seed, task_index=0):

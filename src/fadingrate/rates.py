@@ -17,11 +17,10 @@ import numpy as np
 from .entropy import entropy_gaps
 from .model import ChannelParams, PsdModel, _check_model, _finite_integral
 from .prediction import pred_error_cm_infinite
-from .quadrature import (EULER_GAMMA, _finite_nonnegative, _szego_rect, g_logmoment,
-                         szego_log_integral)
+from .quadrature import (EULER_GAMMA, BoundValue, _finite_nonnegative, _szego_rect,
+                         g_logmoment, szego_log_integral)
 
 __all__ = [
-    "BoundValue",
     "PeakConstraint",
     "coherent_capacity",
     "rate_lower_pg",
@@ -41,29 +40,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BoundValue:
-    """A rate bound in nats per channel use.
-
-    clamped records whether the nonnegativity / coherent-capacity clamp
-    actually changed the value; unclamped retains the raw bound for gap
-    arithmetic.  alpha_used is the average-power fraction the bound was
-    evaluated at (1 unless a peak constraint made a smaller value optimal).
-    stderr is populated by Monte Carlo bounds only.
-    """
-
-    value: float
-    kind: str
-    clamped: bool = False
-    alpha_used: float = 1.0
-    unclamped: float | None = None
-    stderr: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha_used <= 1.0:
-            raise ValueError(f"alpha_used must lie in [0, 1], got {self.alpha_used}")
-
-
-@dataclass(frozen=True)
 class PeakConstraint:
     """Nominal peak-to-average power ratio beta = P_peak / sigma_x2, finite and >= 1."""
 
@@ -76,7 +52,7 @@ class PeakConstraint:
 
 def coherent_capacity(rho) -> BoundValue:
     """Capacity with the fading known at the receiver: E[log(1 + rho |h|^2/sigma_h2)]."""
-    return BoundValue(value=g_logmoment(_finite_nonnegative(rho, "rho")), kind="coherent")
+    return BoundValue(value=g_logmoment(_finite_nonnegative(rho, "rho")))
 
 
 def rate_lower_pg(params: ChannelParams, model: PsdModel) -> BoundValue:
@@ -85,9 +61,7 @@ def rate_lower_pg(params: ChannelParams, model: PsdModel) -> BoundValue:
     _check_model(params, model)
     rho = params.rho
     raw = g_logmoment(rho) - szego_log_integral(model, rho)
-    return BoundValue(
-        value=max(0.0, raw), kind="lower_pg", clamped=raw < 0.0, unclamped=raw
-    )
+    return BoundValue(value=max(0.0, raw), clamped=raw < 0.0, unclamped=raw)
 
 
 def rate_upper_pg_rect(params: ChannelParams) -> BoundValue:
@@ -96,7 +70,7 @@ def rate_upper_pg_rect(params: ChannelParams) -> BoundValue:
     rho = params.rho
     two_fd = 2.0 * params.f_d
     raw = math.log1p(rho) - two_fd * g_logmoment(rho / two_fd)
-    return _capped(raw, rho, "upper_pg")
+    return _capped(raw, rho)
 
 
 def rate_gap_pg_rect(params: ChannelParams) -> float:
@@ -121,24 +95,23 @@ def prelog_estimate(evaluate, params: ChannelParams) -> float:
     return float(slope)
 
 
-def _capped(raw, rho, kind, alpha=1.0) -> BoundValue:
+def _capped(raw, rho, alpha=1.0) -> BoundValue:
     # upper bounds are capped by the coherent capacity g(rho)
     coh = g_logmoment(rho)
-    return BoundValue(value=min(raw, coh), kind=kind, clamped=raw > coh, alpha_used=alpha,
-                      unclamped=raw)
+    return BoundValue(value=min(raw, coh), clamped=raw > coh, alpha_used=alpha, unclamped=raw)
 
 
-def _peak_core(rho, info, beta, kind) -> BoundValue:
+def _peak_core(rho, info, beta) -> BoundValue:
     # shared evaluation of log(1 + alpha rho) - (alpha/beta) * info with the
     # maximizing on-fraction alpha = min{1, beta/info - 1/rho} projected
     # onto [0, 1]; the raw value is then capped by the coherent capacity
     if rho == 0.0:
-        return BoundValue(value=0.0, kind=kind, alpha_used=1.0, unclamped=0.0)
+        return BoundValue(value=0.0, unclamped=0.0)
     alpha = min(1.0, beta / info - 1.0 / rho)
     if alpha < 0.0:
         alpha = 0.0
     raw = math.log1p(alpha * rho) - (alpha / beta) * info
-    return _capped(raw, rho, kind, alpha)
+    return _capped(raw, rho, alpha)
 
 
 def alpha_opt_conditions(params: ChannelParams, peak: PeakConstraint) -> dict:
@@ -169,7 +142,7 @@ def rate_upper_pred_pg(params: ChannelParams, model: PsdModel) -> BoundValue:
     rho = params.rho
     s2 = pred_error_cm_infinite(model, params.sigma_x2, params.sigma_n2)
     raw = math.log1p(rho) - g_logmoment(rho * s2 / model.sigma_h2)
-    return _capped(raw, rho, "upper_pred_pg")
+    return _capped(raw, rho)
 
 
 def rate_upper_pred_peak(params: ChannelParams, model: PsdModel, peak: PeakConstraint) -> BoundValue:
@@ -180,7 +153,7 @@ def rate_upper_pred_peak(params: ChannelParams, model: PsdModel, peak: PeakConst
     rho = params.rho
     s2 = pred_error_cm_infinite(model, params.sigma_x2, params.sigma_n2)
     info = math.log1p(rho * peak.beta * s2 / model.sigma_h2)
-    return _peak_core(rho, info, peak.beta, "upper_pred_peak")
+    return _peak_core(rho, info, peak.beta)
 
 
 def sethuraman_upper(params: ChannelParams, model: PsdModel, peak: PeakConstraint) -> BoundValue:
@@ -195,7 +168,7 @@ def sethuraman_upper(params: ChannelParams, model: PsdModel, peak: PeakConstrain
     _check_model(params, model)
     rho = params.rho
     info = szego_log_integral(model, rho * peak.beta)
-    return _peak_core(rho, info, peak.beta, "sethuraman_upper")
+    return _peak_core(rho, info, peak.beta)
 
 
 def lapidoth_asymptotes(params: ChannelParams, model: PsdModel) -> dict:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .model import PsdModel
 from .prediction import PowerProfile, ToeplitzCov, _check_noise, _lmmse, _schur
-from .quadrature import McEstimate, _complex_normal, _mean_stderr, make_rng
+from .quadrature import BoundValue, _complex_normal, _finite_nonnegative, _mean_stderr, make_rng
 
 __all__ = [
     "gen_fading_batch",
@@ -198,7 +198,7 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
 
 
 def empirical_pred_error(model: PsdModel, z: PowerProfile, sigma_n2,
-                         n_realizations, seed) -> McEstimate:
+                         n_realizations, seed) -> BoundValue:
     """Empirical one-step prediction error: the analytic LMMSE weights are
     applied to simulated observation vectors, and the squared prediction
     residual is averaged over realizations.
@@ -226,17 +226,15 @@ def empirical_pred_error(model: PsdModel, z: PowerProfile, sigma_n2,
     # column k of h[:, -2::-1] is k+1 steps before the target h[:, -1]
     errs = np.abs(h[:, -1] - (s * h[:, -2::-1] + noise) @ weights) ** 2
     mean, stderr = _mean_stderr(errs)
-    return McEstimate(mean=mean, stderr=stderr, n=n_realizations, seed=int(seed))
+    return BoundValue(value=mean, stderr=stderr)
 
 
-def empirical_coherent_mi(rho, n, seed) -> McEstimate:
+def empirical_coherent_mi(rho, n, seed) -> BoundValue:
     """Coherent mutual information E log(1 + rho |h|^2/sigma_h2) of the
     proper Gaussian input, by direct simulation of the fading magnitude:
     stream (seed, 0) is drawn _MI_BLOCK samples at a time, so memory stays
     at a few blocks for any n."""
-    rho = float(rho)
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
+    rho = _finite_nonnegative(rho, "rho")
     n = int(n)
     if n < 10_000:
         raise ValueError("need at least 1e4 samples")
@@ -244,7 +242,7 @@ def empirical_coherent_mi(rho, n, seed) -> McEstimate:
     blocks = (np.log1p(rho * rng.exponential(size=min(_MI_BLOCK, n - i)))
               for i in range(0, n, _MI_BLOCK))
     mean, stderr = _mean_stderr(blocks)
-    return McEstimate(mean=mean, stderr=stderr, n=n, seed=int(seed))
+    return BoundValue(value=mean, stderr=stderr)
 
 
 def write_fading_dump(path, realizations, model: PsdModel, seed):

@@ -368,12 +368,12 @@ def check_mc_crosschecks(rng):
         exact = pred_error_finite(cov, profile, sigma_n2)
         sub = _sub_seed(rng)
         est = empirical_pred_error(model, profile, sigma_n2, 1500, sub)
-        if abs(est.mean - exact) > 4.0 * est.stderr:
+        if abs(est.value - exact) > 4.0 * est.stderr:
             est = empirical_pred_error(model, profile, sigma_n2, 6000, sub + 1)
-            if abs(est.mean - exact) > 4.0 * est.stderr:
+            if abs(est.value - exact) > 4.0 * est.stderr:
                 fails.append(idx)
     mi = empirical_coherent_mi(1.0, 1_000_000, _sub_seed(rng))
-    mi_dev = abs(mi.mean - 0.596347)
+    mi_dev = abs(mi.value - 0.596347)
     ok = not fails and mi_dev <= 4.0 * mi.stderr
     return ok, f"pred failures {fails or 'none'}; PG rate dev {mi_dev:.2e} vs 4se {4*mi.stderr:.2e}"
 
@@ -480,7 +480,7 @@ def check_mc_pg_ten_million(rng):
     """Ten-million-sample coherent PG rate estimate against the analytic
     log-moment at unit SNR."""
     est = empirical_coherent_mi(1.0, 10_000_000, _sub_seed(rng))
-    dev = abs(est.mean - g_logmoment(1.0))
+    dev = abs(est.value - g_logmoment(1.0))
     return dev <= 4.0 * est.stderr, f"dev {dev:.2e} vs 4se {4*est.stderr:.2e}"
 
 
@@ -493,5 +493,5 @@ def run_suite(level="fast", seed=0):
     (results, all_passed)."""
     if level not in ("fast", "full"):
         raise ValueError(f"unknown level {level!r}")
-    results = [check(seed=seed) for _, check, full in _REGISTRY if level == "full" or not full]
+    results = [check(seed=seed) for check in (FULL_CHECKS if level == "full" else FAST_CHECKS)]
     return results, all(r.passed for r in results)

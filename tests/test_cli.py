@@ -334,7 +334,7 @@ def test_reseeded_checks_stay_in_seed_range(monkeypatch):
     def fake(*args):
         seeds.append(args[-1])
         make_rng(args[-1])
-        return SimpleNamespace(mean=0.0, stderr=math.inf)
+        return SimpleNamespace(value=0.0, stderr=math.inf)
 
     monkeypatch.setattr(verify, "empirical_pred_error", fake)
     monkeypatch.setattr(verify, "empirical_coherent_mi", fake)
@@ -364,7 +364,7 @@ def test_default_bounds_depend_on_density(capsys):
     assert "lower_pg" in header and "coherent" in header
 
 
-def test_beta_axis_adds_column(capsys):
+def test_peak_bound_carries_alpha_column(capsys):
     argv = ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0", "--beta", "2",
             "--bounds", "upper_peak"]
     _, out = _run(capsys, argv)
@@ -425,10 +425,23 @@ def test_figure_7_entropy_gap_columns(capsys):
     assert float(last[4]) == pytest.approx(0.5772156649015329, abs=1e-15)
 
 
+def test_figure_2_has_a_beta_column(capsys):
+    # figure 2 is the one grid of several betas (1, 2 and 4)
+    _, out = _run(capsys, ["figure", "2", "--mc-n", "20"])
+    _, header, rows = _parse_csv(out)
+    assert header == ["f_d", "snr_db", "beta", "upper_pg", "upper_pg_clamped", "upper_peak",
+                      "upper_peak_clamped", "upper_peak_alpha", "lower_cm", "lower_cm_stderr",
+                      "lower_cm_clamped"]
+    assert len(rows) == 49 * 2 * 3 == 294
+    assert [float(r[2]) for r in rows[:3]] == [1.0, 2.0, 4.0]
+
+
 def test_figure_4_carries_stderr_columns(capsys):
     _, out = _run(capsys, ["figure", "4", "--mc-n", "2000"])
     _, header, rows = _parse_csv(out)
     assert len(rows) == 3 * 9
+    # one beta (2) is no axis: no beta column
+    assert header[:3] == ["f_d", "snr_db", "sethuraman_upper"] and "beta" not in header
     assert "sethuraman_lower_stderr" in header
     assert "sethuraman_lower_ts_alpha" in header
     i = header.index("sethuraman_lower_stderr")

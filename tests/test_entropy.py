@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from fadingrate.entropy import (
-    EntropyRate,
     _s_rule,
     entropy_gaps,
     h_y_lower,
@@ -192,10 +191,3 @@ def test_entropy_gaps_nonnegative_and_monotone():
             total = gy + gyx
             assert total >= prev - 1e-12
             prev = total
-
-
-def test_entropy_rate_kind_tags():
-    p = ChannelParams()
-    assert h_y_lower(p).kind == "hy_lower"
-    assert h_y_upper(p).kind == "hy_upper"
-    assert isinstance(h_y_upper_refined(p), EntropyRate)

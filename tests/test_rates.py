@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
-from fadingrate.quadrature import EULER_GAMMA, g_logmoment, make_rng, szego_log_integral
+from fadingrate.quadrature import (EULER_GAMMA, BoundValue, g_logmoment, make_rng,
+                                   szego_log_integral)
 from fadingrate.rates import (
-    BoundValue,
     PeakConstraint,
     alpha_opt_conditions,
     coherent_capacity,
@@ -326,7 +326,7 @@ class TestScaffolding:
 
     def test_bound_value_alpha_validation(self):
         with pytest.raises(ValueError):
-            BoundValue(value=1.0, kind="x", alpha_used=1.5)
+            BoundValue(value=1.0, alpha_used=1.5)
 
     def test_rho_is_left_associated_product(self):
         p = ChannelParams(sigma_x2=3.0, sigma_h2=2.0, sigma_n2=4.0)

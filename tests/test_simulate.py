@@ -11,7 +11,7 @@ from scipy import linalg, special
 
 from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
 from fadingrate.prediction import PowerProfile, ToeplitzCov, _schur, pred_error_finite
-from fadingrate.quadrature import McEstimate, _complex_normal, g_logmoment, make_rng
+from fadingrate.quadrature import BoundValue, _complex_normal, g_logmoment, make_rng
 from fadingrate import simulate
 from fadingrate.cli import main
 from fadingrate.mcrates import coherent_mi_cm
@@ -355,7 +355,7 @@ def test_empirical_prediction_matches_analytic():
     analytic = pred_error_finite(ToeplitzCov.from_model(model, 4), z, 1.0)
     for attempt, n_real in enumerate((1500, 6000)):
         est = empirical_pred_error(model, z, 1.0, n_real, seed=23 + attempt)
-        if abs(est.mean - analytic) <= 4.0 * est.stderr:
+        if abs(est.value - analytic) <= 4.0 * est.stderr:
             return
     pytest.fail("empirical prediction error outside 4 sigma after retry")
 
@@ -374,14 +374,13 @@ def test_empirical_prediction_draws_batch_rows_and_one_noise_stream():
     noise = _complex_normal(make_rng(seed, count), 3 * count).reshape(count, 3)
     y = s * h[:, 2::-1] + math.sqrt(sigma_n2) * noise
     errs = np.abs(h[:, 3] - y @ weights) ** 2
-    assert est.n == count and est.seed == seed
-    assert est.mean == pytest.approx(errs.mean(), rel=1e-12)
+    assert est.value == pytest.approx(errs.mean(), rel=1e-12)
 
 
 def test_empirical_prediction_empty_past():
     model = Rectangular(0.2, sigma_h2=1.3)
     est = empirical_pred_error(model, PowerProfile(()), 1.0, 2000, seed=2)
-    assert abs(est.mean - 1.3) <= 4.0 * est.stderr
+    assert abs(est.value - 1.3) <= 4.0 * est.stderr
 
 
 def test_empirical_prediction_validation():
@@ -398,16 +397,16 @@ def test_empirical_pg_determinism_and_error_scaling():
     small = empirical_coherent_mi(1.0, 20_000, seed=3)
     small2 = empirical_coherent_mi(1.0, 20_000, seed=3)
     big = empirical_coherent_mi(1.0, 320_000, seed=4)
-    assert small.mean == small2.mean and small.stderr == small2.stderr
-    assert isinstance(small, McEstimate) and small.n == 20_000 and small.seed == 3
+    assert small.value == small2.value and small.stderr == small2.stderr
+    assert isinstance(small, BoundValue)
     assert big.stderr < small.stderr / 3.0  # 16x samples -> ~4x smaller
-    assert abs(small.mean - g_logmoment(1.0)) < 4.0 * small.stderr
+    assert abs(small.value - g_logmoment(1.0)) < 4.0 * small.stderr
 
 
 def test_empirical_pg_capacity():
     est = empirical_coherent_mi(1.0, 1_000_000, seed=0)
-    assert abs(est.mean - g_logmoment(1.0)) <= 4.0 * est.stderr
-    assert est.mean == pytest.approx(0.596347, abs=4.0 * est.stderr)
+    assert abs(est.value - g_logmoment(1.0)) <= 4.0 * est.stderr
+    assert est.value == pytest.approx(0.596347, abs=4.0 * est.stderr)
 
 
 def _drawn_coherent_mi_cm(rho, m_points, n, seed):
@@ -428,14 +427,17 @@ def test_empirical_cm_agrees_with_reduced_estimator():
     # symmetry-reduced one must estimate the same number
     a_mean, a_stderr = _drawn_coherent_mi_cm(2.0, 16, 50_000, seed=5)
     b = coherent_mi_cm(2.0, m_points=16, n=50_000, seed=6)
-    assert abs(a_mean - b.mean) <= 4.0 * math.hypot(a_stderr, b.stderr)
+    assert abs(a_mean - b.value) <= 4.0 * math.hypot(a_stderr, b.stderr)
 
 
 def test_empirical_mi_validation():
     with pytest.raises(ValueError):
         empirical_coherent_mi(1.0, 100, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         empirical_coherent_mi(-1.0, 20_000, seed=0)
+    for rho in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            empirical_coherent_mi(rho, 20_000, seed=0)
 
 
 def test_dump_round_trip(tmp_path):
