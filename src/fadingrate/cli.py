@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .entropy import entropy_gaps, h_y_lower, h_y_upper_refined
-from .mcrates import rate_lower_cm, rate_lower_cm_timeshare, sethuraman_lower
+from .mcrates import rate_lower_cm, sethuraman_lower
 from .model import ChannelParams, Jakes, RaisedCosine, Rectangular
 from .prediction import PowerProfile, ToeplitzCov, pred_error_cm_infinite, pred_error_finite
 from .quadrature import EULER_GAMMA, make_rng
@@ -136,8 +136,16 @@ class Bound:
     columns: tuple
     evaluate: Callable
     rect_only: bool = False
-    needs_beta: bool = False
-    monte_carlo: bool = False
+
+    @property
+    def needs_beta(self):
+        # a peak bound prints the on-fraction it chose
+        return any(name.endswith("_alpha") for name, _ in self.columns)
+
+    @property
+    def monte_carlo(self):
+        # a Monte Carlo bound prints its standard error
+        return any(name.endswith("_stderr") for name, _ in self.columns)
 
 
 # BoundValue field behind each column suffix (every bound and Monte Carlo
@@ -146,7 +154,7 @@ _SUFFIX_FIELDS = {"": ("value", True), "_stderr": ("stderr", True),
                   "_clamped": ("clamped", False), "_alpha": ("alpha_used", False)}
 
 
-def _fields(name, suffixes, evaluate, **kinds):
+def _fields(name, suffixes, evaluate, rect_only=False):
     """Entry for an evaluator returning a BoundValue: column name+suffix
     carries the field the suffix names."""
     fields = [_SUFFIX_FIELDS[s][0] for s in suffixes]
@@ -155,7 +163,7 @@ def _fields(name, suffixes, evaluate, **kinds):
         b = evaluate(*args, **kwargs)
         return [getattr(b, f) for f in fields]
 
-    return Bound(tuple((name + s, _SUFFIX_FIELDS[s][1]) for s in suffixes), cells, **kinds)
+    return Bound(tuple((name + s, _SUFFIX_FIELDS[s][1]) for s in suffixes), cells, rect_only)
 
 
 def _sd_cells(params, model, peak, **_):
@@ -183,25 +191,21 @@ BOUNDS = {
     "coherent": _fields("coherent", ("",), lambda p, m, peak, **_: coherent_capacity(p.rho)),
     # the flat-density peak bound is the spectral one on Rectangular(f_d)
     "upper_peak": _fields("upper_peak", _PEAK, lambda p, m, peak, **_: sethuraman_upper(p, m, peak),
-                          rect_only=True, needs_beta=True),
+                          rect_only=True),
     "sethuraman_upper": _fields("sethuraman_upper", _PEAK,
-                                lambda p, m, peak, **_: sethuraman_upper(p, m, peak),
-                                needs_beta=True),
+                                lambda p, m, peak, **_: sethuraman_upper(p, m, peak)),
     "upper_pred_peak": _fields("upper_pred_peak", _PEAK,
-                               lambda p, m, peak, **_: rate_upper_pred_peak(p, m, peak),
-                               needs_beta=True),
+                               lambda p, m, peak, **_: rate_upper_pred_peak(p, m, peak)),
+    # the Monte Carlo bounds time-share when given the peak constraint
     "lower_cm": _fields("lower_cm", ("", "_stderr", "_clamped"),
-                        lambda p, m, peak, **mc: rate_lower_cm(p, m, **mc), monte_carlo=True),
+                        lambda p, m, peak, **mc: rate_lower_cm(p, m, **mc)),
     "lower_cm_ts": _fields("lower_cm_ts", ("", "_stderr", "_clamped", "_alpha"),
-                           lambda p, m, peak, **mc: rate_lower_cm_timeshare(p, m, peak, **mc),
-                           needs_beta=True, monte_carlo=True),
+                           lambda p, m, peak, **mc: rate_lower_cm(p, m, peak, **mc)),
     "sethuraman_lower": _fields("sethuraman_lower", ("", "_stderr"),
-                                lambda p, m, peak, **mc: sethuraman_lower(p, m, **mc),
-                                monte_carlo=True),
+                                lambda p, m, peak, **mc: sethuraman_lower(p, m, **mc)),
     "sethuraman_lower_ts": _fields(
         "sethuraman_lower_ts", ("", "_stderr", "_alpha"),
-        lambda p, m, peak, **mc: sethuraman_lower(p, m, timeshare=True, peak=peak, **mc),
-        needs_beta=True, monte_carlo=True),
+        lambda p, m, peak, **mc: sethuraman_lower(p, m, peak, timeshare=True, **mc)),
     "sd": Bound((("sd_lower", True), ("sd_upper", True), ("sd_L", False)), _sd_cells),
     "lapidoth": Bound((("lap_upper", True), ("lap_lower", True)), _lapidoth_cells),
 }
@@ -399,14 +403,13 @@ def cmd_verify(args):
 def cmd_predict(args):
     psd_kind, rolloff = _parse_psd(args.psd)
     model = _make_model(psd_kind, rolloff, args.fd, args.sigma_h2)
+    if (args.power is None) == (args.powers is None):
+        raise _UsageError("predict needs exactly one of --power (infinite past) and --powers "
+                          "(finite past)")
     try:
-        if args.infinite:
-            if args.power is None:
-                raise _UsageError("--infinite requires --power")
+        if args.power is not None:
             value = pred_error_cm_infinite(model, args.power, args.sigma_n2)
         else:
-            if args.powers is None:
-                raise _UsageError("provide --powers, or --infinite with --power")
             powers = _parse_float_list(args.powers, "--powers")
             if len(powers) > _MAX_PAST:
                 raise _UsageError(f"--powers has {len(powers)} values, over the cap of {_MAX_PAST}")
@@ -484,11 +487,10 @@ def _build_parser():
     p.add_argument("--sigma-h2", type=float, default=1.0)
     p.add_argument("--sigma-n2", type=float, default=1.0)
     p.add_argument("--powers", default=None,
-                   help=f"comma-separated past transmit powers, most recent first "
+                   help=f"finite past: comma-separated transmit powers, most recent first "
                         f"(at most {_MAX_PAST})")
-    p.add_argument("--infinite", action="store_true",
-                   help="infinite past at constant power (requires --power)")
-    p.add_argument("--power", type=float, default=None)
+    p.add_argument("--power", type=float, default=None,
+                   help="infinite past at this constant transmit power")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("simulate", help="synthesize fading traces to a binary dump")

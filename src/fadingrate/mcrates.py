@@ -3,9 +3,11 @@
 The coherent mutual information of an m-point uniform-phase constellation
 has no closed form; it is estimated by seeded Monte Carlo with the channel
 magnitude drawn from its Rayleigh law.  The same estimator drives the
-achievable-rate lower bounds, including their time-sharing variants, which
-maximize over the boost factor gamma with common random numbers so the
-search objective is smooth.
+achievable-rate lower bounds.  A peak constraint with beta > 1 turns on
+their time sharing, which maximizes over the boost factor gamma in
+[1, beta] with common random numbers so the search objective is smooth.
+Overflow in an estimator raises FloatingPointError (an ArithmeticError)
+instead of returning a non-finite value with a numpy warning.
 """
 
 from __future__ import annotations
@@ -26,16 +28,11 @@ from .rates import PeakConstraint
 __all__ = [
     "coherent_mi_cm",
     "rate_lower_cm",
-    "rate_lower_cm_timeshare",
     "sethuraman_lower",
 ]
 
-
-def _points(m_points):
-    m_points = int(m_points)
-    if m_points < 2:
-        raise ValueError("need at least 2 constellation points")
-    return m_points
+# constellation size of the constant-modulus lower bounds
+_M_POINTS = 100
 
 
 def _draw_base(seed, n):
@@ -54,7 +51,8 @@ def _cm_mi_samples(z, w, snr, m):
     return math.log(m) - np.abs(w) ** 2 - _log_mix_psk(h + w, h, m, 1.0)
 
 
-def coherent_mi_cm(rho, m_points=100, seed=0, n=None) -> BoundValue:
+@np.errstate(over="raise")
+def coherent_mi_cm(rho, m_points=_M_POINTS, seed=0, n=None) -> BoundValue:
     """Mutual information of an m-point uniform-phase constant-modulus
     constellation over the coherent channel, in nats.
 
@@ -62,7 +60,9 @@ def coherent_mi_cm(rho, m_points=100, seed=0, n=None) -> BoundValue:
     below both coherent capacity and log(m_points).
     """
     rho = _finite_nonnegative(rho, "rho")
-    m = _points(m_points)
+    m = int(m_points)
+    if m < 2:
+        raise ValueError("need at least 2 constellation points")
     _, z, w = _draw_base(seed, n)
     mean, stderr = _mean_stderr(_cm_mi_samples(z, w, rho, m))
     return BoundValue(value=mean, stderr=stderr)
@@ -70,14 +70,16 @@ def coherent_mi_cm(rho, m_points=100, seed=0, n=None) -> BoundValue:
 
 def _golden_max(fun, lo, hi, best):
     # golden-section maximization of a deterministic scalar function, to a
-    # bracket of 1e-4; best = (value, point) is the best point evaluated
-    # before, and the best of it and the last two interior points wins
+    # bracket of 1e-4, or until the bracket holds no two distinct interior
+    # doubles (past 2^39 one ulp exceeds 1e-4); best = (value, point) is
+    # the best point evaluated before, and the best of it and the last two
+    # interior points wins
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    while b - a > 1e-4:
+    while b - a > 1e-4 and a < c < d < b:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -119,34 +121,29 @@ def _timeshared(samples, rate, beta, n):
     return gamma_opt, rate(gamma_opt, mean), stderr / gamma_opt
 
 
-def rate_lower_cm(params: ChannelParams, model: PsdModel, m_points=100,
+@np.errstate(over="raise")
+def rate_lower_cm(params: ChannelParams, model: PsdModel, peak: PeakConstraint | None = None,
                   seed=0, n=None) -> BoundValue:
     """Achievable rate with i.i.d. constant-modulus inputs: the coherent
     constellation information minus the spectral log integral, clamped at 0.
-    This is the time-sharing bound without peak headroom (beta = 1)."""
-    return rate_lower_cm_timeshare(params, model, PeakConstraint(1.0), m_points, seed, n)
 
-
-def rate_lower_cm_timeshare(params: ChannelParams, model: PsdModel, peak: PeakConstraint,
-                            m_points=100, seed=0, n=None) -> BoundValue:
-    """Time-sharing variant of the constant-modulus lower bound: transmit a
+    With a peak ratio beta > 1 the bound time-shares: it transmits a
     fraction 1/gamma of the time at power gamma sigma_x2, maximized over
     gamma in [1, beta] (common random numbers keep the search smooth).
-
+    Without a peak constraint, or at beta = 1, there is no search.
     alpha_used records the duty cycle 1/gamma_opt.
     """
     _check_model(params, model)
-    m = _points(m_points)
     n, z, w = _draw_base(seed, n)
     rho = params.rho
 
     def samples(gamma, count):
-        return _cm_mi_samples(z[:count], w[:count], gamma * rho, m)
+        return _cm_mi_samples(z[:count], w[:count], gamma * rho, _M_POINTS)
 
     def rate(gamma, mean):
         return (mean - szego_log_integral(model, gamma * rho)) / gamma
 
-    gamma_opt, raw, stderr = _timeshared(samples, rate, peak.beta, n)
+    gamma_opt, raw, stderr = _timeshared(samples, rate, 1.0 if peak is None else peak.beta, n)
     return BoundValue(value=max(0.0, raw), clamped=raw < 0.0, alpha_used=1.0 / gamma_opt,
                       unclamped=raw, stderr=stderr)
 
@@ -161,22 +158,21 @@ def _sd_entropy_samples(z, w, hat_var, amp, sigma_eff2, m):
     return math.log(m) + log_norm - _log_mix_psk(y, centers, m, sigma_eff2)
 
 
-def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
-                     timeshare=False, peak: PeakConstraint | None = None,
-                     seed=0, n=None) -> BoundValue:
+@np.errstate(over="raise")
+def sethuraman_lower(params: ChannelParams, model: PsdModel, peak: PeakConstraint | None = None,
+                     seed=0, n=None, *, timeshare=False) -> BoundValue:
     """Achievable-rate lower bound for constant-modulus inputs decoded
     against the infinite-past channel prediction.
 
     The conditional output entropy given the prediction is Monte Carlo
-    estimated; the time-sharing variant boosts the power by gamma in
-    [1, peak.beta] during a 1/gamma duty cycle and maximizes the rate.
-    The raw value is reported without clamping (near rho = 0 it is zero
-    only up to Monte Carlo noise).
+    estimated.  With a peak ratio beta > 1 the bound time-shares: it boosts
+    the power by gamma in [1, beta] during a 1/gamma duty cycle and
+    maximizes the rate; without a peak constraint, or at beta = 1, there is
+    no search.  The raw value is reported without clamping (near rho = 0 it
+    is zero only up to Monte Carlo noise).  timeshare only labels the call:
+    perfbench/spans.py reports timeshare=True as sethuraman_lower_ts.
     """
     _check_model(params, model)
-    m = _points(cm_points)
-    if timeshare and peak is None:
-        raise ValueError("time-sharing variant needs the peak constraint")
     n, z, w = _draw_base(seed, n)
     rho = params.rho
     sigma_h2 = params.sigma_h2
@@ -189,12 +185,12 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, cm_points=100,
         hat_var = max(sigma_h2 - s2, 0.0)
         sigma_eff2 = power * s2 + sigma_n2
         return _sd_entropy_samples(z[:count], w[:count], hat_var, math.sqrt(power),
-                                   sigma_eff2, m)
+                                   sigma_eff2, _M_POINTS)
 
     def rate(gamma, mean):
         # rate at boost gamma over a 1/gamma duty cycle
         c_l1 = mean - noise_entropy(sigma_n2) - szego_log_integral(model, gamma * rho)
         return c_l1 / gamma
 
-    gamma_opt, raw, stderr = _timeshared(samples, rate, peak.beta if timeshare else 1.0, n)
+    gamma_opt, raw, stderr = _timeshared(samples, rate, 1.0 if peak is None else peak.beta, n)
     return BoundValue(value=raw, alpha_used=1.0 / gamma_opt, unclamped=raw, stderr=stderr)

@@ -229,11 +229,13 @@ def empirical_pred_error(model: PsdModel, z: PowerProfile, sigma_n2,
     return BoundValue(value=mean, stderr=stderr)
 
 
+@np.errstate(over="raise")
 def empirical_coherent_mi(rho, n, seed) -> BoundValue:
     """Coherent mutual information E log(1 + rho |h|^2/sigma_h2) of the
     proper Gaussian input, by direct simulation of the fading magnitude:
     stream (seed, 0) is drawn _MI_BLOCK samples at a time, so memory stays
-    at a few blocks for any n."""
+    at a few blocks for any n.  A rho whose samples overflow raises
+    FloatingPointError."""
     rho = _finite_nonnegative(rho, "rho")
     n = int(n)
     if n < 10_000:

@@ -433,10 +433,7 @@ def check_peak_bound_ordering(rng):
             pred = rate_upper_pred_peak(params, model, peak).value
             seth = sethuraman_upper(params, model, peak).value
             worst_pair = max(worst_pair, pred - seth)
-            low = sethuraman_lower(
-                params, model, cm_points=100, timeshare=False, peak=peak,
-                seed=_sub_seed(rng), n=100_000,
-            )
+            low = sethuraman_lower(params, model, seed=_sub_seed(rng), n=100_000)
             worst_low = max(worst_low, low.value - pred - 3.0 * low.stderr)
     ok = worst_pair <= 1e-12 and worst_low <= 0.0
     return ok, f"max(pred - spectral) {worst_pair:.2e}, max(lower - pred - 3se) {worst_low:.2e}"

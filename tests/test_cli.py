@@ -114,7 +114,7 @@ def test_out_file_matches_stdout(tmp_path, capsys):
         ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "0", "--bounds", "magic"],
         ["sweep", "--psd", "rect", "--fd", "0.6", "--snr-db", "0"],
         ["figure", "9"],
-        ["predict", "--psd", "rect", "--fd", "0.1", "--infinite"],
+        ["predict", "--psd", "rect", "--fd", "0.1", "--powers", "1,1", "--power", "5"],
         ["predict", "--psd", "rect", "--fd", "0.1"],
         ["simulate", "--psd", "jakes", "--fd", "0.1", "--n", "512", "--out", "/dev/null"],
         ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "nan"],
@@ -151,13 +151,13 @@ def test_out_file_matches_stdout(tmp_path, capsys):
         ["simulate", "--psd", "rect", "--fd", "0.1", "--n", "1048577", "--out", "/dev/null"],
         ["simulate", "--psd", "rect", "--fd", "0.1", "--n", "1024", "--realizations", "48829",
          "--out", "/dev/null"],
-        ["predict", "--psd", "rect", "--fd", "0.1", "--infinite", "--power", "inf"],
-        ["predict", "--psd", "rect", "--fd", "0.1", "--infinite", "--power", "nan"],
-        ["predict", "--psd", "rect", "--fd", "0.1", "--infinite", "--power", "1",
+        ["predict", "--psd", "rect", "--fd", "0.1", "--power", "inf"],
+        ["predict", "--psd", "rect", "--fd", "0.1", "--power", "nan"],
+        ["predict", "--psd", "rect", "--fd", "0.1", "--power", "1",
          "--sigma-n2", "inf"],
-        ["predict", "--psd", "rect", "--fd", "0.1", "--infinite", "--power", "1e308"],
-        ["predict", "--psd", "jakes", "--fd", "0.1", "--infinite", "--power", "inf"],
-        ["predict", "--psd", "jakes", "--fd", "0.1", "--infinite", "--power", "1e308"],
+        ["predict", "--psd", "rect", "--fd", "0.1", "--power", "1e308"],
+        ["predict", "--psd", "jakes", "--fd", "0.1", "--power", "inf"],
+        ["predict", "--psd", "jakes", "--fd", "0.1", "--power", "1e308"],
         ["predict", "--psd", "rect", "--fd", "0.1", "--powers", ",".join(["1"] * 4096)],
         ["predict", "--psd", "rect", "--fd", "0.1", "--powers", "1,2", "--sigma-n2", "inf"],
         ["predict", "--psd", "rect", "--fd", "0.1", "--powers", "1,1", "--sigma-n2", "nan"],
@@ -177,9 +177,12 @@ def test_out_file_matches_stdout(tmp_path, capsys):
          "--bounds", "sethuraman_upper"],
         ["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "3000", "--beta", "1e10",
          "--bounds", "sethuraman_upper"],
+        *(["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "3080", "--beta", "2",
+           "--bounds", name, "--mc-n", "100"]
+          for name in ("lower_cm", "lower_cm_ts", "sethuraman_lower", "sethuraman_lower_ts")),
     ],
     ids=["rect-only-bound", "peak-needs-beta", "bad-psd", "bad-rolloff", "bad-grid",
-         "unknown-bound", "bad-fd", "bad-figure", "infinite-needs-power",
+         "unknown-bound", "bad-fd", "bad-figure", "predict-both-pasts",
          "missing-powers", "infeasible-embedding", "snr-nan", "snr-not-a-number",
          "snr-overflow", "grid-over-row-cap", "fd-nan", "fd-overflow", "beta-nan",
          "beta-below-one", "beta-inf", "mc-n-zero", "mc-n-negative", "mc-n-one",
@@ -193,7 +196,8 @@ def test_out_file_matches_stdout(tmp_path, capsys):
          "verify-seed-negative",
          "verify-seed-overflow", "sweep-seed-negative", "sweep-seed-overflow",
          "sim-seed-overflow", "figure-seed-negative", "jakes-spectral-arg-inf",
-         "rect-spectral-arg-inf"],
+         "rect-spectral-arg-inf", "lower_cm-overflow", "lower_cm_ts-overflow",
+         "sethuraman_lower-overflow", "sethuraman_lower_ts-overflow"],
 )
 # a numpy warning would print to stderr beside the error line
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -208,6 +212,13 @@ def test_usage_errors_exit_2(argv, capsys, request):
 # the stated reason of the refusals whose wording is part of the contract
 USAGE_REASONS = {
     "pred-pg-float-edge": "argument must be finite, got inf",
+    "predict-both-pasts": "predict needs exactly one of --power (infinite past) and --powers "
+                          "(finite past)",
+    "missing-powers": "predict needs exactly one of --power (infinite past) and --powers "
+                      "(finite past)",
+    "lower_cm-overflow": "overflow encountered in multiply",
+    "lower_cm_ts-overflow": "overflow encountered in multiply",
+    "sethuraman_lower_ts-overflow": "overflow encountered in scalar multiply",
     "mc-n-over-cap": "--mc-n 100000001 exceeds the cap of 100000000 samples",
     "figure-mc-n-over-cap": "--mc-n 1000000000000 exceeds the cap of 100000000 samples",
     "sim-n-over-cap": "--n 1048577 exceeds the trace-length cap of 1048576",
@@ -289,6 +300,42 @@ def test_bound_header_contract(name, capsys):
             assert vb == vn
         else:
             assert float(vb) == pytest.approx(float(vn) / math.log(2.0), rel=1e-15)
+
+
+# the README table's last three columns: (rect only, needs --beta, Monte Carlo)
+KINDS = {
+    "lower_pg": (False, False, False),
+    "upper_pg": (True, False, False),
+    "upper_pred_pg": (False, False, False),
+    "coherent": (False, False, False),
+    "upper_peak": (True, True, False),
+    "sethuraman_upper": (False, True, False),
+    "upper_pred_peak": (False, True, False),
+    "lower_cm": (False, False, True),
+    "lower_cm_ts": (False, True, True),
+    "sethuraman_lower": (False, False, True),
+    "sethuraman_lower_ts": (False, True, True),
+    "sd": (False, False, False),
+    "lapidoth": (False, False, False),
+}
+
+
+@pytest.mark.parametrize("name", list(KINDS))
+def test_bound_kinds(name, capsys):
+    """What sweep does with each entry: refuse it without --beta, refuse it
+    on Jakes, print a _stderr column."""
+    assert list(KINDS) == list(cli.BOUNDS)
+    rect_only, needs_beta, monte_carlo = KINDS[name]
+    argv = ["sweep", "--fd", "0.05", "--snr-db", "10", "--bounds", name, "--mc-n", "50"]
+    assert main(argv + ["--psd", "rect"]) == (2 if needs_beta else 0)
+    assert capsys.readouterr().err == (f"error: bound {name!r} requires --beta\n"
+                                       if needs_beta else "")
+    assert main(argv + ["--psd", "jakes", "--beta", "2"]) == (2 if rect_only else 0)
+    assert capsys.readouterr().err == (f"error: bound {name!r} is defined for --psd rect only\n"
+                                       if rect_only else "")
+    _, out = _run(capsys, argv + ["--psd", "rect", "--beta", "2"])
+    header = _parse_csv(out)[1]
+    assert any(col.endswith("_stderr") for col in header) == monte_carlo
 
 
 def test_bounds_help_and_error_list_every_bound(capsys):
@@ -481,7 +528,7 @@ def test_predict_finite(capsys):
 
 def test_predict_infinite(capsys):
     code, out = _run(capsys, ["predict", "--psd", "rect", "--fd", "0.1",
-                              "--infinite", "--power", "1"])
+                              "--power", "1"])
     assert code == 0
     assert float(out) == pytest.approx(6.0 ** 0.2 - 1.0, abs=1e-13)
 

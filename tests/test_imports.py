@@ -123,7 +123,7 @@ PUBLIC_NAMES = {
     "rate_upper_pred_pg", "rate_upper_pred_peak", "sethuraman_upper", "lapidoth_asymptotes",
     "sd_rate_bounds", "sd_optimal_L", "sd_max_spacing", "iid_low_snr_conditions",
     # mcrates
-    "coherent_mi_cm", "rate_lower_cm", "rate_lower_cm_timeshare", "sethuraman_lower",
+    "coherent_mi_cm", "rate_lower_cm", "sethuraman_lower",
     # simulate
     "gen_fading_batch", "empirical_pred_error", "empirical_coherent_mi",
     "write_fading_dump", "read_fading_dump",
@@ -133,7 +133,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_exactly_the_pinned_set():
-    assert len(PUBLIC_NAMES) == 54
+    assert len(PUBLIC_NAMES) == 53
     assert len(fadingrate.__all__) == len(set(fadingrate.__all__))
     assert set(fadingrate.__all__) == PUBLIC_NAMES
     for name in fadingrate.__all__:

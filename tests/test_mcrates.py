@@ -7,12 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fadingrate import mcrates
-from fadingrate.mcrates import (
-    coherent_mi_cm,
-    rate_lower_cm,
-    rate_lower_cm_timeshare,
-    sethuraman_lower,
-)
+from fadingrate.mcrates import coherent_mi_cm, rate_lower_cm, sethuraman_lower
 from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
 from fadingrate.quadrature import g_logmoment
 from fadingrate.rates import PeakConstraint
@@ -55,12 +50,12 @@ def test_estimates_pinned_to_the_bit():
     CSV bytes; it must show here (and per sample in the log-mixture kernel
     tests), not first in the figures."""
     model = Rectangular(0.05)
-    ts = sethuraman_lower(ChannelParams(f_d=0.05, sigma_x2=0.25), model, timeshare=True,
-                          peak=PeakConstraint(2.0), seed=11, n=2000)
+    ts = sethuraman_lower(ChannelParams(f_d=0.05, sigma_x2=0.25), model, PeakConstraint(2.0),
+                          seed=11, n=2000)
     assert (ts.value, ts.stderr, ts.alpha_used) == (
         0.10832946129039879, 0.011306428057363423, 0.51236038748826118)
-    cm = rate_lower_cm_timeshare(ChannelParams(f_d=0.05, sigma_x2=0.5), model,
-                                 PeakConstraint(2.0), seed=11, n=2000)
+    cm = rate_lower_cm(ChannelParams(f_d=0.05, sigma_x2=0.5), model, PeakConstraint(2.0),
+                       seed=11, n=2000)
     assert (cm.value, cm.stderr, cm.alpha_used) == (
         0.17459847364856509, 0.014764543555009295, 0.89756564294500685)
     mi = coherent_mi_cm(2.0, seed=11, n=2000)
@@ -81,6 +76,21 @@ def test_constellation_size_validation():
     for rho in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             coherent_mi_cm(rho, n=N_SMALL)
+
+
+def test_overflow_raises_before_numpy_warns():
+    """A finite SNR whose samples overflow raises, under pytest's
+    RuntimeWarning-as-error, as an ArithmeticError and not a warning; the
+    parent returned NaN from coherent_mi_cm and warned in every bound."""
+    with pytest.raises(ArithmeticError, match="overflow"):
+        coherent_mi_cm(1e308, n=100)
+    p = ChannelParams(f_d=0.1, sigma_x2=1e308)
+    model = Rectangular(0.1)
+    for peak in (None, PeakConstraint(2.0)):
+        with pytest.raises(ArithmeticError, match="overflow"):
+            rate_lower_cm(p, model, peak, n=100)
+    with pytest.raises(ArithmeticError, match="overflow"):
+        sethuraman_lower(p, model, PeakConstraint(2.0), n=100)
 
 
 def test_lower_cm_matches_manual_subtraction():
@@ -106,7 +116,7 @@ def test_timeshare_beta1_reduces_to_plain():
     p = ChannelParams(f_d=0.1, sigma_x2=1.0)
     model = Rectangular(0.1)
     plain = rate_lower_cm(p, model, seed=5, n=N_SMALL)
-    ts = rate_lower_cm_timeshare(p, model, PeakConstraint(1.0), seed=5, n=N_SMALL)
+    ts = rate_lower_cm(p, model, PeakConstraint(1.0), seed=5, n=N_SMALL)
     assert ts.value == plain.value
     assert ts.alpha_used == 1.0
 
@@ -116,7 +126,7 @@ def test_timeshare_never_loses():
     p = ChannelParams(f_d=0.25, sigma_x2=0.5)
     model = Rectangular(0.25)
     plain = rate_lower_cm(p, model, seed=6, n=N_SMALL)
-    ts = rate_lower_cm_timeshare(p, model, PeakConstraint(4.0), seed=6, n=N_SMALL)
+    ts = rate_lower_cm(p, model, PeakConstraint(4.0), seed=6, n=N_SMALL)
     assert ts.value >= plain.value - 3.0 * (plain.stderr + ts.stderr)
     assert 0.0 < ts.alpha_used <= 1.0
 
@@ -140,10 +150,10 @@ def test_timeshare_never_below_plain_on_same_samples(f_d, snr_db, log10_beta, ps
     The example lost the whole rate to an unevaluated bracket midpoint."""
     p, model, peak = _case(psd, f_d, snr_db, 10.0 ** log10_beta)
     plain = rate_lower_cm(p, model, seed=seed, n=400)
-    ts = rate_lower_cm_timeshare(p, model, peak, seed=seed, n=400)
+    ts = rate_lower_cm(p, model, peak, seed=seed, n=400)
     assert ts.unclamped >= plain.unclamped
     plain = sethuraman_lower(p, model, seed=seed, n=400)
-    ts = sethuraman_lower(p, model, timeshare=True, peak=peak, seed=seed, n=400)
+    ts = sethuraman_lower(p, model, peak, seed=seed, n=400)
     assert ts.unclamped >= plain.unclamped
 
 
@@ -156,9 +166,8 @@ def test_timeshare_search_size(monkeypatch):
     monkeypatch.setattr(mcrates, "_log_mix_psk", lambda *a: calls.append(a) or kernel(*a))
     for psd, snr_db in [("rect", -10.0), ("rc:0.2", 10.0), ("jakes", 30.0)]:
         p, model, peak = _case(psd, 0.01, snr_db, 2.0)
-        for estimate in (lambda: rate_lower_cm_timeshare(p, model, peak, seed=1, n=400),
-                         lambda: sethuraman_lower(p, model, timeshare=True, peak=peak, seed=1,
-                                                  n=400)):
+        for estimate in (lambda: rate_lower_cm(p, model, peak, seed=1, n=400),
+                         lambda: sethuraman_lower(p, model, peak, seed=1, n=400)):
             calls.clear()
             estimate()
             assert 16 + 1 < len(calls) <= 16 + 18 + 1
@@ -181,8 +190,8 @@ def test_timeshare_search_finds_grid_maximum(monkeypatch):
                                          ("jakes", 0.1, 20.0, 4.0, 4),
                                          ("jakes", 0.001, -10.0, 8.0, 5)]:
         p, model, peak = _case(psd, f_d, snr_db, beta)
-        rate_lower_cm_timeshare(p, model, peak, seed=seed, n=400)
-        sethuraman_lower(p, model, timeshare=True, peak=peak, seed=seed, n=400)
+        rate_lower_cm(p, model, peak, seed=seed, n=400)
+        sethuraman_lower(p, model, peak, seed=seed, n=400)
     assert len(searches) == 8
     for samples, rate, beta, n, gamma_opt in searches:
         def objective(gamma):
@@ -190,6 +199,25 @@ def test_timeshare_search_finds_grid_maximum(monkeypatch):
 
         best = max(objective(g) for g in np.linspace(1.0, beta, 1025))
         assert objective(gamma_opt) >= best - 1e-9 * abs(best)
+
+
+def test_golden_section_stops_where_doubles_run_out():
+    """Past 2^39 one ulp exceeds the 1e-4 bracket: a search there used to
+    cycle between two adjacent doubles forever (the CLI hung on
+    sweep --psd rect --fd 0.3 --snr-db 30 --beta 1e12 --bounds lower_cm_ts
+    --mc-n 400 --seed 1).  It now stops and returns the best point it
+    evaluated."""
+    calls = []
+
+    def falling(gamma):
+        calls.append(gamma)
+        assert len(calls) < 500, "golden section does not stop"
+        return -gamma
+
+    gamma = mcrates._golden_max(falling, 933333333333.4, 1e12, (-math.inf, 1e12))
+    assert gamma == min(calls)
+    p, model, peak = _case("rc:0.2", 0.3, 23.25, 1e12)
+    assert rate_lower_cm(p, model, peak, seed=0, n=400).alpha_used == pytest.approx(1e-12)
 
 
 def test_sethuraman_lower_vanishes_at_low_snr():
@@ -206,17 +234,11 @@ def test_sethuraman_lower_below_coherent():
     assert b.value > 0.0
 
 
-def test_sethuraman_timeshare_requires_peak():
-    p = ChannelParams(f_d=0.1, sigma_x2=1.0)
-    with pytest.raises(ValueError):
-        sethuraman_lower(p, Rectangular(0.1), timeshare=True)
-
-
 def test_sethuraman_timeshare_not_worse():
     p = ChannelParams(f_d=0.1, sigma_x2=0.25)
     model = Rectangular(0.1)
     plain = sethuraman_lower(p, model, seed=9, n=N_SMALL)
-    ts = sethuraman_lower(p, model, timeshare=True, peak=PeakConstraint(4.0), seed=9, n=N_SMALL)
+    ts = sethuraman_lower(p, model, PeakConstraint(4.0), seed=9, n=N_SMALL)
     assert ts.value >= plain.value - 3.0 * (plain.stderr + ts.stderr)
 
 

@@ -15,7 +15,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from fadingrate import cli
-from fadingrate.mcrates import rate_lower_cm, rate_lower_cm_timeshare, sethuraman_lower
+from fadingrate.mcrates import rate_lower_cm, sethuraman_lower
 from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
 from fadingrate.quadrature import szego_log_integral
 from fadingrate.rates import (
@@ -120,7 +120,7 @@ def test_lower_cm_below_coherent_capacity(f_d, snr_db, seed):
 @given(FD, SNR_DB, BETA, SEED)
 def test_lower_cm_ts_below_peak_upper_bound(f_d, snr_db, beta, seed):
     p, model, peak = _params(f_d, snr_db), Rectangular(f_d), PeakConstraint(beta)
-    lower = rate_lower_cm_timeshare(p, model, peak, seed=seed, n=MC_N)
+    lower = rate_lower_cm(p, model, peak, seed=seed, n=MC_N)
     assert _below(lower, sethuraman_upper(p, model, peak))
 
 

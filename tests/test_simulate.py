@@ -438,6 +438,9 @@ def test_empirical_mi_validation():
     for rho in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             empirical_coherent_mi(rho, 20_000, seed=0)
+    # a finite rho whose samples overflow raises rather than returning inf
+    with pytest.raises(ArithmeticError, match="overflow"):
+        empirical_coherent_mi(1e308, 10_000, seed=0)
 
 
 def test_dump_round_trip(tmp_path):
