@@ -27,7 +27,7 @@ from .entropy import entropy_gaps, h_y_lower, h_y_upper_refined
 from .mcrates import rate_lower_cm, sethuraman_lower
 from .model import ChannelParams, Jakes, RaisedCosine, Rectangular
 from .prediction import PowerProfile, ToeplitzCov, pred_error_cm_infinite, pred_error_finite
-from .quadrature import EULER_GAMMA, make_rng
+from .quadrature import EULER_GAMMA
 from .rates import (
     PeakConstraint,
     coherent_capacity,
@@ -231,12 +231,12 @@ def _check_bounds(names, psd_kind, betas, mc_n):
 
 def _evaluate_grid(bound_names, psd_kind, rolloff, fds, snrs, betas, seed, mc_n):
     """Rows in deterministic grid order (f_d, then SNR, then beta, a column
-    of its own when the grid has more than one); Monte Carlo bounds at row k
-    draw their seeds, one per bound in bound_names order, from stream (seed, k)."""
+    of its own when the grid has more than one).  Every Monte Carlo cell is
+    its library call at seed and n = mc_n, so all of them draw from stream
+    (seed, 0): common random numbers across rows and bounds."""
     _check_bounds(bound_names, psd_kind, betas, mc_n)
     beta_axis = len(betas) > 1
     bounds = [BOUNDS[name] for name in bound_names]
-    monte_carlo = any(bound.monte_carlo for bound in bounds)
     models = {f_d: _make_model(psd_kind, rolloff, f_d) for f_d in fds}
     columns = [("f_d", False), ("snr_db", False)]
     if beta_axis:
@@ -244,19 +244,15 @@ def _evaluate_grid(bound_names, psd_kind, rolloff, fds, snrs, betas, seed, mc_n)
     for bound in bounds:
         columns.extend(bound.columns)
     rows = []
-    idx = 0
     for f_d in fds:
         for db in snrs:
             for beta in betas:
                 params = ChannelParams(f_d=f_d, sigma_x2=10.0 ** (db / 10.0))
                 peak = PeakConstraint(beta) if beta is not None else None
-                # analytic rows draw nothing: no generator for them
-                rng = make_rng(seed, idx) if monte_carlo else None
                 vals = [f_d, db] + ([beta] if beta_axis else [])
                 for name, bound in zip(bound_names, bounds):
-                    sub = int(rng.integers(0, 2**63)) if bound.monte_carlo else None
                     try:
-                        cells = bound.evaluate(params, models[f_d], peak, seed=sub, n=mc_n)
+                        cells = bound.evaluate(params, models[f_d], peak, seed=seed, n=mc_n)
                         if not all(v is None or math.isfinite(v) for v in cells):
                             raise ArithmeticError("non-finite value")
                     except (ValueError, ArithmeticError) as exc:
@@ -264,7 +260,6 @@ def _evaluate_grid(bound_names, psd_kind, rolloff, fds, snrs, betas, seed, mc_n)
                                           f"SNR {db:g} dB: {exc}")
                     vals.extend(cells)
                 rows.append(vals)
-                idx += 1
     return columns, rows
 
 

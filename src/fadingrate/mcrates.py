@@ -13,6 +13,7 @@ instead of returning a non-finite value with a numpy warning.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,30 +26,38 @@ from .quadrature import (
 )
 from .rates import PeakConstraint
 
-__all__ = [
-    "coherent_mi_cm",
-    "rate_lower_cm",
-    "sethuraman_lower",
-]
+__all__ = ["coherent_mi_cm", "rate_lower_cm", "sethuraman_lower"]
 
 # constellation size of the constant-modulus lower bounds
 _M_POINTS = 100
 
 
-def _draw_base(seed, n):
-    # (n, z, w): the sample count (None: the package default), then the
-    # fading powers and the noise drawn from stream (seed, 0)
-    n = int(n) if n is not None else QuadratureConfig().mc_default_n
+def _sample_count(n):
+    # n, or the package default for None
+    return int(n) if n is not None else QuadratureConfig().mc_default_n
+
+
+# a grid's cells all draw from one (seed, n), so one base (24 n bytes) is
+# kept; callers pass the resolved n, so n=None and the default n share it
+@lru_cache(maxsize=1)
+def _base(seed, n):
+    # read-only (z, w): the fading powers and the noise from stream (seed, 0)
     rng = make_rng(seed, 0)
-    return n, rng.exponential(size=n), _complex_normal(rng, n)
+    z, w = rng.exponential(size=n), _complex_normal(rng, n)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
 
 
-def _cm_mi_samples(z, w, snr, m):
-    # per-sample coherent mutual information of the unit-power m-PSK
-    # constellation at SNR snr: channel magnitude sqrt(snr z), unit-variance
-    # noise w, symbol fixed to 1 by symmetry
+# figure 2's 294 lower_cm cells ask for 2 estimates, so each (mean, stderr)
+# is taken once
+@lru_cache(maxsize=256)
+def _cm_estimate(seed, n, count, snr, m):
+    # (mean, stderr) of the unit-power m-PSK coherent information at SNR snr
+    # over the first count samples of base (seed, n): channel magnitude
+    # sqrt(snr z), unit-variance noise w, symbol fixed to 1 by symmetry
+    z, w = (a[:count] for a in _base(seed, n))
     h = np.sqrt(snr * z)
-    return math.log(m) - np.abs(w) ** 2 - _log_mix_psk(h + w, h, m, 1.0)
+    return _mean_stderr(math.log(m) - np.abs(w) ** 2 - _log_mix_psk(h + w, h, m, 1.0))
 
 
 @np.errstate(over="raise")
@@ -63,8 +72,8 @@ def coherent_mi_cm(rho, m_points=_M_POINTS, seed=0, n=None) -> BoundValue:
     m = int(m_points)
     if m < 2:
         raise ValueError("need at least 2 constellation points")
-    _, z, w = _draw_base(seed, n)
-    mean, stderr = _mean_stderr(_cm_mi_samples(z, w, rho, m))
+    n = _sample_count(n)
+    mean, stderr = _cm_estimate(seed, n, n, rho, m)
     return BoundValue(value=mean, stderr=stderr)
 
 
@@ -91,12 +100,12 @@ def _golden_max(fun, lo, hi, best):
     return max(best, (fc, c), (fd, d), key=lambda t: t[0])[1]
 
 
-def _timeshared(samples, rate, beta, n):
+def _timeshared(estimate, rate, beta, n):
     """Time-sharing estimate over the boost gamma in [1, beta].
 
-    samples(gamma, count) gives the per-sample values of the first count
-    common random numbers at boost gamma, and rate(gamma, mean) the rate
-    over a 1/gamma duty cycle from their mean.  A 16-point scan guards
+    estimate(gamma, count) gives (mean, stderr) of the first count common
+    random numbers at boost gamma, and rate(gamma, mean) the rate over a
+    1/gamma duty cycle from their mean.  A 16-point scan guards
     against non-unimodal objectives and golden section refines within the
     bracket of its best point to 1e-4, both on min(n, 10^4) samples; at
     beta = 1 there is no search.  gamma_opt is the best point evaluated, so
@@ -109,7 +118,7 @@ def _timeshared(samples, rate, beta, n):
         n_small = min(n, 10_000)
 
         def objective(gamma):
-            return rate(gamma, float(np.mean(samples(gamma, n_small))))
+            return rate(gamma, estimate(gamma, n_small)[0])
 
         gammas = np.linspace(1.0, beta, 16)
         values = [objective(g) for g in gammas]
@@ -117,7 +126,7 @@ def _timeshared(samples, rate, beta, n):
         lo = gammas[max(k - 1, 0)]
         hi = gammas[min(k + 1, len(gammas) - 1)]
         gamma_opt = _golden_max(objective, lo, hi, (values[k], gammas[k]))
-    mean, stderr = _mean_stderr(samples(gamma_opt, n))
+    mean, stderr = estimate(gamma_opt, n)
     return gamma_opt, rate(gamma_opt, mean), stderr / gamma_opt
 
 
@@ -134,28 +143,18 @@ def rate_lower_cm(params: ChannelParams, model: PsdModel, peak: PeakConstraint |
     alpha_used records the duty cycle 1/gamma_opt.
     """
     _check_model(params, model)
-    n, z, w = _draw_base(seed, n)
+    n = _sample_count(n)
     rho = params.rho
 
-    def samples(gamma, count):
-        return _cm_mi_samples(z[:count], w[:count], gamma * rho, _M_POINTS)
+    def estimate(gamma, count):
+        return _cm_estimate(seed, n, count, gamma * rho, _M_POINTS)
 
     def rate(gamma, mean):
         return (mean - szego_log_integral(model, gamma * rho)) / gamma
 
-    gamma_opt, raw, stderr = _timeshared(samples, rate, 1.0 if peak is None else peak.beta, n)
+    gamma_opt, raw, stderr = _timeshared(estimate, rate, 1.0 if peak is None else peak.beta, n)
     return BoundValue(value=max(0.0, raw), clamped=raw < 0.0, alpha_used=1.0 / gamma_opt,
                       unclamped=raw, stderr=stderr)
-
-
-def _sd_entropy_samples(z, w, hat_var, amp, sigma_eff2, m):
-    # per-sample -log p(y | h_hat) for the constant-modulus mixture: the
-    # receiver knows the one-step prediction h_hat = sqrt(hat_var z) (real
-    # by symmetry) and sees y = h_hat * amp + w sqrt(sigma_eff2)
-    centers = np.sqrt(hat_var * z) * amp
-    y = centers + w * math.sqrt(sigma_eff2)
-    log_norm = math.log(math.pi * sigma_eff2)
-    return math.log(m) + log_norm - _log_mix_psk(y, centers, m, sigma_eff2)
 
 
 @np.errstate(over="raise")
@@ -173,24 +172,28 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, peak: PeakConstrain
     perfbench/spans.py reports timeshare=True as sethuraman_lower_ts.
     """
     _check_model(params, model)
-    n, z, w = _draw_base(seed, n)
+    n = _sample_count(n)
+    z, w = _base(seed, n)
     rho = params.rho
     sigma_h2 = params.sigma_h2
     sigma_n2 = params.sigma_n2
 
-    def samples(gamma, count):
-        # per-sample conditional output entropy at boost gamma
+    def estimate(gamma, count):
+        # -log p(y | h_hat) at boost gamma for the constant-modulus mixture: the
+        # receiver knows the one-step prediction h_hat = sqrt((sigma_h2 - s2) z)
+        # (real by symmetry) and sees y = h_hat sqrt(power) + w sqrt(sigma_eff2)
         power = gamma * params.sigma_x2
         s2 = pred_error_cm_infinite(model, power, sigma_n2)
-        hat_var = max(sigma_h2 - s2, 0.0)
         sigma_eff2 = power * s2 + sigma_n2
-        return _sd_entropy_samples(z[:count], w[:count], hat_var, math.sqrt(power),
-                                   sigma_eff2, _M_POINTS)
+        centers = np.sqrt(max(sigma_h2 - s2, 0.0) * z[:count]) * math.sqrt(power)
+        y = centers + w[:count] * math.sqrt(sigma_eff2)
+        return _mean_stderr(math.log(_M_POINTS) + math.log(math.pi * sigma_eff2)
+                            - _log_mix_psk(y, centers, _M_POINTS, sigma_eff2))
 
     def rate(gamma, mean):
         # rate at boost gamma over a 1/gamma duty cycle
         c_l1 = mean - noise_entropy(sigma_n2) - szego_log_integral(model, gamma * rho)
         return c_l1 / gamma
 
-    gamma_opt, raw, stderr = _timeshared(samples, rate, 1.0 if peak is None else peak.beta, n)
+    gamma_opt, raw, stderr = _timeshared(estimate, rate, 1.0 if peak is None else peak.beta, n)
     return BoundValue(value=raw, alpha_used=1.0 / gamma_opt, unclamped=raw, stderr=stderr)

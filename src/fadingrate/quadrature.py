@@ -198,12 +198,14 @@ def _szego_shaped(model, c):
     return model.transform(lambda s: np.log1p(c * s / s2))
 
 
+@np.errstate(invalid="ignore")
 def _mean_stderr(vals):
     # sample mean and its standard error sqrt(biased variance / n); every
     # Monte Carlo estimate in the package reduces its samples here.  vals
     # is one array or an iterable of sample blocks, whose means and biased
     # variances are merged pairwise (Chan, Golub & LeVeque 1979); an array,
-    # or a first block, is taken as it is, so one block keeps its bits
+    # or a first block, is taken as it is, so one block keeps its bits.  A
+    # non-finite mean or variance raises FloatingPointError, with no warning.
     n = 0
     for block in [vals] if isinstance(vals, np.ndarray) else vals:
         k, b_mean, b_var = len(block), float(np.mean(block)), float(np.var(block))
@@ -214,6 +216,8 @@ def _mean_stderr(vals):
             mean += w * delta
             var = (1.0 - w) * var + w * b_var + w * (1.0 - w) * delta * delta
         n += k
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise FloatingPointError(f"overflow: Monte Carlo mean {mean}, variance {var}")
     return mean, math.sqrt(var / n)
 
 

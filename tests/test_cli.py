@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 import fadingrate.cli as cli
+from fadingrate import mcrates
 from fadingrate.cli import main
+from fadingrate.mcrates import rate_lower_cm, sethuraman_lower
+from fadingrate.model import ChannelParams
 from fadingrate.prediction import PowerProfile, ToeplitzCov, pred_error_finite
 from fadingrate.quadrature import g_logmoment, make_rng
+from fadingrate.rates import PeakConstraint
 from fadingrate.simulate import read_fading_dump
 from fadingrate import verify
 from fadingrate.verify import CheckResult
@@ -77,6 +81,89 @@ def test_mc_bounds_rerun_identically_and_respect_seed(capsys):
     assert rows_a[0][col] != rows_b[0][col]
     col_se = header.index("lower_cm_stderr")
     assert float(rows_a[0][col_se]) > 0.0
+
+
+MC_BOUNDS = ["lower_cm", "lower_cm_ts", "sethuraman_lower", "sethuraman_lower_ts"]
+
+
+def _library_cells(psd, cells, seed, mc_n):
+    """(column, 17-digit cell) of the four Monte Carlo bounds called from
+    the library at the row's f_d and SNR, seed and n = mc_n."""
+    kind, rolloff = cli._parse_psd(psd)
+    f_d = float(cells["f_d"])
+    p = ChannelParams(f_d=f_d, sigma_x2=10.0 ** (float(cells["snr_db"]) / 10.0))
+    model = cli._make_model(kind, rolloff, f_d)
+    peak = PeakConstraint(float(cells.get("beta", 2.0)))
+    calls = {"lower_cm": rate_lower_cm(p, model, seed=seed, n=mc_n),
+             "lower_cm_ts": rate_lower_cm(p, model, peak, seed=seed, n=mc_n),
+             "sethuraman_lower": sethuraman_lower(p, model, seed=seed, n=mc_n),
+             "sethuraman_lower_ts": sethuraman_lower(p, model, peak, seed=seed, n=mc_n)}
+    for name, b in calls.items():
+        yield name, f"{b.value:.17g}"
+        yield name + "_stderr", f"{b.stderr:.17g}"
+        if name.endswith("_ts"):
+            yield name + "_alpha", f"{b.alpha_used:.17g}"
+
+
+@pytest.mark.parametrize("psd,seed", [("rect", 7), ("jakes", 0), ("rc:0.2", 2 ** 64 - 1)])
+def test_mc_cell_is_the_library_call_at_seed(psd, seed, capsys):
+    """Every Monte Carlo cell of a grid is, to the bit, its library call at
+    seed=--seed and n=--mc-n: rows and bounds all draw from stream
+    (seed, 0), up to the largest seed make_rng keys."""
+    code, out = _run(capsys, ["sweep", "--psd", psd, "--fd", "0.05,0.2", "--snr-db", "0:12:12",
+                              "--beta", "2", "--bounds", ",".join(MC_BOUNDS), "--mc-n", "400",
+                              "--seed", str(seed)])
+    assert code == 0
+    _, header, rows = _parse_csv(out)
+    assert len(rows) == 4
+    # the library calls draw afresh
+    mcrates._base.cache_clear()
+    mcrates._cm_estimate.cache_clear()
+    for row in rows:
+        cells = dict(zip(header, row))
+        for name, want in _library_cells(psd, cells, seed, 400):
+            assert cells[name] == want, (cells["f_d"], cells["snr_db"], name)
+
+
+def test_bound_order_moves_no_byte(capsys):
+    """A cell does not depend on its bound's place in --bounds."""
+    names = MC_BOUNDS + ["sethuraman_upper"]
+    tables = []
+    for order in (names, names[::-1]):
+        _, out = _run(capsys, ["sweep", "--psd", "jakes", "--fd", "0.01,0.1", "--snr-db", "0:20:10",
+                               "--beta", "3", "--bounds", ",".join(order), "--mc-n", "300"])
+        _, header, rows = _parse_csv(out)
+        tables.append([dict(zip(header, row)) for row in rows])
+    assert tables[0] == tables[1]
+
+
+def test_figure_2_beta_copies_of_lower_cm_are_equal(capsys, monkeypatch):
+    """lower_cm does not time-share, so its three beta copies in figure 2
+    are one cell, and the 294 cells take 2 estimates (0 and 12 dB)."""
+    calls = []
+    kernel = mcrates._log_mix_psk
+    monkeypatch.setattr(mcrates, "_log_mix_psk", lambda *a: calls.append(a) or kernel(*a))
+    mcrates._cm_estimate.cache_clear()
+    _, out = _run(capsys, ["figure", "2", "--mc-n", "400", "--seed", "5"])
+    _, header, rows = _parse_csv(out)
+    cols = [header.index(c) for c in ("lower_cm", "lower_cm_stderr", "lower_cm_clamped")]
+    for k in range(0, len(rows), 3):
+        triple = [[rows[k + j][c] for c in cols] for j in range(3)]
+        assert [float(rows[k + j][2]) for j in range(3)] == [1.0, 2.0, 4.0]
+        assert triple[0] == triple[1] == triple[2], rows[k][:2]
+    assert len(calls) == 2
+
+
+def test_figure_4_timeshare_never_below_plain(capsys):
+    """At --mc-n 400 the time-sharing search evaluates gamma = 1 on the
+    plain cell's own samples and keeps the best point, so in every row
+    sethuraman_lower_ts >= sethuraman_lower."""
+    for seed in range(20):
+        _, out = _run(capsys, ["figure", "4", "--mc-n", "400", "--seed", str(seed)])
+        _, header, rows = _parse_csv(out)
+        plain, ts = header.index("sethuraman_lower"), header.index("sethuraman_lower_ts")
+        for row in rows:
+            assert float(row[ts]) >= float(row[plain]), (seed, row[:2])
 
 
 def test_units_bit_divides_rate_columns(capsys):
@@ -218,7 +305,8 @@ USAGE_REASONS = {
                       "(finite past)",
     "lower_cm-overflow": "overflow encountered in multiply",
     "lower_cm_ts-overflow": "overflow encountered in multiply",
-    "sethuraman_lower_ts-overflow": "overflow encountered in scalar multiply",
+    "sethuraman_lower-overflow": "overflow: Monte Carlo mean nan, variance nan",
+    "sethuraman_lower_ts-overflow": "overflow: Monte Carlo mean nan, variance nan",
     "mc-n-over-cap": "--mc-n 100000001 exceeds the cap of 100000000 samples",
     "figure-mc-n-over-cap": "--mc-n 1000000000000 exceeds the cap of 100000000 samples",
     "sim-n-over-cap": "--n 1048577 exceeds the trace-length cap of 1048576",

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from fadingrate import mcrates
 from fadingrate.mcrates import coherent_mi_cm, rate_lower_cm, sethuraman_lower
 from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
-from fadingrate.quadrature import g_logmoment
+from fadingrate.quadrature import QuadratureConfig, _mean_stderr, g_logmoment
 from fadingrate.rates import PeakConstraint
 
 N_SMALL = 20_000
@@ -91,6 +91,35 @@ def test_overflow_raises_before_numpy_warns():
             rate_lower_cm(p, model, peak, n=100)
     with pytest.raises(ArithmeticError, match="overflow"):
         sethuraman_lower(p, model, PeakConstraint(2.0), n=100)
+
+
+def test_non_finite_estimate_raises():
+    """Overflow inside the m-PSK kernel's own errstate left samples NaN,
+    and plain sethuraman_lower returned a NaN value and stderr silently;
+    a non-finite mean or variance now raises."""
+    p = ChannelParams(f_d=0.1, sigma_x2=1e308)
+    with pytest.raises(FloatingPointError, match="overflow: Monte Carlo mean nan"):
+        sethuraman_lower(p, Rectangular(0.1), n=100)
+    for samples in (np.array([1.0, math.inf]), [np.ones(3), np.array([math.nan])]):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            _mean_stderr(samples)
+
+
+def test_one_read_only_base_per_seed_and_resolved_n():
+    """n=None and the default n share one base; a new (seed, n) replaces it."""
+    p = ChannelParams(f_d=0.1, sigma_x2=1.0)
+    model = Rectangular(0.1)
+    mcrates._base.cache_clear()
+    sethuraman_lower(p, model, seed=3)
+    b = sethuraman_lower(p, model, seed=3, n=QuadratureConfig().mc_default_n)
+    assert mcrates._base.cache_info()[:2] == (1, 1)
+    z, w = mcrates._base(3, QuadratureConfig().mc_default_n)
+    assert not z.flags.writeable and not w.flags.writeable
+    sethuraman_lower(p, model, seed=4, n=400)
+    assert mcrates._base.cache_info().currsize == 1
+    # the cache keeps the library's (seed, n) semantics
+    mcrates._base.cache_clear()
+    assert sethuraman_lower(p, model, seed=3) == b
 
 
 def test_lower_cm_matches_manual_subtraction():
@@ -180,9 +209,9 @@ def test_timeshare_search_finds_grid_maximum(monkeypatch):
     searches = []
     timeshared = mcrates._timeshared
 
-    def spy(samples, rate, beta, n):
-        out = timeshared(samples, rate, beta, n)
-        searches.append((samples, rate, beta, n, out[0]))
+    def spy(estimate, rate, beta, n):
+        out = timeshared(estimate, rate, beta, n)
+        searches.append((estimate, rate, beta, n, out[0]))
         return out
 
     monkeypatch.setattr(mcrates, "_timeshared", spy)
@@ -193,9 +222,9 @@ def test_timeshare_search_finds_grid_maximum(monkeypatch):
         rate_lower_cm(p, model, peak, seed=seed, n=400)
         sethuraman_lower(p, model, peak, seed=seed, n=400)
     assert len(searches) == 8
-    for samples, rate, beta, n, gamma_opt in searches:
+    for estimate, rate, beta, n, gamma_opt in searches:
         def objective(gamma):
-            return rate(gamma, float(np.mean(samples(gamma, min(n, 10_000)))))
+            return rate(gamma, estimate(gamma, min(n, 10_000))[0])
 
         best = max(objective(g) for g in np.linspace(1.0, beta, 1025))
         assert objective(gamma_opt) >= best - 1e-9 * abs(best)
