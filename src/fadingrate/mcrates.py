@@ -30,6 +30,9 @@ __all__ = ["coherent_mi_cm", "rate_lower_cm", "sethuraman_lower"]
 
 # constellation size of the constant-modulus lower bounds
 _M_POINTS = 100
+# samples per block of an estimate; at 100 points the m-PSK kernel's window
+# is 26 columns, so a block's window buffer stays near 850 kB
+_PSK_BLOCK = 4096
 
 
 def _sample_count(n):
@@ -48,6 +51,18 @@ def _base(seed, n):
     return z, w
 
 
+def _estimate(count, samples):
+    # (mean, stderr) of count samples, samples(lo, hi) giving samples lo..hi-1
+    # from slices of the base.  They fill one count-float array _PSK_BLOCK
+    # at a time, so every other temporary is one block's, and _mean_stderr
+    # takes the whole array: the bits do not depend on the block size.
+    vals = np.empty(count)
+    for lo in range(0, count, _PSK_BLOCK):
+        hi = min(lo + _PSK_BLOCK, count)
+        vals[lo:hi] = samples(lo, hi)
+    return _mean_stderr(vals)
+
+
 # figure 2's 294 lower_cm cells ask for 2 estimates, so each (mean, stderr)
 # is taken once
 @lru_cache(maxsize=256)
@@ -55,9 +70,14 @@ def _cm_estimate(seed, n, count, snr, m):
     # (mean, stderr) of the unit-power m-PSK coherent information at SNR snr
     # over the first count samples of base (seed, n): channel magnitude
     # sqrt(snr z), unit-variance noise w, symbol fixed to 1 by symmetry
-    z, w = (a[:count] for a in _base(seed, n))
-    h = np.sqrt(snr * z)
-    return _mean_stderr(math.log(m) - np.abs(w) ** 2 - _log_mix_psk(h + w, h, m, 1.0))
+    z, w = _base(seed, n)
+    log_m = math.log(m)
+
+    def samples(lo, hi):
+        h = np.sqrt(snr * z[lo:hi])
+        return log_m - np.abs(w[lo:hi]) ** 2 - _log_mix_psk(h + w[lo:hi], h, m, 1.0)
+
+    return _estimate(count, samples)
 
 
 @np.errstate(over="raise")
@@ -185,10 +205,15 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, peak: PeakConstrain
         power = gamma * params.sigma_x2
         s2 = pred_error_cm_infinite(model, power, sigma_n2)
         sigma_eff2 = power * s2 + sigma_n2
-        centers = np.sqrt(max(sigma_h2 - s2, 0.0) * z[:count]) * math.sqrt(power)
-        y = centers + w[:count] * math.sqrt(sigma_eff2)
-        return _mean_stderr(math.log(_M_POINTS) + math.log(math.pi * sigma_eff2)
-                            - _log_mix_psk(y, centers, _M_POINTS, sigma_eff2))
+        c2, c_scale, w_scale = max(sigma_h2 - s2, 0.0), math.sqrt(power), math.sqrt(sigma_eff2)
+        log_norm = math.log(_M_POINTS) + math.log(math.pi * sigma_eff2)
+
+        def samples(lo, hi):
+            centers = np.sqrt(c2 * z[lo:hi]) * c_scale
+            y = centers + w[lo:hi] * w_scale
+            return log_norm - _log_mix_psk(y, centers, _M_POINTS, sigma_eff2)
+
+        return _estimate(count, samples)
 
     def rate(gamma, mean):
         # rate at boost gamma over a 1/gamma duty cycle

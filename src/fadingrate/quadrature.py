@@ -94,17 +94,17 @@ def make_rng(seed, task_index=0):
 
 def _complex_normal(rng, size, out=None, work=None):
     # unit-variance proper complex Gaussian draws: size real parts, then
-    # size imaginary parts from the stream.  A caller drawing repeatedly
-    # passes out (complex, size) and work (float, (2, size)) to reuse them.
-    # Bit for bit (a + 1j*b)/sqrt(2): numpy divides a complex array by a
-    # real scalar by multiplying with its reciprocal.
+    # size imaginary parts from the stream, each drawn into one size-float
+    # buffer.  A caller drawing repeatedly passes out (complex, size) and
+    # work (float, size) to reuse them.  Bit for bit (a + 1j*b)/sqrt(2):
+    # numpy divides a complex array by a real scalar by multiplying with
+    # its reciprocal.
     if out is None:
         out = np.empty(size, dtype=complex)
     if work is None:
-        work = np.empty((2, size))
-    rng.standard_normal(out=work)
-    out.real = work[0]
-    out.imag = work[1]
+        work = np.empty(size)
+    out.real = rng.standard_normal(out=work)
+    out.imag = rng.standard_normal(out=work)
     out *= _SQRT_HALF
     return out
 
@@ -221,9 +221,6 @@ def _mean_stderr(vals):
     return mean, math.sqrt(var / n)
 
 
-# rows per block of the m-PSK kernel; at 100 points its window is 26
-# columns, so a block's window buffer stays near 850 kB
-_PSK_BLOCK = 4096
 # exponent gap below the nearest phase beyond which the m-PSK window stops:
 # e^-40 = 4e-18 of the peak term for the first phase left out
 _PSK_GAP = 40.0
@@ -280,42 +277,37 @@ def _log_mix_psk(y, centers, m, scale):
     Within 1e-13 of 40-digit mpmath plus 2e-15 times the value's
     sensitivity to the inputs' moduli and phase (test_quadrature).
 
-    Rows run in blocks of _PSK_BLOCK.  A row whose distances all overflow
-    gives -inf, a NaN input gives NaN, and centers_i = 0 gives
-    log m - |y_i|^2 / scale.
+    A row whose distances all overflow gives -inf, a NaN input gives NaN,
+    and centers_i = 0 gives log m - |y_i|^2 / scale.  The window buffer is
+    rows x (2J) floats, so callers pass a block of rows at a time.
     """
     cut, cos_k, sin_k = _psk_window(m)
     step = 2.0 * math.pi / m
     log_m = math.log(m)
-    out = np.empty(len(y))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, len(y), _PSK_BLOCK):
-            yb = y[start:start + _PSK_BLOCK]
-            cb = centers[start:start + _PSK_BLOCK]
-            ay, ac = np.abs(yb), np.abs(cb)
-            d = ay - ac
-            d2 = d * d / scale
-            kappa = 2.0 * ay * ac / scale
-            row = -d2
-            small = kappa <= cut
-            row[small] += log_m + np.log(special.i0e(kappa[small]))
-            big = np.flatnonzero(~small)
-            if big.size:
-                phi = np.angle(yb[big]) - np.angle(cb[big])
-                half = 0.5 * (phi - step * np.rint(phi / step))
-                # t_k = sqrt(2 kappa) sin((phi - 2 pi (j0 + k) / m) / 2), j0 the
-                # nearest phase, through the angle sum; |t_0| is the smallest
-                root = 2.0 * np.sqrt(ay[big]) * np.sqrt(ac[big] / scale)
-                t0 = root * np.sin(half)
-                t = np.multiply.outer(t0, cos_k)
-                t -= np.multiply.outer(root * np.cos(half), sin_k)
-                np.square(t, out=t)
-                t0 *= t0
-                # an overflowing t_0^2 leaves every term at 0, not inf - inf
-                np.subtract(np.minimum(t0, _FLOAT_MAX)[:, None], t, out=t)
-                np.exp(t, out=t)
-                row[big] += np.log1p(t.sum(axis=1)) - t0
-            # |y - c x_j| >= ||y| - |c||, so the row is -inf with d^2
-            row[d2 == math.inf] = -math.inf
-            out[start:start + _PSK_BLOCK] = row
-    return out
+        ay, ac = np.abs(y), np.abs(centers)
+        d = ay - ac
+        d2 = d * d / scale
+        kappa = 2.0 * ay * ac / scale
+        row = -d2
+        small = kappa <= cut
+        row[small] += log_m + np.log(special.i0e(kappa[small]))
+        big = np.flatnonzero(~small)
+        if big.size:
+            phi = np.angle(y[big]) - np.angle(centers[big])
+            half = 0.5 * (phi - step * np.rint(phi / step))
+            # t_k = sqrt(2 kappa) sin((phi - 2 pi (j0 + k) / m) / 2), j0 the
+            # nearest phase, through the angle sum; |t_0| is the smallest
+            root = 2.0 * np.sqrt(ay[big]) * np.sqrt(ac[big] / scale)
+            t0 = root * np.sin(half)
+            t = np.multiply.outer(t0, cos_k)
+            t -= np.multiply.outer(root * np.cos(half), sin_k)
+            np.square(t, out=t)
+            t0 *= t0
+            # an overflowing t_0^2 leaves every term at 0, not inf - inf
+            np.subtract(np.minimum(t0, _FLOAT_MAX)[:, None], t, out=t)
+            np.exp(t, out=t)
+            row[big] += np.log1p(t.sum(axis=1)) - t0
+        # |y - c x_j| >= ||y| - |c||, so the row is -inf with d^2
+        row[d2 == math.inf] = -math.inf
+    return row

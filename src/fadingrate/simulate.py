@@ -42,7 +42,7 @@ _DUMP_CHUNK = 1 << 20  # bytes of complex64 per write, and per streamed embeddin
 # which took 12 ms at n 2048 against 0.56 ms to colour one trace (2 vCPUs),
 # so a block of 1024 spends about 2% of its time on it
 _CHOLESKY_ROWS = 1024
-_MI_BLOCK = 1_000_000  # draws per block of empirical_coherent_mi
+_MI_BLOCK = 1 << 17  # draws per block of empirical_coherent_mi: 1 MiB of float64
 
 
 def _embedding_spectrum(model: PsdModel, n: int):
@@ -72,26 +72,32 @@ def _embedding_spectrum(model: PsdModel, n: int):
 
 
 _COLOR_BLOCK = 128  # Schur columns per matrix product of the Cholesky colouring
+_COLOR_TRACES = 16  # leading indices per matrix product of the Cholesky colouring
 
 
 def _schur_color(lags, shift, x, out=None):
-    """x @ L^T for real x shaped (..., rows, n), L the lower Cholesky factor
-    of Toeplitz(lags) + shift I: each row r becomes L r, summed into `out`
-    (x's shape, any strides; a new array by default) from zero.  L is never
-    stored: each block of _COLOR_BLOCK Schur columns is one matrix product
-    per leading index.  Pass two or more rows: numpy sends a one-row
-    product through gemv, which rounds differently from gemm."""
+    """x @ L^T for real x shaped (rows, n) or (traces, rows, n), L the lower
+    Cholesky factor of Toeplitz(lags) + shift I: each row r becomes L r,
+    summed into `out` (x's shape, any strides; a new array by default) from
+    zero.  L is never stored: each block of _COLOR_BLOCK Schur columns is
+    one matrix product per leading index, taken over _COLOR_TRACES leading
+    indices at a time, so a product's result is at most _COLOR_TRACES x
+    rows x n, not the size of x.  Pass two or more rows: numpy sends a
+    one-row product through gemv, which rounds differently from gemm."""
     n = x.shape[-1]
     if out is None:
         out = np.empty_like(x)
     out[...] = 0.0
     cols = _schur(lags, shift)
+    traces = ([slice(t, t + _COLOR_TRACES) for t in range(0, len(x), _COLOR_TRACES)]
+              if x.ndim > 2 else [Ellipsis])
     for k0 in range(0, n, _COLOR_BLOCK):
         k1 = min(k0 + _COLOR_BLOCK, n)
         block = np.zeros((k1 - k0, n - k0))  # rows k0..k1-1 of L^T, from column k0 on
         for j, col in zip(range(k1 - k0), cols):
             block[j, j:] = col
-        out[..., k0:] += x[..., k0:k1] @ block
+        for t in traces:
+            out[t][..., k0:] += x[t][..., k0:k1] @ block
     return out
 
 
@@ -148,7 +154,7 @@ def _fading_blocks(model: PsdModel, n: int, count: int, seed, method, rows=None)
         def fill(block, first, part):
             # numpy's generator fills and FFTs release the GIL; each thread
             # draws into its own buffers and writes only its rows
-            z, work = np.empty(m, dtype=complex), np.empty((2, m))
+            z, work = np.empty(m, dtype=complex), np.empty(m)
             for j in part:
                 _complex_normal(make_rng(seed, first + j), m, out=z, work=work)
                 z *= amp
@@ -164,7 +170,7 @@ def _fading_blocks(model: PsdModel, n: int, count: int, seed, method, rows=None)
         def fill(block, first, part):
             # a product over all rows at once would round a row differently
             # as the batch size changes, so each trace is its own (2, n) x[j]
-            z, work, x = np.empty(n, dtype=complex), np.empty((2, n)), np.empty((len(block), 2, n))
+            z, work, x = np.empty(n, dtype=complex), np.empty(n), np.empty((len(block), 2, n))
             for j in part:
                 _complex_normal(make_rng(seed, first + j), n, out=z, work=work)
                 x[j, 0], x[j, 1] = z.real, z.imag
@@ -191,8 +197,10 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
     real and imaginary parts are one two-row BLAS product per block of
     Schur columns, so a trace is bit for bit the same in any batch.
     Memory: the embedding path holds the batch and three m-point arrays per
-    thread, m its embedding size; the Cholesky path about three count x n
-    complex arrays and one 128 x n block (about 8 MiB at n 2048 x 64).
+    thread, m its embedding size; the Cholesky path the batch, its real
+    draws (as much again), two 128 x n blocks of the factor while one
+    replaces the other, and a product over at most 16 traces (about 8 MiB
+    at n 2048 x 64).
     """
     return next(_fading_blocks(model, n, count, seed, method, rows=count)[0])
 

@@ -1,6 +1,7 @@
 """Monte Carlo constant-modulus rate bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,54 @@ def test_estimates_pinned_to_the_bit():
         0.17459847364856509, 0.014764543555009295, 0.89756564294500685)
     mi = coherent_mi_cm(2.0, seed=11, n=2000)
     assert (mi.value, mi.stderr) == (0.84683132012094886, 0.020642705835506637)
+
+
+def test_block_edges_keep_the_bits():
+    """At n = 10 001 an estimate is two full blocks of mcrates._PSK_BLOCK
+    samples and a partial one (the time-sharing search's 10^4 too), each
+    with rows on both sides of the kernel's cut at 20 dB.  The values were
+    taken with the samples computed as one array, 17 digits."""
+    assert mcrates._PSK_BLOCK == 4096
+    n, model, peak = 10_001, RaisedCosine(0.05, 0.2), PeakConstraint(2.0)
+    high, low = ChannelParams(f_d=0.05, sigma_x2=100.0), ChannelParams(f_d=0.05, sigma_x2=0.5)
+    mi = coherent_mi_cm(300.0, seed=3, n=n)
+    assert (mi.value, mi.stderr) == (3.3281516824488269, 0.0095578414894962032)
+    got = [(b.value, b.stderr, b.alpha_used) for b in (
+        rate_lower_cm(high, model, seed=3, n=n),
+        rate_lower_cm(low, model, peak, seed=3, n=n),
+        sethuraman_lower(high, model, seed=3, n=n),
+        sethuraman_lower(low, model, peak, seed=3, n=n))]
+    assert got == [
+        (2.0000722875932495, 0.0096737861714094302, 1.0),
+        (0.17100806038193009, 0.0067671150284932136, 0.96632473715605771),
+        (2.3633551097474941, 0.0094228508981005991, 1.0),
+        (0.19136601157668151, 0.0073796567020868072, 0.76512661680890515)]
+
+
+def _traced_peak(fun):
+    # tracemalloc's peak over fun(), in bytes
+    tracemalloc.start()
+    try:
+        fun()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_estimate_peak_memory():
+    """The base (z and w, 24 n bytes) is drawn through one n-float buffer;
+    an estimate on a cached base holds its n samples and np.var's n-float
+    temporary, every other array being one block's."""
+    n, model = 10**6, Rectangular(0.05)
+    p = ChannelParams(f_d=0.05, sigma_x2=2.0**0.5)
+    mcrates._base.cache_clear()
+    try:
+        assert _traced_peak(lambda: mcrates._base(4, n)) <= 32 * n + 2**20
+        assert _traced_peak(lambda: rate_lower_cm(p, model, seed=4, n=n)) <= 16 * n + 2 * 2**20
+        assert _traced_peak(lambda: sethuraman_lower(p, model, seed=4, n=n)) <= 16 * n + 2 * 2**20
+    finally:
+        mcrates._base.cache_clear()
 
 
 def test_sits_below_coherent_capacity():

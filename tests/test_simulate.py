@@ -200,8 +200,9 @@ def test_cholesky_batch_keeps_no_factor():
 
 def test_cholesky_batch_peak_memory():
     # 64 traces of 2048 samples are 2 MiB of complex128; the draws, the
-    # coloured rows, one 128-column block of the factor and its product
-    # are about that each.  The dense factor alone would be 32 MiB.
+    # coloured rows and each 128-column block of the factor are about that
+    # each, a product over 16 traces a quarter of it.  The dense factor
+    # alone would be 32 MiB.
     tracemalloc.start()
     try:
         gen_fading_batch(Rectangular(0.1), 2048, 64, seed=0, method="cholesky")
@@ -209,6 +210,22 @@ def test_cholesky_batch_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2**20
+
+
+def test_schur_color_peak_memory():
+    # a 256-trace block at n 2048 is 8 MiB of draws and as much coloured;
+    # each product spans at most 16 traces (0.5 MiB), so the peak is two
+    # 128-column blocks of the factor (4 MiB), not a product the size of x
+    lags = Rectangular(0.1).autocorr(np.arange(2048))
+    x = np.random.default_rng(0).standard_normal((256, 2, 2048))
+    out = np.empty_like(x)
+    tracemalloc.start()
+    try:
+        _schur_color(lags, 1e-12 * lags[0], x, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def test_caller_thread_fills_one_share(monkeypatch):
@@ -284,7 +301,7 @@ def test_complex_normal_matches_reference_formula(size):
         rng = make_rng(seed, 7)
         want = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
         assert _complex_normal(make_rng(seed, 7), size).tobytes() == want.tobytes()
-        out, work = np.full(size, np.nan + 0j), np.full((2, size), np.nan)
+        out, work = np.full(size, np.nan + 0j), np.full(size, np.nan)
         got = _complex_normal(make_rng(seed, 7), size, out=out, work=work)
         assert got is out and got.tobytes() == want.tobytes()
 
