@@ -72,7 +72,7 @@ def _embedding_spectrum(model: PsdModel, n: int):
 
 
 _COLOR_BLOCK = 128  # Schur columns per matrix product of the Cholesky colouring
-_COLOR_TRACES = 16  # leading indices per matrix product of the Cholesky colouring
+_COLOR_TRACES = 4  # leading indices per matrix product, each its own gemm
 
 
 def _schur_color(lags, shift, x, out=None):
@@ -80,10 +80,11 @@ def _schur_color(lags, shift, x, out=None):
     Cholesky factor of Toeplitz(lags) + shift I: each row r becomes L r,
     summed into `out` (x's shape, any strides; a new array by default) from
     zero.  L is never stored: each block of _COLOR_BLOCK Schur columns is
-    one matrix product per leading index, taken over _COLOR_TRACES leading
-    indices at a time, so a product's result is at most _COLOR_TRACES x
-    rows x n, not the size of x.  Pass two or more rows: numpy sends a
-    one-row product through gemv, which rounds differently from gemm."""
+    refilled into one buffer and is one matrix product per leading index,
+    taken over _COLOR_TRACES leading indices at a time, so a product's
+    result is at most _COLOR_TRACES x rows x n, not the size of x.  Pass
+    two or more rows: numpy sends a one-row product through gemv, which
+    rounds differently from gemm."""
     n = x.shape[-1]
     if out is None:
         out = np.empty_like(x)
@@ -91,10 +92,12 @@ def _schur_color(lags, shift, x, out=None):
     cols = _schur(lags, shift)
     traces = ([slice(t, t + _COLOR_TRACES) for t in range(0, len(x), _COLOR_TRACES)]
               if x.ndim > 2 else [Ellipsis])
+    buf = np.empty((min(_COLOR_BLOCK, n), n))
     for k0 in range(0, n, _COLOR_BLOCK):
         k1 = min(k0 + _COLOR_BLOCK, n)
-        block = np.zeros((k1 - k0, n - k0))  # rows k0..k1-1 of L^T, from column k0 on
+        block = buf[: k1 - k0, : n - k0]  # rows k0..k1-1 of L^T, from column k0 on
         for j, col in zip(range(k1 - k0), cols):
+            block[j, :j] = 0.0
             block[j, j:] = col
         for t in traces:
             out[t][..., k0:] += x[t][..., k0:k1] @ block
@@ -159,7 +162,8 @@ def _fading_blocks(model: PsdModel, n: int, count: int, seed, method, rows=None)
                 _complex_normal(make_rng(seed, first + j), m, out=z, work=work)
                 z *= amp
                 # only the first n of the m circulant samples are kept and scaled
-                np.multiply(np.fft.ifft(z)[:n], scale, out=block[j])
+                np.fft.ifft(z, out=z)
+                np.multiply(z[:n], scale, out=block[j])
 
         rows, workers = rows or max(1, _DUMP_CHUNK // (8 * n)), _usable_cpus()
     elif method == "cholesky":
@@ -196,11 +200,11 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
     of the covariance + 1e-12 sigma_h2 I and never forms it: each trace's
     real and imaginary parts are one two-row BLAS product per block of
     Schur columns, so a trace is bit for bit the same in any batch.
-    Memory: the embedding path holds the batch and three m-point arrays per
-    thread, m its embedding size; the Cholesky path the batch, its real
-    draws (as much again), two 128 x n blocks of the factor while one
-    replaces the other, and a product over at most 16 traces (about 8 MiB
-    at n 2048 x 64).
+    Memory: the embedding path holds the batch and two m-point arrays per
+    thread, m its embedding size, one complex (inverse transformed in
+    place) and one real; the Cholesky path the batch, its real draws (as
+    much again), one 128 x n block of the factor and a product over at most
+    4 traces (about 6.4 MiB at n 2048 x 64).
     """
     return next(_fading_blocks(model, n, count, seed, method, rows=count)[0])
 
@@ -261,10 +265,16 @@ def write_fading_dump(path, realizations, model: PsdModel, seed):
     little-endian interleaved complex64 after a 32-byte header carrying the
     magic "FADE", format version, trace length N, f_d, and the seed.  Rows
     are converted about 1 MiB at a time, never as one full copy; the file
-    is opened once the first block is at hand."""
+    is opened once the first block is at hand.  No blocks, traces of length
+    0 and arrays of more than two dimensions cannot be read back, so they
+    raise ValueError before the file is opened."""
     blocks = (realizations if isinstance(realizations, Iterator)
               else iter([np.atleast_2d(np.asarray(realizations))]))
-    h = next(blocks)
+    h = next(blocks, None)
+    if h is None:
+        raise ValueError("no traces to write: the block iterator is empty")
+    if h.ndim != 2 or h.shape[1] == 0:
+        raise ValueError(f"traces must be shaped (count, N) with N >= 1, got {h.shape}")
     n = h.shape[1]
     rows = max(1, _DUMP_CHUNK // (8 * n))  # complex64 rows per write
     with open(path, "wb") as fh:

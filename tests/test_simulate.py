@@ -17,6 +17,7 @@ from fadingrate.cli import main
 from fadingrate.mcrates import coherent_mi_cm
 from fadingrate.simulate import (
     _embedding_spectrum,
+    _fading_blocks,
     _schur_color,
     empirical_coherent_mi,
     empirical_pred_error,
@@ -99,17 +100,21 @@ def test_cholesky_factor_matches_jittered_matrix(model, n, jitter):
 @pytest.mark.parametrize("method,model,n", [
     ("embedding", RaisedCosine(0.1, 0.2), 1024),
     ("embedding", Rectangular(0.25), 100),
+    # m = 4036 = 4 x 1009: the in-place inverse FFT on a plan with a large prime factor
+    ("embedding", Rectangular(0.1), 1009),
     ("cholesky", Jakes(0.2), 200),
 ])
 def test_batch_matches_stacked_row_draws(method, model, n):
     # embedding rows are filled in place, each bit for bit the trace the
-    # per-row draw gives on its own, stacked.  Cholesky rows are coloured
-    # block by block of Schur columns, so they match the dense factor's
-    # product with the stacked draws up to rounding.
+    # per-row draw gives on its own through an out-of-place inverse FFT,
+    # stacked.  Cholesky rows are coloured block by block of Schur columns,
+    # so they match the dense factor's product with the stacked draws up to
+    # rounding.
     count, seed = 7, 31
     got = gen_fading_batch(model, n, count, seed, method=method)
     if method == "embedding":
         lam, m, _ = _embedding_spectrum(model, n)
+        assert m == {1024: 8192, 100: 800, 1009: 4036}[n]
         draw = lambda rng: (np.fft.ifft(np.sqrt(lam) * _complex_normal(rng, m)) * math.sqrt(m))[:n]
         want = np.stack([draw(make_rng(seed, i)) for i in range(count)])
         assert np.array_equal(got, want)
@@ -138,6 +143,23 @@ def test_batch_peak_memory(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20, workers
+
+
+def test_embedding_fill_peak_memory(monkeypatch):
+    # one thread drawing one-row blocks at m = 32768: its draw buffers are
+    # 512 KiB complex and 256 KiB real, the block 64 KiB.  The inverse FFT
+    # runs in place; its own 512 KiB output took the peak to about 1.3 MiB.
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+    blocks, m, _ = _fading_blocks(RaisedCosine(0.1, 0.2), 4096, 4, 0, "embedding", rows=1)
+    assert m == 32768
+    tracemalloc.start()
+    try:
+        for _ in blocks:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 2**20
 
 
 @pytest.mark.parametrize("method,psd,n", [("embedding", "rect", 4096), ("cholesky", "rect", 256)])
@@ -200,9 +222,9 @@ def test_cholesky_batch_keeps_no_factor():
 
 def test_cholesky_batch_peak_memory():
     # 64 traces of 2048 samples are 2 MiB of complex128; the draws, the
-    # coloured rows and each 128-column block of the factor are about that
-    # each, a product over 16 traces a quarter of it.  The dense factor
-    # alone would be 32 MiB.
+    # coloured rows and the one 128-column block of the factor are about
+    # that each, a product over 4 traces a sixteenth of it.  The dense
+    # factor alone would be 32 MiB.
     tracemalloc.start()
     try:
         gen_fading_batch(Rectangular(0.1), 2048, 64, seed=0, method="cholesky")
@@ -214,8 +236,9 @@ def test_cholesky_batch_peak_memory():
 
 def test_schur_color_peak_memory():
     # a 256-trace block at n 2048 is 8 MiB of draws and as much coloured;
-    # each product spans at most 16 traces (0.5 MiB), so the peak is two
-    # 128-column blocks of the factor (4 MiB), not a product the size of x
+    # one 128-column block of the factor (2 MiB) is refilled for every
+    # block and each product spans at most 4 traces (128 KiB), so the peak
+    # is about 2.3 MiB, not a product the size of x
     lags = Rectangular(0.1).autocorr(np.arange(2048))
     x = np.random.default_rng(0).standard_normal((256, 2, 2048))
     out = np.empty_like(x)
@@ -225,7 +248,33 @@ def test_schur_color_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 2**20
+    assert peak <= 3 * 2**20
+
+
+def _schur_color_reference(lags, shift, x):
+    # the colouring with a fresh zeroed block per 128 Schur columns and
+    # products over 16 traces at a time
+    n = x.shape[-1]
+    out = np.zeros_like(x)
+    cols = _schur(lags, shift)
+    for k0 in range(0, n, 128):
+        k1 = min(k0 + 128, n)
+        block = np.zeros((k1 - k0, n - k0))
+        for j, col in zip(range(k1 - k0), cols):
+            block[j, j:] = col
+        for t in range(0, len(x), 16):
+            out[t : t + 16, ..., k0:] += x[t : t + 16, ..., k0:k1] @ block
+    return out
+
+
+def test_schur_color_matches_reference_loop():
+    # 37 traces end in a partial group of 4 (and of 16), n 300 in a partial
+    # block of Schur columns; every trace is its own gemm, so the reused
+    # block and the smaller groups move no bit
+    lags = Jakes(0.2).autocorr(np.arange(300))
+    x = np.random.default_rng(5).standard_normal((37, 2, 300))
+    want = _schur_color_reference(lags, 1e-12 * lags[0], x)
+    assert _schur_color(lags, 1e-12 * lags[0], x).tobytes() == want.tobytes()
 
 
 def test_caller_thread_fills_one_share(monkeypatch):
@@ -480,6 +529,19 @@ def test_dump_single_trace_promotes_to_matrix(tmp_path):
     back, meta = read_fading_dump(path)
     assert back.shape == (1, 32)
     assert meta["f_d"] == 0.2
+
+
+@pytest.mark.parametrize("realizations,match", [
+    (iter([]), "iterator is empty"),
+    (np.zeros(0), r"N >= 1, got \(1, 0\)"),
+    (np.zeros((3, 0)), r"N >= 1, got \(3, 0\)"),
+    (np.zeros((2, 3, 4)), r"N >= 1, got \(2, 3, 4\)"),
+], ids=["no-blocks", "empty-trace", "zero-length-traces", "3-d"])
+def test_dump_refuses_what_it_cannot_read_back(realizations, match, tmp_path):
+    path = tmp_path / "bad.fade"
+    with pytest.raises(ValueError, match=match):
+        write_fading_dump(path, realizations, Rectangular(0.1), 0)
+    assert not path.exists()
 
 
 def test_dump_rejects_corruption(tmp_path):
