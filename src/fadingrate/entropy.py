@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .model import ChannelParams, PsdModel, _check_model, _panel_rule
-from .quadrature import EULER_GAMMA, BoundValue, g_logmoment, szego_log_integral
+from .quadrature import EULER_GAMMA, BoundValue, _szego_rect, g_logmoment, szego_log_integral
 
 __all__ = [
     "noise_entropy",
@@ -162,7 +162,7 @@ def h_yx_lower_rect(params: ChannelParams, input_dist="pg") -> BoundValue:
     if isinstance(input_dist, str) and input_dist == "pg":
         return BoundValue(value=two_fd * g_logmoment(params.rho / two_fd) + floor)
     if isinstance(input_dist, str) and input_dist == "cm":
-        return BoundValue(value=two_fd * math.log1p(params.rho / two_fd) + floor)
+        return BoundValue(value=_szego_rect(fd, params.rho) + floor)
     z = np.asarray(input_dist, dtype=float)
     if z.ndim != 1 or z.size == 0 or not np.all((z >= 0) & (z < math.inf)):
         raise ValueError("power samples must be a nonempty 1-D nonnegative finite array")

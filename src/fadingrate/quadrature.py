@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .model import Rectangular
+from .model import Rectangular, _finite_integral
 
 __all__ = [
     "EULER_GAMMA",
@@ -169,8 +169,10 @@ def g_logmoment_gauss(a, order=96):
 
 
 def _szego_rect(f_d, c):
-    # closed form for the flat density: 2 f_d log(1 + c/(2 f_d))
-    return 2.0 * f_d * math.log1p(c / (2.0 * f_d))
+    # closed form for the flat density: 2 f_d log(1 + c/(2 f_d)), refused
+    # with the rule sums' OverflowError once c/(2 f_d) overflows, where
+    # log1p would pass the inf on
+    return _finite_integral(2.0 * f_d * math.log1p(c / (2.0 * f_d)))
 
 
 def szego_log_integral(model, c):

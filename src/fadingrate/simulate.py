@@ -3,14 +3,16 @@ analytic quantities empirically.
 
 gen_fading_batch is the one public entry point that draws fading traces, by
 circulant embedding of the Toeplitz autocorrelation (exact to rounding when
-the embedded spectrum is nonnegative) or, as an independent oracle for
-moderate lengths, by colouring with the Schur columns of the lags.  It is
-the one-block case of the row blocks that `simulate` streams into its dump,
-so the dump holds one block in memory, not the batch.  Each batch builds
-its embedding spectrum once and keeps none, and no batch stores the
-Cholesky factor.  Every estimator is seeded through the
-counter-based generator, with realization i drawing from stream (seed, i)
-so results do not depend on scheduling.
+the embedded spectrum is nonnegative; a floored share s of its trace moves
+each covariance entry by at most s r(0), which the `simulate` dump rounds
+away once s <= 2^-24) or, as an independent oracle for moderate lengths,
+by colouring with the Schur columns of the lags.  It is the one-block case
+of the row blocks that `simulate` streams into its dump, so the dump holds
+one block in memory, not the batch.  Each batch builds its embedding
+spectrum once and keeps none, and no batch stores the Cholesky factor.
+Every estimator is seeded through the counter-based generator, with
+realization i drawing from stream (seed, i) so results do not depend on
+scheduling.
 """
 
 from __future__ import annotations
@@ -45,22 +47,40 @@ _CHOLESKY_ROWS = 1024
 _MI_BLOCK = 1 << 17  # draws per block of empirical_coherent_mi: 1 MiB of float64
 
 
+# Flooring a negative mass of share s of the trace m r(0) moves every
+# covariance entry by at most s r(0) and the variance by exactly s r(0); at
+# or below the complex64 dump's rounding unit 2^-24 that is under the
+# rounding of the dump itself, so the first size that gets there is kept
+_FLOOR_SHARE = 2.0**-24
+_LAG_BLOCK = 1 << 16  # lags per autocorr call of the embedding set-up
+
+
 def _embedding_spectrum(model: PsdModel, n: int):
     """(lam, m, share): eigenvalues lam of the circulant embedding of size m
     of the length-n Toeplitz covariance, and the share of the trace m r(0)
-    floored in them (0 when exact).  The embedding doubles until the
-    spectrum is nonnegative (cap 8n); otherwise the size whose negative
-    mass is the smallest share is kept and that mass floored, provided the
-    share is at most 1%.  Only the best size so far is kept, as a float
-    copy: no complex m-point transform outlives its size."""
-    r = model.autocorr(np.arange(4 * n + 1))
+    floored in them (0 when exact).  Sizes m = 2n, 4n, 8n are tried in
+    order, and the first whose negative mass is at most _FLOOR_SHARE of
+    the trace is kept, that mass floored: the floor then moves each
+    covariance entry by at most share r(0).  If no size gets there, the
+    one with the smallest share is kept and floored, provided the share is
+    at most 1%.  Each size evaluates only the lags 0..m/2 it needs, into
+    one (4n + 1)-float array, _LAG_BLOCK lags per autocorr call; only the
+    best size so far is kept, as a float copy: no complex m-point
+    transform outlives its size."""
+    r, done = np.empty(4 * n + 1), 0
     best = None
     for m in (2 * n, 4 * n, 8 * n):
         half = m // 2
+        for k in range(done, half + 1, _LAG_BLOCK):
+            k1 = min(k + _LAG_BLOCK, half + 1)
+            r[k:k1] = model.autocorr(np.arange(k, k1))
+        done = half + 1
         lam = np.fft.fft(np.concatenate([r[: half + 1], r[half - 1 : 0 : -1]])).real.copy()
         if lam.min() >= 0.0:
             return lam, m, 0.0
         share = -lam[lam < 0.0].sum() / (m * r[0])
+        if share <= _FLOOR_SHARE:
+            return np.maximum(lam, 0.0, out=lam), m, share
         if best is None or share < best[2]:
             best = np.maximum(lam, 0.0, out=lam), m, share
     if best[2] > 0.01:

@@ -298,22 +298,22 @@ def test_usage_errors_exit_2(argv, capsys, request):
 
 # the stated reason of the refusals whose wording is part of the contract
 USAGE_REASONS = {
-    "pred-pg-float-edge": "argument must be finite, got inf",
+    "pred-pg-float-edge": "spectral integral overflows double precision",
     "predict-both-pasts": "predict needs exactly one of --power (infinite past) and --powers "
                           "(finite past)",
     "missing-powers": "predict needs exactly one of --power (infinite past) and --powers "
                       "(finite past)",
     "lower_cm-overflow": "overflow encountered in multiply",
     "lower_cm_ts-overflow": "overflow encountered in multiply",
-    "sethuraman_lower-overflow": "overflow: Monte Carlo mean nan, variance nan",
-    "sethuraman_lower_ts-overflow": "overflow: Monte Carlo mean nan, variance nan",
+    "sethuraman_lower-overflow": "spectral integral overflows double precision",
+    "sethuraman_lower_ts-overflow": "spectral integral overflows double precision",
     "mc-n-over-cap": "--mc-n 100000001 exceeds the cap of 100000000 samples",
     "figure-mc-n-over-cap": "--mc-n 1000000000000 exceeds the cap of 100000000 samples",
     "sim-n-over-cap": "--n 1048577 exceeds the trace-length cap of 1048576",
     "sim-samples-over-cap": "--n x --realizations = 50000896 exceeds the cap of 50000000 samples",
     "pred-power-nan": "power must be finite and nonnegative, got nan",
     "pred-noise-inf": "sigma_n2 must be finite and positive, got inf",
-    "pred-power-overflow": "prediction error is not finite (inf) at these powers",
+    "pred-power-overflow": "spectral integral overflows double precision",
     "pred-powers-over-cap": "--powers has 4096 values, over the cap of 4095",
     "pred-finite-noise-inf": "sigma_n2 must be finite and positive, got inf",
     "pred-finite-noise-nan": "sigma_n2 must be finite and positive, got nan",
@@ -336,7 +336,8 @@ def test_extreme_snr_exits_cleanly(psd, capsys):
     cells or refuses the grid point with one error line; none raises."""
     names = [name for name, bound in cli.BOUNDS.items()
              if not bound.monte_carlo and (psd == "rect" or not bound.rect_only)]
-    for db in (-300, -200, -100, -40, 300, 3000):
+    # rect's closed-form Szego term overflows from 3075.6 dB at f_d 0.1
+    for db in (-300, -200, -100, -40, 300, 3000, 3050, 3056, 3060, 3076, 3082):
         for name in names:
             code = main(["sweep", "--psd", psd, "--fd", "0.1", f"--snr-db={db}",
                          "--beta", "2", "--bounds", name])
@@ -348,6 +349,18 @@ def test_extreme_snr_exits_cleanly(psd, capsys):
                 assert captured.err.count("\n") == 1
             else:
                 assert captured.err == ""
+
+
+def test_rect_szego_overflow_is_refused(capsys):
+    # at f_d 0.001 rho/(2 f_d) overflows above 3055.6 dB, where lower_pg
+    # printed a clamped 0 for a true 702.592
+    code = main(["sweep", "--psd", "rect", "--fd", "0.001", "--snr-db", "3060",
+                 "--bounds", "lower_pg"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: bound 'lower_pg' cannot be evaluated at f_d 0.001, "
+                            "SNR 3060 dB: spectral integral overflows double precision\n")
 
 
 # the columns each --bounds entry contributes, in order; flags, on-fractions

@@ -19,6 +19,7 @@ from fadingrate.entropy import (
 )
 from fadingrate.model import ChannelParams, Jakes, Rectangular
 from fadingrate.quadrature import g_logmoment, make_rng, szego_log_integral
+from fadingrate.rates import rate_lower_pg
 
 
 def test_noise_entropy_closed_form():
@@ -150,6 +151,19 @@ def test_h_yx_lower_rect_cm_matches_spectral_exactly():
         via_floor = h_yx_lower_rect(p, "cm").value - noise_entropy(p.sigma_n2)
         via_szego = szego_log_integral(Rectangular(p.f_d), p.rho)
         assert abs(via_floor - via_szego) <= 1e-15
+
+
+def test_rect_szego_overflow_is_refused():
+    # rho/(2 f_d) is 5e307 at 3050 dB and overflows at 3060 dB (f_d 0.001),
+    # where rate_lower_pg returned a clamped 0 and both entropies inf
+    model = Rectangular(0.001)
+    calls = [lambda p: rate_lower_pg(p, model), lambda p: h_yx_upper(p, model),
+             lambda p: h_yx_lower_rect(p, "cm")]
+    for call in calls:
+        below = call(ChannelParams(f_d=0.001, sigma_x2=1e305))
+        assert math.isfinite(below.value) and not below.clamped
+        with pytest.raises(OverflowError, match="spectral integral overflows double precision"):
+            call(ChannelParams(f_d=0.001, sigma_x2=1e306))
 
 
 def test_h_yx_lower_rect_pg_below_cm():

@@ -114,7 +114,7 @@ def test_batch_matches_stacked_row_draws(method, model, n):
     got = gen_fading_batch(model, n, count, seed, method=method)
     if method == "embedding":
         lam, m, _ = _embedding_spectrum(model, n)
-        assert m == {1024: 8192, 100: 800, 1009: 4036}[n]
+        assert m == {1024: 4096, 100: 800, 1009: 4036}[n]
         draw = lambda rng: (np.fft.ifft(np.sqrt(lam) * _complex_normal(rng, m)) * math.sqrt(m))[:n]
         want = np.stack([draw(make_rng(seed, i)) for i in range(count)])
         assert np.array_equal(got, want)
@@ -126,13 +126,74 @@ def test_batch_matches_stacked_row_draws(method, model, n):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _all_lags_spectra(model, n):
+    # the earlier set-up as a reference: all lags 0..4n in one autocorr
+    # call, then each size's floored spectrum and share, {m: (lam, share)}
+    r = model.autocorr(np.arange(4 * n + 1))
+    spectra = {}
+    for m in (2 * n, 4 * n, 8 * n):
+        half = m // 2
+        lam = np.fft.fft(np.concatenate([r[: half + 1], r[half - 1 : 0 : -1]])).real.copy()
+        share = -lam[lam < 0.0].sum() / (m * r[0]) if lam.min() < 0.0 else 0.0
+        spectra[m] = np.maximum(lam, 0.0), share
+    return spectra
+
+
+# (model, n, the size kept): rc reaches a share of 2^-24 at the first size
+# that does (rc:0.2 n 4096 at 2n, 2.2e-9, where 8n floors 3.1e-11), except
+# rc:0.2 n 256, which keeps its smallest share (1.5e-7 at 8n) like every
+# rect and Jakes case; Jakes n 512 floors 1.87% at best and is refused.
+# rect n 40000 evaluates its 160001 lags in several autocorr blocks.
+_SIZE_CASES = [
+    (Rectangular(0.1), 4096, 16384), (Rectangular(0.1), 1009, 4036),
+    (Rectangular(0.25), 100, 800), (Rectangular(0.1), 40000, 320000),
+    (Jakes(0.1), 1024, 8192), (Jakes(0.1), 4096, 8192), (Jakes(0.3), 1000, 8000),
+    (Jakes(0.1), 512, None),
+    (RaisedCosine(0.1, 0.2), 256, 2048), (RaisedCosine(0.1, 0.2), 1024, 4096),
+    (RaisedCosine(0.1, 0.2), 4096, 8192), (RaisedCosine(0.24, 0.05), 2048, 4096),
+    (RaisedCosine(0.1, 1.0), 4096, 8192),
+]
+
+
+@pytest.mark.parametrize("model,n,kept", _SIZE_CASES)
+def test_embedding_size_rule(model, n, kept):
+    # the first of 2n, 4n, 8n whose share is at most 2^-24, else the
+    # smallest share, refused above 1%; the spectrum kept is bit for bit
+    # the all-lags one at that size
+    spectra = _all_lags_spectra(model, n)
+    shares = {m: share for m, (_, share) in spectra.items()}
+    first = next((m for m, share in shares.items() if share <= 2.0**-24), None)
+    best = min(shares, key=shares.get)
+    if kept is None:
+        assert first is None and shares[best] > 0.01
+        with pytest.raises(ValueError, match=r"^circulant embedding spectrum has negative mass "
+                           r"1\.87% of the trace at its best size 1024 \(> 1%\)$"):
+            _embedding_spectrum(model, n)
+        return
+    assert kept == (first or best)
+    lam, m, share = _embedding_spectrum(model, n)
+    assert (m, share) == (kept, shares[kept])
+    assert np.array_equal(lam, spectra[kept][0])
+
+
+@pytest.mark.parametrize("model,n", [(model, n) for model, n, kept in _SIZE_CASES if kept])
+def test_floored_spectrum_moves_covariance_by_its_share(model, n):
+    # the floor adds share r(0) to the variance and at most that to any
+    # other covariance entry of the circulant
+    lam, m, share = _embedding_spectrum(model, n)
+    r = model.autocorr(np.arange(n))
+    assert share > 0.0
+    assert np.max(np.abs(np.fft.ifft(lam)[:n] - r)) <= share * r[0] + 1e-14 * r[0]
+
+
 def test_batch_peak_memory(monkeypatch):
     # 64 traces of 1024 samples are 1 MiB of complex128; the embedding has
-    # m = 8192, so keeping each row's full m-point transform alive until the
-    # end would hold 8 MiB more.  Each worker thread holds its own draw
-    # buffers and one transform, about 0.4 MiB at this m.
+    # m = 4096, so keeping each row's full m-point transform alive until the
+    # end would hold 4 MiB more, and a second copy of the batch 1 MiB.  Each
+    # worker thread holds its own draw buffers, 64 KiB complex and 32 KiB
+    # real, and numpy's 64 KiB cast buffer for z *= amp: about 1.3 MiB in all.
     model = RaisedCosine(0.1, 0.2)
-    assert _embedding_spectrum(model, 1024)[1] == 8192
+    assert _embedding_spectrum(model, 1024)[1] == 4096
     for workers in (None, 2):
         if workers is not None:
             monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
@@ -142,16 +203,19 @@ def test_batch_peak_memory(monkeypatch):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**20, workers
+        assert peak <= 2 * 2**20, workers
 
 
 def test_embedding_fill_peak_memory(monkeypatch):
-    # one thread drawing one-row blocks at m = 32768: its draw buffers are
-    # 512 KiB complex and 256 KiB real, the block 64 KiB.  The inverse FFT
-    # runs in place; its own 512 KiB output took the peak to about 1.3 MiB.
+    # one thread drawing one-row blocks at m = 16384, traced after the first
+    # block (which also pays one-time costs): its draw buffers are 256 KiB
+    # complex and 128 KiB real, and numpy's cast buffer for z *= amp 128 KiB.
+    # The inverse FFT runs in place; its own 256 KiB output took the peak
+    # from 0.50 to 0.63 MiB.
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
-    blocks, m, _ = _fading_blocks(RaisedCosine(0.1, 0.2), 4096, 4, 0, "embedding", rows=1)
-    assert m == 32768
+    blocks, m, _ = _fading_blocks(Rectangular(0.1), 4096, 5, 0, "embedding", rows=1)
+    assert m == 16384
+    next(blocks)
     tracemalloc.start()
     try:
         for _ in blocks:
@@ -159,7 +223,7 @@ def test_embedding_fill_peak_memory(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * 2**20
+    assert peak <= 0.56 * 2**20
 
 
 @pytest.mark.parametrize("method,psd,n", [("embedding", "rect", 4096), ("cholesky", "rect", 256)])
@@ -191,8 +255,9 @@ def test_streamed_dump_matches_one_batch(method, psd, n, tmp_path, monkeypatch, 
 
 def test_streamed_dump_peak_memory(tmp_path, monkeypatch, capsys):
     # 256 traces of 4096 samples are a 16 MiB complex128 batch; streamed,
-    # simulate holds one 32-row block (2 MiB), the m = 32768 draw buffers
-    # and one 1 MiB complex64 write at a time
+    # simulate holds one 32-row block (2 MiB), the m = 8192 draw buffers
+    # (0.3 MiB) while it fills and one 1 MiB complex64 write while it
+    # writes, about 3.1 MiB: a second block would break the bound
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
     tracemalloc.start()
     try:
@@ -202,8 +267,8 @@ def test_streamed_dump_peak_memory(tmp_path, monkeypatch, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert capsys.readouterr().out.endswith("(embedding, m 32768, floored share 3.11e-11)\n")
-    assert peak <= 5 * 2**20
+    assert capsys.readouterr().out.endswith("(embedding, m 8192, floored share 2.21e-09)\n")
+    assert peak <= 4 * 2**20
 
 
 def test_cholesky_batch_keeps_no_factor():
