@@ -48,11 +48,12 @@ _LN2 = math.log(2.0)
 _MAX_ROWS = 100_000
 # largest --mc-n: the base draws z and w of a grid point take 24 bytes a sample
 _MAX_MC_N = 100_000_000
-# largest simulate request: at the cap, Jakes n 2^20 peaks at 729 MiB RSS and
-# rect at 698 MiB, about 640-675 bytes per sample above the import, set by the
-# m = 8n transform that the embedding spectrum's set-up tries for both (rc:0.2
-# stops at m = 2n: 210 MiB); traces stream to the dump about 1 MiB of
-# complex64 at a time (Cholesky: 1024 traces at a time)
+# largest simulate request: at the cap, Jakes n 2^20 peaks at 524 MiB RSS and
+# rect at 508 MiB, about 450-470 bytes per sample above the import, set by the
+# m = 8n transform their set-up tries: one complex m-array transformed in
+# place (128 MiB), two more inside numpy's FFT and the float spectrum (rc:0.2
+# stops at m = 2n: 192 MiB); traces stream to the dump in blocks of about
+# 1 MiB of complex64 (Cholesky: 1024 traces)
 _MAX_TRACE_N = 1 << 20
 _MAX_SIM_SAMPLES = 50_000_000
 # largest --powers list: a past whose powers differ is a dense n x n system,

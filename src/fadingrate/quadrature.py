@@ -92,19 +92,24 @@ def make_rng(seed, task_index=0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+_NORMAL_CHUNK = 1 << 16  # floats per draw of _complex_normal: 512 KiB
+
+
 def _complex_normal(rng, size, out=None, work=None):
     # unit-variance proper complex Gaussian draws: size real parts, then
-    # size imaginary parts from the stream, each drawn into one size-float
-    # buffer.  A caller drawing repeatedly passes out (complex, size) and
-    # work (float, size) to reuse them.  Bit for bit (a + 1j*b)/sqrt(2):
-    # numpy divides a complex array by a real scalar by multiplying with
-    # its reciprocal.
+    # size imaginary parts from the stream, drawn len(work) at a time into
+    # a float buffer of min(size, _NORMAL_CHUNK) by default; the generator
+    # gives the same stream in chunks as in one call.  A caller drawing
+    # repeatedly passes out (complex, size) and work (float, any nonzero
+    # length) to reuse them.  Bit for bit (a + 1j*b)/sqrt(2): numpy divides
+    # a complex array by a real scalar by multiplying with its reciprocal.
     if out is None:
         out = np.empty(size, dtype=complex)
     if work is None:
-        work = np.empty(size)
-    out.real = rng.standard_normal(out=work)
-    out.imag = rng.standard_normal(out=work)
+        work = np.empty(max(min(size, _NORMAL_CHUNK), 1))
+    for part in (out.real, out.imag):
+        for k in range(0, size, len(work)):
+            part[k : k + len(work)] = rng.standard_normal(out=work[: size - k])
     out *= _SQRT_HALF
     return out
 

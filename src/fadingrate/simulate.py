@@ -26,7 +26,9 @@ import numpy as np
 
 from .model import PsdModel
 from .prediction import PowerProfile, ToeplitzCov, _check_noise, _lmmse, _schur
-from .quadrature import BoundValue, _complex_normal, _finite_nonnegative, _mean_stderr, make_rng
+from .quadrature import (
+    _NORMAL_CHUNK, BoundValue, _complex_normal, _finite_nonnegative, _mean_stderr, make_rng,
+)
 
 __all__ = [
     "gen_fading_batch",
@@ -64,9 +66,10 @@ def _embedding_spectrum(model: PsdModel, n: int):
     covariance entry by at most share r(0).  If no size gets there, the
     one with the smallest share is kept and floored, provided the share is
     at most 1%.  Each size evaluates only the lags 0..m/2 it needs, into
-    one (4n + 1)-float array, _LAG_BLOCK lags per autocorr call; only the
-    best size so far is kept, as a float copy: no complex m-point
-    transform outlives its size."""
+    one (4n + 1)-float array, _LAG_BLOCK lags per autocorr call.  Each
+    size's even sequence is transformed in place in one complex m-array;
+    only the best size so far is kept, as a float copy: no complex m-point
+    array outlives its size."""
     r, done = np.empty(4 * n + 1), 0
     best = None
     for m in (2 * n, 4 * n, 8 * n):
@@ -75,7 +78,10 @@ def _embedding_spectrum(model: PsdModel, n: int):
             k1 = min(k + _LAG_BLOCK, half + 1)
             r[k:k1] = model.autocorr(np.arange(k, k1))
         done = half + 1
-        lam = np.fft.fft(np.concatenate([r[: half + 1], r[half - 1 : 0 : -1]])).real.copy()
+        seq = np.zeros(m, dtype=complex)  # the even sequence, transformed in place
+        seq.real[: half + 1], seq.real[half + 1 :] = r[: half + 1], r[half - 1 : 0 : -1]
+        lam = np.fft.fft(seq, out=seq).real.copy()
+        del seq  # before the next size allocates one twice as long
         if lam.min() >= 0.0:
             return lam, m, 0.0
         share = -lam[lam < 0.0].sum() / (m * r[0])
@@ -177,7 +183,7 @@ def _fading_blocks(model: PsdModel, n: int, count: int, seed, method, rows=None)
         def fill(block, first, part):
             # numpy's generator fills and FFTs release the GIL; each thread
             # draws into its own buffers and writes only its rows
-            z, work = np.empty(m, dtype=complex), np.empty(m)
+            z, work = np.empty(m, dtype=complex), np.empty(min(m, _NORMAL_CHUNK))
             for j in part:
                 _complex_normal(make_rng(seed, first + j), m, out=z, work=work)
                 z *= amp
@@ -220,11 +226,16 @@ def gen_fading_batch(model: PsdModel, n: int, count: int, seed, method="embeddin
     of the covariance + 1e-12 sigma_h2 I and never forms it: each trace's
     real and imaginary parts are one two-row BLAS product per block of
     Schur columns, so a trace is bit for bit the same in any batch.
-    Memory: the embedding path holds the batch and two m-point arrays per
-    thread, m its embedding size, one complex (inverse transformed in
-    place) and one real; the Cholesky path the batch, its real draws (as
-    much again), one 128 x n block of the factor and a product over at most
-    4 traces (about 6.4 MiB at n 2048 x 64).
+    Memory: the embedding path holds the batch, the real m-point spectrum
+    amplitude, m its embedding size, and per thread one complex m-point
+    array (inverse transformed in place) and a draw buffer of at most 2^16
+    floats.  Its set-up peaks at the largest size it tries: one complex
+    m-array transformed in place, two more inside numpy's FFT and the
+    float spectrum it keeps, which at the --n cap sets simulate's peak, 508
+    MiB RSS for rect and 524 MiB for Jakes at n 2^20 (both try m = 8n).
+    The Cholesky path holds the batch, its real draws (as much again), one
+    128 x n block of the factor and a product over at most 4 traces (about
+    6.4 MiB at n 2048 x 64).
     """
     return next(_fading_blocks(model, n, count, seed, method, rows=count)[0])
 

@@ -11,7 +11,7 @@ from scipy import linalg, special
 
 from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
 from fadingrate.prediction import PowerProfile, ToeplitzCov, _schur, pred_error_finite
-from fadingrate.quadrature import BoundValue, _complex_normal, g_logmoment, make_rng
+from fadingrate.quadrature import _NORMAL_CHUNK, BoundValue, _complex_normal, g_logmoment, make_rng
 from fadingrate import simulate
 from fadingrate.cli import main
 from fadingrate.mcrates import coherent_mi_cm
@@ -407,15 +407,16 @@ def test_worker_exception_reaches_caller(monkeypatch, tmp_path, capsys):
     assert info.value is failure
 
 
-@pytest.mark.parametrize("size", [0, 1, 512, 100_000])
+@pytest.mark.parametrize("size", [0, 1, 512, 65535, 65536, 65537, 3 * 65536 + 5, 100_000])
 def test_complex_normal_matches_reference_formula(size):
-    # the in-place draw against the expression it replaced, bit for bit,
-    # allocating its own buffers and writing over stale caller buffers
+    # the chunked in-place draw against the expression it replaced, bit for
+    # bit, allocating its own buffers and writing over stale caller buffers
+    # of one chunk; sizes on each side of a chunk boundary
     for seed in range(3):
         rng = make_rng(seed, 7)
         want = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
         assert _complex_normal(make_rng(seed, 7), size).tobytes() == want.tobytes()
-        out, work = np.full(size, np.nan + 0j), np.full(size, np.nan)
+        out, work = np.full(size, np.nan + 0j), np.full(_NORMAL_CHUNK, np.nan)
         got = _complex_normal(make_rng(seed, 7), size, out=out, work=work)
         assert got is out and got.tobytes() == want.tobytes()
 
