@@ -33,6 +33,11 @@ _M_POINTS = 100
 # samples per block of an estimate; at 100 points the m-PSK kernel's window
 # is 26 columns, so a block's window buffer stays near 850 kB
 _PSK_BLOCK = 4096
+# y = h + w rounds the noise w by up to the rounding unit 2^-53 |h| of the
+# channel amplitude; an estimate is refused once that unit, at the largest
+# amplitude of its samples (of the base, for sethuraman_lower), exceeds this
+# share of the noise's standard deviation (lower_cm: past about 260 dB)
+_NOISE_ROUNDING_SHARE = 2.0**-8
 
 
 def _sample_count(n):
@@ -49,6 +54,13 @@ def _base(seed, n):
     z, w = rng.exponential(size=n), _complex_normal(rng, n)
     z.flags.writeable = w.flags.writeable = False
     return z, w
+
+
+def _refuse_lost_noise(amp, noise_sd):
+    # ValueError once amp's rounding unit exceeds _NOISE_ROUNDING_SHARE of noise_sd
+    if amp * 2.0**-53 > _NOISE_ROUNDING_SHARE * noise_sd:
+        raise ValueError(f"channel amplitude {amp:.3g} against noise standard deviation "
+                         f"{noise_sd:.3g}: the noise is lost to rounding")
 
 
 def _estimate(count, samples):
@@ -77,7 +89,9 @@ def _cm_estimate(seed, n, count, snr, m):
         h = np.sqrt(snr * z[lo:hi])
         return log_m - np.abs(w[lo:hi]) ** 2 - _log_mix_psk(h + w[lo:hi], h, m, 1.0)
 
-    return _estimate(count, samples)
+    est = _estimate(count, samples)
+    _refuse_lost_noise(math.sqrt(snr * z[:count].max()), 1.0)
+    return est
 
 
 @np.errstate(over="raise")
@@ -194,6 +208,7 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, peak: PeakConstrain
     _check_model(params, model)
     n = _sample_count(n)
     z, w = _base(seed, n)
+    z_max = float(z.max())
     rho = params.rho
     sigma_h2 = params.sigma_h2
     sigma_n2 = params.sigma_n2
@@ -213,7 +228,9 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, peak: PeakConstrain
             y = centers + w[lo:hi] * w_scale
             return log_norm - _log_mix_psk(y, centers, _M_POINTS, sigma_eff2)
 
-        return _estimate(count, samples)
+        est = _estimate(count, samples)
+        _refuse_lost_noise(math.sqrt(c2 * z_max) * c_scale, w_scale)
+        return est
 
     def rate(gamma, mean):
         # rate at boost gamma over a 1/gamma duty cycle

@@ -186,7 +186,10 @@ def _fading_blocks(model: PsdModel, n: int, count: int, seed, method, rows=None)
             z, work = np.empty(m, dtype=complex), np.empty(min(m, _NORMAL_CHUNK))
             for j in part:
                 _complex_normal(make_rng(seed, first + j), m, out=z, work=work)
-                z *= amp
+                # in place on each part: z *= amp would cast amp to complex
+                # through a ufunc buffer of min(m, 8192) values per trace
+                z.real *= amp
+                z.imag *= amp
                 # only the first n of the m circulant samples are kept and scaled
                 np.fft.ifft(z, out=z)
                 np.multiply(z[:n], scale, out=block[j])

@@ -43,6 +43,10 @@ ROWS = [
         "same-bytes", None,
         "Cholesky traces are coloured by BLAS gemm over blocks of Schur columns; their dump "
         "must not depend on the CPU (and BLAS thread) count"),
+    Row("mc-cpus", "figure 4 --mc-n 2000", "same-bytes", None,
+        "Monte Carlo CSV bytes must not depend on the CPU count: every estimate draws "
+        "from one seeded base, and the m-PSK kernel's table and blocks are per process; "
+        "grid rows spread over CPUs must keep this"),
     Row("streamed-rc", "simulate --psd rc:0.2 --fd 0.1 --n 4096 --realizations 2048",
         "peak", 100,
         "simulate streams its dump one block at a time: 2048 traces of 4096 samples are a "

@@ -18,7 +18,7 @@ _spec.loader.exec_module(ci_bounds)
 @pytest.mark.parametrize("row", ci_bounds.ROWS, ids=lambda row: row.name)
 def test_row_parses(row):
     args = cli._build_parser().parse_args([*row.argv.split(), "--out", "x"])
-    assert args.func in (cli.cmd_simulate, cli.cmd_sweep)
+    assert args.func in (cli.cmd_simulate, cli.cmd_sweep, cli.cmd_figure)
     assert row.kind in ("peak", "same-bytes")
     assert (row.bound is not None) == (row.kind == "peak")
     assert row.catches

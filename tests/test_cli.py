@@ -267,6 +267,10 @@ def test_out_file_matches_stdout(tmp_path, capsys):
         *(["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", "3080", "--beta", "2",
            "--bounds", name, "--mc-n", "100"]
           for name in ("lower_cm", "lower_cm_ts", "sethuraman_lower", "sethuraman_lower_ts")),
+        ["sweep", "--psd", "rect", "--fd", "0.001", "--snr-db", "250:400:25", "--bounds",
+         "lower_cm", "--mc-n", "20000"],
+        *(["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", db, "--bounds",
+           "sethuraman_lower", "--mc-n", "20000"] for db in ("400", "450")),
     ],
     ids=["rect-only-bound", "peak-needs-beta", "bad-psd", "bad-rolloff", "bad-grid",
          "unknown-bound", "bad-fd", "bad-figure", "predict-both-pasts",
@@ -284,7 +288,8 @@ def test_out_file_matches_stdout(tmp_path, capsys):
          "verify-seed-overflow", "sweep-seed-negative", "sweep-seed-overflow",
          "sim-seed-overflow", "figure-seed-negative", "jakes-spectral-arg-inf",
          "rect-spectral-arg-inf", "lower_cm-overflow", "lower_cm_ts-overflow",
-         "sethuraman_lower-overflow", "sethuraman_lower_ts-overflow"],
+         "sethuraman_lower-overflow", "sethuraman_lower_ts-overflow", "lower_cm-noise-lost",
+         "sethuraman_lower-noise-lost-400", "sethuraman_lower-noise-lost-450"],
 )
 # a numpy warning would print to stderr beside the error line
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -327,6 +332,9 @@ USAGE_REASONS = {
     "figure-seed-negative": "seed and task_index must be nonnegative",
     "jakes-spectral-arg-inf": "c must be finite, got inf",
     "rect-spectral-arg-inf": "c must be finite, got inf",
+    "lower_cm-noise-lost": "the noise is lost to rounding",
+    "sethuraman_lower-noise-lost-400": "the noise is lost to rounding",
+    "sethuraman_lower-noise-lost-450": "the noise is lost to rounding",
 }
 
 

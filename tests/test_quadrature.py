@@ -310,6 +310,33 @@ def test_psk_cut_is_the_first_series_term_to_rounding(m):
     assert 2.0 * special.ive(m, above) >= 1e-16 * special.i0e(above)
 
 
+@pytest.mark.parametrize("m", PSK_POINTS)
+def test_psk_cut_matches_200_bisection_steps(m):
+    # the bisection stops once its midpoint is an end; 200 steps, long past
+    # the point where the bracket stops shrinking, find the same cut
+    lo, hi = 0.0, float(m * m)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if 2.0 * special.ive(m, mid) < 1e-16 * special.i0e(mid):
+            lo = mid
+        else:
+            hi = mid
+    assert _psk_window(m)[0] == lo
+
+
+@pytest.mark.parametrize("m", PSK_POINTS)
+def test_psk_log_i0e_matches_mpmath(m):
+    """The kernel's interpolant of log i0e alone, over [0, cut] at linearly
+    and log-spaced points, against 40-digit log I_0(kappa) - kappa."""
+    cut, _, _, log_i0e = _psk_window(m)
+    kappa = np.concatenate([np.linspace(0.0, cut, 65), cut * np.logspace(-12.0, 0.0, 65)])
+    got = log_i0e(kappa)
+    with mpmath.workdps(40):
+        want = [float(mpmath.log(mpmath.besseli(0, k)) - k) for k in map(mpmath.mpf, kappa)]
+    assert np.abs(got - want).max() <= 1e-14
+    assert log_i0e(np.zeros(1))[0] == 0.0
+
+
 def test_log_mix_psk_overflowing_rows_give_minus_inf():
     # every distance overflows (as |y| or as the phase gap at huge moduli),
     # or y is infinite against a finite center: -inf, as the direct sum
