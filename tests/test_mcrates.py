@@ -237,19 +237,71 @@ def test_timeshare_never_below_plain_on_same_samples(f_d, snr_db, log10_beta, ps
 
 
 def test_timeshare_search_size(monkeypatch):
-    """At figure 4's beta = 2 one time-shared estimate makes a 16-point
-    scan, golden section to 1e-4 on a bracket at most 2/15 wide (at most
-    18 evaluations) and one final estimate, one kernel call each."""
+    """At figure 4's beta = 2 each scan's best is an end of [1, beta] and
+    the probe 1e-4 inward is not better, so one time-shared estimate makes
+    the 16-point scan and the probe, one kernel call each; at n = 400 the
+    final estimate is the scan's own.  With the shortcut off, the same rows
+    take golden section to 1e-4 on a bracket at most 2/15 wide (at most 18
+    evaluations), and at most one final estimate."""
     calls = []
     kernel = mcrates._log_mix_psk
     monkeypatch.setattr(mcrates, "_log_mix_psk", lambda *a: calls.append(a) or kernel(*a))
-    for psd, snr_db in [("rect", -10.0), ("rc:0.2", 10.0), ("jakes", 30.0)]:
-        p, model, peak = _case(psd, 0.01, snr_db, 2.0)
-        for estimate in (lambda: rate_lower_cm(p, model, peak, seed=1, n=400),
-                         lambda: sethuraman_lower(p, model, peak, seed=1, n=400)):
-            calls.clear()
-            estimate()
-            assert 16 + 1 < len(calls) <= 16 + 18 + 1
+    for spacing in (mcrates._SCAN_DECIDES_SPACING, 0.0):
+        monkeypatch.setattr(mcrates, "_SCAN_DECIDES_SPACING", spacing)
+        for psd, snr_db in [("rect", -10.0), ("rc:0.2", 10.0), ("jakes", 30.0)]:
+            p, model, peak = _case(psd, 0.01, snr_db, 2.0)
+            for estimate in (lambda: rate_lower_cm(p, model, peak, seed=1, n=400),
+                             lambda: sethuraman_lower(p, model, peak, seed=1, n=400)):
+                mcrates._cm_estimate.cache_clear()
+                calls.clear()
+                estimate()
+                if spacing:
+                    assert len(calls) == 16 + 1
+                else:
+                    assert 16 + 1 < len(calls) <= 16 + 18 + 1
+
+
+def _timeshared_golden(estimate, rate, beta, n):
+    # the search before the scan could decide: golden section after every scan
+    gamma_opt = 1.0
+    if beta > 1.0:
+        n_small = min(n, 10_000)
+
+        def objective(gamma):
+            return rate(gamma, estimate(gamma, n_small)[0])
+
+        gammas = np.linspace(1.0, beta, 16)
+        values = [objective(g) for g in gammas]
+        k = int(np.argmax(values))
+        lo = gammas[max(k - 1, 0)]
+        hi = gammas[min(k + 1, len(gammas) - 1)]
+        gamma_opt = mcrates._golden_max(objective, lo, hi, (values[k], gammas[k]))
+    mean, stderr = estimate(gamma_opt, n)
+    return gamma_opt, rate(gamma_opt, mean), stderr / gamma_opt
+
+
+def test_timeshare_shortcut_matches_golden_search(monkeypatch):
+    """A scan that decides gamma returns what golden section after it
+    returned, bit for bit, on both bounds over every density, f_d 0.01 and
+    0.3, -10..30 dB and beta 2, 16 (the widest shortcut spacing) and 1000
+    (golden section by the spacing rule), and the rc:0.2 cell at beta =
+    1000 whose objective falls from gamma = 1 and rises again before the
+    first scan point: a probe there would keep gamma = 1, not 2.41."""
+    golden = []
+    golden_max = mcrates._golden_max
+    monkeypatch.setattr(mcrates, "_golden_max", lambda *a: golden.append(a) or golden_max(*a))
+    cases = [(_case(psd, f_d, snr_db, beta), bound, 2, 400)
+             for psd in sorted(MODELS) for f_d in (0.01, 0.3) for snr_db in (-10.0, 10.0, 30.0)
+             for beta in (2.0, 16.0, 1000.0) for bound in (rate_lower_cm, sethuraman_lower)]
+    cases.append((_case("rc:0.2", 0.2, -5.0, 1000.0), rate_lower_cm, 3, 4000))
+    got = [bound(*args, seed=seed, n=n) for args, bound, seed, n in cases]
+    # the grid takes both paths: some searches keep a scan end, the rest run golden section
+    assert 0 < len(golden) < len(cases)
+    assert got[-1].alpha_used == 1.0 / 2.414696946174621
+    monkeypatch.setattr(mcrates, "_timeshared", _timeshared_golden)
+    want = [bound(*args, seed=seed, n=n) for args, bound, seed, n in cases]
+    for g, w in zip(got, want):
+        assert (g.value, g.alpha_used, g.stderr) == (w.value, w.alpha_used, w.stderr)
 
 
 def test_timeshare_search_finds_grid_maximum(monkeypatch):

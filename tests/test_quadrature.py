@@ -337,6 +337,51 @@ def test_psk_log_i0e_matches_mpmath(m):
     assert log_i0e(np.zeros(1))[0] == 0.0
 
 
+def _psk_window_rows_unfloored(y, centers, m, scale):
+    # the kernel's window rows as they were before terms below e^-700 were
+    # set to 0: exp over every window column
+    _, cos_k, sin_k, _ = _psk_window(m)
+    step = 2.0 * math.pi / m
+    ay, ac = np.abs(y), np.abs(centers)
+    phi = np.angle(y) - np.angle(centers)
+    half = 0.5 * (phi - step * np.rint(phi / step))
+    root = 2.0 * np.sqrt(ay) * np.sqrt(ac / scale)
+    t0 = root * np.sin(half)
+    t = np.multiply.outer(t0, cos_k)
+    t -= np.multiply.outer(root * np.cos(half), sin_k)
+    np.square(t, out=t)
+    t0 *= t0
+    with np.errstate(under="ignore"):
+        np.subtract(np.minimum(t0, np.finfo(float).max)[:, None], t, out=t)
+        np.exp(t, out=t)
+    d = ay - ac
+    return np.log1p(t.sum(axis=1)) - t0 - d * d / scale
+
+
+@pytest.mark.parametrize("m", [100, 256])
+def test_log_mix_psk_window_floor_keeps_the_bits(m):
+    """Window terms below e^-700 set to 0 move no bit of a row with kappa
+    from 128 to 1e5: on a phase (where y = c, the row is the neighbours'
+    sum alone), half way between two, and anywhere.  A row on a phase can
+    move once its neighbours fall below e^-700, from kappa about
+    350 / sin^2(pi / m): 3.5e5 at m = 100, but 700 at m = 4."""
+    rng = np.random.default_rng(m)
+    cut = _psk_window(m)[0]
+    kappa = np.logspace(math.log10(max(128.0, 2.0 * cut)), 5.0, 400)
+    offset = rng.uniform(-1.0, 1.0, kappa.size) * math.pi / m
+    offset[::4], offset[1::4] = 0.0, math.pi / m
+    gap = rng.uniform(0.0, 2.0, kappa.size)
+    gap[::4] = 0.0
+    for scale in (1.0, 2.5):
+        v = kappa / (gap + np.sqrt(gap * gap + 2.0 * kappa))
+        alpha = rng.uniform(-math.pi, math.pi, kappa.size) if scale != 1.0 else 0.0
+        theta = alpha + 2.0 * math.pi * rng.integers(m, size=kappa.size) / m + offset
+        c = v * math.sqrt(scale) * np.exp(1j * alpha)
+        y = (v + gap) * math.sqrt(scale) * np.exp(1j * theta)
+        assert np.array_equal(_log_mix_psk_quiet(y, c, m, scale),
+                              _psk_window_rows_unfloored(y, c, m, scale))
+
+
 def test_log_mix_psk_overflowing_rows_give_minus_inf():
     # every distance overflows (as |y| or as the phase gap at huge moduli),
     # or y is infinite against a finite center: -inf, as the direct sum
