@@ -35,8 +35,8 @@ _M_POINTS = 100
 _PSK_BLOCK = 4096
 # y = h + w rounds the noise w by up to the rounding unit 2^-53 |h| of the
 # channel amplitude; an estimate is refused once that unit, at the largest
-# amplitude of its samples (of the base, for sethuraman_lower), exceeds this
-# share of the noise's standard deviation (lower_cm: past about 260 dB)
+# amplitude of its samples, exceeds this share of the noise's standard
+# deviation (lower_cm: past about 260 dB)
 _NOISE_ROUNDING_SHARE = 2.0**-8
 
 
@@ -144,35 +144,27 @@ _SCAN_DECIDES_SPACING = 1.0
 def _timeshared(estimate, rate, beta, n):
     """Time-sharing estimate over the boost gamma in [1, beta].
 
-    estimate(gamma, count) gives (mean, stderr) of the first count common
-    random numbers at boost gamma, and rate(gamma, mean) the rate over a
-    1/gamma duty cycle from their mean.  A 16-point scan guards
-    against non-unimodal objectives and golden section refines within the
-    bracket of its best point to 1e-4, both on min(n, 10^4) samples; at
-    beta = 1 there is no search.  When the scan's best point is an end of
-    [1, beta], the scan spacing (beta - 1) / 15 is at most
-    _SCAN_DECIDES_SPACING and a probe 1e-4 inward is not better, that end
-    is kept and golden section is skipped (Brent 1973): at beta = 2 a search
-    takes 16 + 1 estimates instead of 16 + up to 18.  Each (gamma, count)
-    estimate is taken once per call, so with n <= 10^4 the final estimate
-    is the search's own.  gamma_opt is the best point evaluated, so
-    with n <= 10^4 the rate is never below the one at gamma = 1.
+    estimate(gamma, count) gives the cached (mean, stderr) of the first count
+    common random numbers at boost gamma, and rate(gamma, mean) the rate over
+    a 1/gamma duty cycle.  A 16-point scan guards against non-unimodal
+    objectives and golden section refines within the bracket of its best
+    point to 1e-4, both on min(n, 10^4) samples; at beta = 1 there is no
+    search.  When the scan's best point is an end of [1, beta], the spacing
+    (beta - 1) / 15 is at most _SCAN_DECIDES_SPACING and a probe 1e-4 inward
+    is not better, that end is kept (Brent 1973): at beta = 2 a search takes
+    16 + 1 estimates, 15 + 1 after the plain bound's (1, n).  The search's
+    gamma then meets gamma = 1 on all n samples (the plain bound's estimate),
+    keeping the search's on a tie, so the rate is never below the plain one.
     Returns (gamma_opt, raw, stderr): the rate from all n samples at
-    gamma_opt and its standard error.
+    gamma_opt and its standard error, which at n <= 10^4 omits the choice
+    of gamma on those samples (the optimizer's curse).
     """
-    kept = {}
-
-    def estimate_once(gamma, count):
-        if (gamma, count) not in kept:
-            kept[gamma, count] = estimate(gamma, count)
-        return kept[gamma, count]
-
     gamma_opt = 1.0
     if beta > 1.0:
         n_small = min(n, 10_000)
 
         def objective(gamma):
-            return rate(gamma, estimate_once(gamma, n_small)[0])
+            return rate(gamma, estimate(gamma, n_small)[0])
 
         gammas = np.linspace(1.0, beta, 16)
         values = [objective(g) for g in gammas]
@@ -184,8 +176,14 @@ def _timeshared(estimate, rate, beta, n):
             lo = gammas[max(k - 1, 0)]
             hi = gammas[min(k + 1, len(gammas) - 1)]
             gamma_opt = _golden_max(objective, lo, hi, (values[k], gamma_opt))
-    mean, stderr = estimate_once(gamma_opt, n)
-    return gamma_opt, rate(gamma_opt, mean), stderr / gamma_opt
+    mean, stderr = estimate(gamma_opt, n)
+    raw = rate(gamma_opt, mean)
+    if gamma_opt != 1.0:
+        mean_1, stderr_1 = estimate(1.0, n)
+        raw_1 = rate(1.0, mean_1)
+        if raw_1 > raw:
+            return 1.0, raw_1, stderr_1
+    return gamma_opt, raw, stderr / gamma_opt
 
 
 @np.errstate(over="raise")
@@ -215,6 +213,27 @@ def rate_lower_cm(params: ChannelParams, model: PsdModel, peak: PeakConstraint |
                       unclamped=raw, stderr=stderr)
 
 
+@lru_cache(maxsize=256)
+def _sd_estimate(seed, n, count, power, model, sigma_n2, sigma_h2):
+    # (mean, stderr) over the first count samples of base (seed, n) of -log p(y | h_hat)
+    # at power for the constant-modulus mixture, h_hat = sqrt((sigma_h2 - s2) z) the
+    # known prediction (real by symmetry), y = h_hat sqrt(power) + w sqrt(sigma_eff2)
+    z, w = _base(seed, n)
+    s2 = pred_error_cm_infinite(model, power, sigma_n2)
+    sigma_eff2 = power * s2 + sigma_n2
+    c2, c_scale, w_scale = max(sigma_h2 - s2, 0.0), math.sqrt(power), math.sqrt(sigma_eff2)
+    log_norm = math.log(_M_POINTS) + math.log(math.pi * sigma_eff2)
+
+    def samples(lo, hi):
+        centers = np.sqrt(c2 * z[lo:hi]) * c_scale
+        y = centers + w[lo:hi] * w_scale
+        return log_norm - _log_mix_psk(y, centers, _M_POINTS, sigma_eff2)
+
+    est = _estimate(count, samples)
+    _refuse_lost_noise(math.sqrt(c2 * z[:count].max()) * c_scale, w_scale)
+    return est
+
+
 @np.errstate(over="raise")
 def sethuraman_lower(params: ChannelParams, model: PsdModel, peak: PeakConstraint | None = None,
                      seed=0, n=None, *, timeshare=False) -> BoundValue:
@@ -224,42 +243,22 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, peak: PeakConstrain
     The conditional output entropy given the prediction is Monte Carlo
     estimated.  With a peak ratio beta > 1 the bound time-shares: it boosts
     the power by gamma in [1, beta] during a 1/gamma duty cycle and
-    maximizes the rate; without a peak constraint, or at beta = 1, there is
-    no search.  The raw value is reported without clamping (near rho = 0 it
-    is zero only up to Monte Carlo noise).  timeshare only labels the call:
-    perfbench/spans.py reports timeshare=True as sethuraman_lower_ts.
+    maximizes the rate, never below the plain one at the same seed and n;
+    without a peak constraint, or at beta = 1, there is no search.  The raw
+    value is reported without clamping (near rho = 0 it is zero only up to
+    Monte Carlo noise).  timeshare only labels the call: perfbench/spans.py
+    reports timeshare=True as sethuraman_lower_ts.
     """
     _check_model(params, model)
     n = _sample_count(n)
-    z, w = _base(seed, n)
-    z_max = float(z.max())
-    rho = params.rho
-    sigma_h2 = params.sigma_h2
-    sigma_n2 = params.sigma_n2
+    rho, sigma_n2 = params.rho, params.sigma_n2
 
     def estimate(gamma, count):
-        # -log p(y | h_hat) at boost gamma for the constant-modulus mixture: the
-        # receiver knows the one-step prediction h_hat = sqrt((sigma_h2 - s2) z)
-        # (real by symmetry) and sees y = h_hat sqrt(power) + w sqrt(sigma_eff2)
-        power = gamma * params.sigma_x2
-        s2 = pred_error_cm_infinite(model, power, sigma_n2)
-        sigma_eff2 = power * s2 + sigma_n2
-        c2, c_scale, w_scale = max(sigma_h2 - s2, 0.0), math.sqrt(power), math.sqrt(sigma_eff2)
-        log_norm = math.log(_M_POINTS) + math.log(math.pi * sigma_eff2)
-
-        def samples(lo, hi):
-            centers = np.sqrt(c2 * z[lo:hi]) * c_scale
-            y = centers + w[lo:hi] * w_scale
-            return log_norm - _log_mix_psk(y, centers, _M_POINTS, sigma_eff2)
-
-        est = _estimate(count, samples)
-        _refuse_lost_noise(math.sqrt(c2 * z_max) * c_scale, w_scale)
-        return est
+        return _sd_estimate(seed, n, count, gamma * params.sigma_x2, model, sigma_n2,
+                            params.sigma_h2)
 
     def rate(gamma, mean):
-        # rate at boost gamma over a 1/gamma duty cycle
-        c_l1 = mean - noise_entropy(sigma_n2) - szego_log_integral(model, gamma * rho)
-        return c_l1 / gamma
+        return (mean - noise_entropy(sigma_n2) - szego_log_integral(model, gamma * rho)) / gamma
 
     gamma_opt, raw, stderr = _timeshared(estimate, rate, 1.0 if peak is None else peak.beta, n)
     return BoundValue(value=raw, alpha_used=1.0 / gamma_opt, unclamped=raw, stderr=stderr)

@@ -160,7 +160,9 @@ def test_one_read_only_base_per_seed_and_resolved_n():
     p = ChannelParams(f_d=0.1, sigma_x2=1.0)
     model = Rectangular(0.1)
     mcrates._base.cache_clear()
+    mcrates._sd_estimate.cache_clear()
     sethuraman_lower(p, model, seed=3)
+    mcrates._sd_estimate.cache_clear()
     b = sethuraman_lower(p, model, seed=3, n=QuadratureConfig().mc_default_n)
     assert mcrates._base.cache_info()[:2] == (1, 1)
     z, w = mcrates._base(3, QuadratureConfig().mc_default_n)
@@ -169,6 +171,7 @@ def test_one_read_only_base_per_seed_and_resolved_n():
     assert mcrates._base.cache_info().currsize == 1
     # the cache keeps the library's (seed, n) semantics
     mcrates._base.cache_clear()
+    mcrates._sd_estimate.cache_clear()
     assert sethuraman_lower(p, model, seed=3) == b
 
 
@@ -220,19 +223,22 @@ def _case(psd, f_d, snr_db, beta):
 
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from([0.001, 0.01, 0.1, 0.3]), st.floats(-10.0, 40.0), st.floats(0.0, 12.0),
-       st.sampled_from(sorted(MODELS)), st.integers(0, 2 ** 16))
-@example(0.1, 30.0, 9.0, "rect", 0)
-def test_timeshare_never_below_plain_on_same_samples(f_d, snr_db, log10_beta, psd, seed):
-    """gamma = 1 is the first scan point and the search returns the best
-    point it evaluated; at n <= 10^4 the final estimate reuses the search's
-    samples, so each time-shared value is at least its plain one, exactly.
-    The example lost the whole rate to an unevaluated bracket midpoint."""
+       st.sampled_from(sorted(MODELS)), st.integers(0, 2 ** 16), st.sampled_from([400, 20_000]))
+@example(0.1, 30.0, 9.0, "rect", 0, 400)
+@example(0.001, -10.0, math.log10(2.0), "rect", 2, 20_000)
+def test_timeshare_never_below_plain_on_same_samples(f_d, snr_db, log10_beta, psd, seed, n):
+    """The search's gamma meets gamma = 1 on all n samples, the plain
+    bound's own estimate, so each time-shared value is at least its plain
+    one, exactly, at every n.  The first example lost the whole rate to an
+    unevaluated bracket midpoint; in the second the gamma chosen on 10^4
+    samples was worse than gamma = 1 on all 20000 (by 9.2e-4 nats for
+    sethuraman_lower and 9.6e-5 for lower_cm) and was kept."""
     p, model, peak = _case(psd, f_d, snr_db, 10.0 ** log10_beta)
-    plain = rate_lower_cm(p, model, seed=seed, n=400)
-    ts = rate_lower_cm(p, model, peak, seed=seed, n=400)
+    plain = rate_lower_cm(p, model, seed=seed, n=n)
+    ts = rate_lower_cm(p, model, peak, seed=seed, n=n)
     assert ts.unclamped >= plain.unclamped
-    plain = sethuraman_lower(p, model, seed=seed, n=400)
-    ts = sethuraman_lower(p, model, peak, seed=seed, n=400)
+    plain = sethuraman_lower(p, model, seed=seed, n=n)
+    ts = sethuraman_lower(p, model, peak, seed=seed, n=n)
     assert ts.unclamped >= plain.unclamped
 
 
@@ -240,9 +246,10 @@ def test_timeshare_search_size(monkeypatch):
     """At figure 4's beta = 2 each scan's best is an end of [1, beta] and
     the probe 1e-4 inward is not better, so one time-shared estimate makes
     the 16-point scan and the probe, one kernel call each; at n = 400 the
-    final estimate is the scan's own.  With the shortcut off, the same rows
-    take golden section to 1e-4 on a bracket at most 2/15 wide (at most 18
-    evaluations), and at most one final estimate."""
+    final estimate is the scan's own.  Right after its plain call the scan's
+    gamma = 1 point is the plain estimate, so it takes 16.  With the
+    shortcut off, the same rows take golden section to 1e-4 on a bracket at
+    most 2/15 wide (at most 18 evaluations), and at most one final estimate."""
     calls = []
     kernel = mcrates._log_mix_psk
     monkeypatch.setattr(mcrates, "_log_mix_psk", lambda *a: calls.append(a) or kernel(*a))
@@ -250,15 +257,19 @@ def test_timeshare_search_size(monkeypatch):
         monkeypatch.setattr(mcrates, "_SCAN_DECIDES_SPACING", spacing)
         for psd, snr_db in [("rect", -10.0), ("rc:0.2", 10.0), ("jakes", 30.0)]:
             p, model, peak = _case(psd, 0.01, snr_db, 2.0)
-            for estimate in (lambda: rate_lower_cm(p, model, peak, seed=1, n=400),
-                             lambda: sethuraman_lower(p, model, peak, seed=1, n=400)):
-                mcrates._cm_estimate.cache_clear()
-                calls.clear()
-                estimate()
-                if spacing:
-                    assert len(calls) == 16 + 1
-                else:
-                    assert 16 + 1 < len(calls) <= 16 + 18 + 1
+            for bound in (rate_lower_cm, sethuraman_lower):
+                for plain_first in (False, True):
+                    mcrates._cm_estimate.cache_clear()
+                    mcrates._sd_estimate.cache_clear()
+                    if plain_first:
+                        bound(p, model, seed=1, n=400)
+                    calls.clear()
+                    bound(p, model, peak, seed=1, n=400)
+                    if spacing:
+                        assert len(calls) == 16 + 1 - plain_first
+                    else:
+                        assert 16 + 1 - plain_first < len(calls) <= 16 + 18 + 1 - plain_first
+
 
 
 def _timeshared_golden(estimate, rate, beta, n):
