@@ -2,10 +2,12 @@
 
 The coherent mutual information of an m-point uniform-phase constellation
 has no closed form; it is estimated by seeded Monte Carlo with the channel
-magnitude drawn from its Rayleigh law.  The same estimator drives the
-achievable-rate lower bounds.  A peak constraint with beta > 1 turns on
-their time sharing, which maximizes over the boost factor gamma in
-[1, beta] with common random numbers so the search objective is smooth.
+magnitude drawn from its Rayleigh law.  The same cached estimator drives
+both achievable-rate lower bounds: rate_lower_cm at the input SNR and
+sethuraman_lower at the SNR of decoding against the channel prediction.
+A peak constraint with beta > 1 turns on their time sharing, which
+maximizes over the boost factor gamma in [1, beta] with common random
+numbers so the search objective is smooth.
 Overflow in an estimator raises FloatingPointError (an ArithmeticError)
 instead of returning a non-finite value with a numpy warning.
 """
@@ -17,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import noise_entropy
 from .model import ChannelParams, PsdModel, _check_model
 from .prediction import pred_error_cm_infinite
 from .quadrature import (
@@ -56,42 +57,32 @@ def _base(seed, n):
     return z, w
 
 
-def _refuse_lost_noise(amp, noise_sd):
-    # ValueError once amp's rounding unit exceeds _NOISE_ROUNDING_SHARE of noise_sd
-    if amp * 2.0**-53 > _NOISE_ROUNDING_SHARE * noise_sd:
-        raise ValueError(f"channel amplitude {amp:.3g} against noise standard deviation "
-                         f"{noise_sd:.3g}: the noise is lost to rounding")
-
-
-def _estimate(count, samples):
-    # (mean, stderr) of count samples, samples(lo, hi) giving samples lo..hi-1
-    # from slices of the base.  They fill one count-float array _PSK_BLOCK
-    # at a time, so every other temporary is one block's, and _mean_stderr
-    # takes the whole array: the bits do not depend on the block size.
-    vals = np.empty(count)
-    for lo in range(0, count, _PSK_BLOCK):
-        hi = min(lo + _PSK_BLOCK, count)
-        vals[lo:hi] = samples(lo, hi)
-    return _mean_stderr(vals)
-
-
 # figure 2's 294 lower_cm cells ask for 2 estimates, so each (mean, stderr)
 # is taken once
 @lru_cache(maxsize=256)
 def _cm_estimate(seed, n, count, snr, m):
     # (mean, stderr) of the unit-power m-PSK coherent information at SNR snr
     # over the first count samples of base (seed, n): channel magnitude
-    # sqrt(snr z), unit-variance noise w, symbol fixed to 1 by symmetry
+    # sqrt(snr z), unit-variance noise w, symbol fixed to 1 by symmetry.
+    # The samples fill one count-float array _PSK_BLOCK at a time, so every
+    # other temporary is one block's, and _mean_stderr takes the whole
+    # array: the bits do not depend on the block size.
     z, w = _base(seed, n)
     log_m = math.log(m)
-
-    def samples(lo, hi):
+    vals = np.empty(count)
+    for lo in range(0, count, _PSK_BLOCK):
+        hi = min(lo + _PSK_BLOCK, count)
         h = np.sqrt(snr * z[lo:hi])
-        return log_m - np.abs(w[lo:hi]) ** 2 - _log_mix_psk(h + w[lo:hi], h, m, 1.0)
-
-    est = _estimate(count, samples)
-    _refuse_lost_noise(math.sqrt(snr * z[:count].max()), 1.0)
-    return est
+        vals[lo:hi] = log_m - np.abs(w[lo:hi]) ** 2 - _log_mix_psk(h + w[lo:hi], h, m, 1.0)
+    mean, stderr = _mean_stderr(vals)
+    amp = math.sqrt(snr * z[:count].max())
+    if amp * 2.0**-53 > _NOISE_ROUNDING_SHARE:
+        raise ValueError(f"channel amplitude {amp:.3g} against unit noise: "
+                         "the noise is lost to rounding")
+    # a sample rounds terms of size log m (the kernel adds it, the line above
+    # subtracts it), so no stderr below ulp(log m) is meant; at snr = 0 every
+    # sample is exactly 0
+    return mean, max(stderr, math.ulp(log_m)) if snr > 0.0 else stderr
 
 
 @np.errstate(over="raise")
@@ -166,7 +157,8 @@ def _timeshared(estimate, rate, beta, n):
         def objective(gamma):
             return rate(gamma, estimate(gamma, n_small)[0])
 
-        gammas = np.linspace(1.0, beta, 16)
+        # as Python floats, so gamma_opt and every result field are floats
+        gammas = np.linspace(1.0, beta, 16).tolist()
         values = [objective(g) for g in gammas]
         k = int(np.argmax(values))
         gamma_opt = gammas[k]
@@ -213,52 +205,36 @@ def rate_lower_cm(params: ChannelParams, model: PsdModel, peak: PeakConstraint |
                       unclamped=raw, stderr=stderr)
 
 
-@lru_cache(maxsize=256)
-def _sd_estimate(seed, n, count, power, model, sigma_n2, sigma_h2):
-    # (mean, stderr) over the first count samples of base (seed, n) of -log p(y | h_hat)
-    # at power for the constant-modulus mixture, h_hat = sqrt((sigma_h2 - s2) z) the
-    # known prediction (real by symmetry), y = h_hat sqrt(power) + w sqrt(sigma_eff2)
-    z, w = _base(seed, n)
-    s2 = pred_error_cm_infinite(model, power, sigma_n2)
-    sigma_eff2 = power * s2 + sigma_n2
-    c2, c_scale, w_scale = max(sigma_h2 - s2, 0.0), math.sqrt(power), math.sqrt(sigma_eff2)
-    log_norm = math.log(_M_POINTS) + math.log(math.pi * sigma_eff2)
-
-    def samples(lo, hi):
-        centers = np.sqrt(c2 * z[lo:hi]) * c_scale
-        y = centers + w[lo:hi] * w_scale
-        return log_norm - _log_mix_psk(y, centers, _M_POINTS, sigma_eff2)
-
-    est = _estimate(count, samples)
-    _refuse_lost_noise(math.sqrt(c2 * z[:count].max()) * c_scale, w_scale)
-    return est
-
-
 @np.errstate(over="raise")
 def sethuraman_lower(params: ChannelParams, model: PsdModel, peak: PeakConstraint | None = None,
                      seed=0, n=None, *, timeshare=False) -> BoundValue:
     """Achievable-rate lower bound for constant-modulus inputs decoded
     against the infinite-past channel prediction.
 
-    The conditional output entropy given the prediction is Monte Carlo
-    estimated.  With a peak ratio beta > 1 the bound time-shares: it boosts
-    the power by gamma in [1, beta] during a 1/gamma duty cycle and
-    maximizes the rate, never below the plain one at the same seed and n;
-    without a peak constraint, or at beta = 1, there is no search.  The raw
-    value is reported without clamping (near rho = 0 it is zero only up to
-    Monte Carlo noise).  timeshare only labels the call: perfbench/spans.py
-    reports timeshare=True as sethuraman_lower_ts.
+    Given the prediction and |x|^2 = P the output is the prediction times x
+    plus CN(0, P s2 + sigma_n2), s2 the prediction error, and the
+    Kolmogorov-Szego identity log((P s2 + sigma_n2) / sigma_n2) = the
+    spectral log integral makes the bound the coherent m-PSK information at
+    SNR P (sigma_h2 - s2) / (P s2 + sigma_n2): coherent_mi_cm's estimate.
+    With a peak ratio beta > 1 the bound time-shares: it boosts the power
+    by gamma in [1, beta] during a 1/gamma duty cycle and maximizes the
+    rate, never below the plain one at the same seed and n; without a peak
+    constraint, or at beta = 1, there is no search.  The raw
+    value is reported without clamping: exactly 0 at sigma_x2 = 0, and near
+    it zero up to Monte Carlo noise.  timeshare only labels the call:
+    perfbench/spans.py reports timeshare=True as sethuraman_lower_ts.
     """
     _check_model(params, model)
     n = _sample_count(n)
-    rho, sigma_n2 = params.rho, params.sigma_n2
 
     def estimate(gamma, count):
-        return _sd_estimate(seed, n, count, gamma * params.sigma_x2, model, sigma_n2,
-                            params.sigma_h2)
+        power = gamma * params.sigma_x2
+        s2 = pred_error_cm_infinite(model, power, params.sigma_n2)
+        snr = power * max(params.sigma_h2 - s2, 0.0) / (power * s2 + params.sigma_n2)
+        return _cm_estimate(seed, n, count, snr, _M_POINTS)
 
     def rate(gamma, mean):
-        return (mean - noise_entropy(sigma_n2) - szego_log_integral(model, gamma * rho)) / gamma
+        return mean / gamma
 
     gamma_opt, raw, stderr = _timeshared(estimate, rate, 1.0 if peak is None else peak.beta, n)
     return BoundValue(value=raw, alpha_used=1.0 / gamma_opt, unclamped=raw, stderr=stderr)

@@ -119,7 +119,6 @@ def test_mc_cell_is_the_library_call_at_seed(psd, seed, capsys):
     # the library calls draw afresh
     mcrates._base.cache_clear()
     mcrates._cm_estimate.cache_clear()
-    mcrates._sd_estimate.cache_clear()
     for row in rows:
         cells = dict(zip(header, row))
         for name, want in _library_cells(psd, cells, seed, 400):

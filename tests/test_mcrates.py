@@ -9,8 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from fadingrate import mcrates
 from fadingrate.mcrates import coherent_mi_cm, rate_lower_cm, sethuraman_lower
+from fadingrate.entropy import noise_entropy
 from fadingrate.model import ChannelParams, Jakes, RaisedCosine, Rectangular
-from fadingrate.quadrature import QuadratureConfig, _mean_stderr, g_logmoment
+from fadingrate.prediction import pred_error_cm_infinite
+from fadingrate.quadrature import (
+    QuadratureConfig, _log_mix_psk, _mean_stderr, g_logmoment, szego_log_integral,
+)
 from fadingrate.rates import PeakConstraint
 
 N_SMALL = 20_000
@@ -54,7 +58,7 @@ def test_estimates_pinned_to_the_bit():
     ts = sethuraman_lower(ChannelParams(f_d=0.05, sigma_x2=0.25), model, PeakConstraint(2.0),
                           seed=11, n=2000)
     assert (ts.value, ts.stderr, ts.alpha_used) == (
-        0.10832946129039879, 0.011306428057363423, 0.51236038748826118)
+        0.10284586754982263, 0.0065091445116697341, 0.5)
     cm = rate_lower_cm(ChannelParams(f_d=0.05, sigma_x2=0.5), model, PeakConstraint(2.0),
                        seed=11, n=2000)
     assert (cm.value, cm.stderr, cm.alpha_used) == (
@@ -81,8 +85,8 @@ def test_block_edges_keep_the_bits():
     assert got == [
         (2.0000722875932504, 0.0096737861714094285, 1.0),
         (0.17100806038193020, 0.0067671150284932136, 0.96632473715605771),
-        (2.3633551097474941, 0.0094228508981005991, 1.0),
-        (0.19136601157668187, 0.0073796567020868072, 0.76512661680890515)]
+        (2.3785110950438035, 0.0097344354334045636, 1.0),
+        (0.20393583909466881, 0.0052530334240614819, 0.90528556920832659)]
 
 
 def _traced_peak(fun):
@@ -160,9 +164,9 @@ def test_one_read_only_base_per_seed_and_resolved_n():
     p = ChannelParams(f_d=0.1, sigma_x2=1.0)
     model = Rectangular(0.1)
     mcrates._base.cache_clear()
-    mcrates._sd_estimate.cache_clear()
+    mcrates._cm_estimate.cache_clear()
     sethuraman_lower(p, model, seed=3)
-    mcrates._sd_estimate.cache_clear()
+    mcrates._cm_estimate.cache_clear()
     b = sethuraman_lower(p, model, seed=3, n=QuadratureConfig().mc_default_n)
     assert mcrates._base.cache_info()[:2] == (1, 1)
     z, w = mcrates._base(3, QuadratureConfig().mc_default_n)
@@ -171,7 +175,7 @@ def test_one_read_only_base_per_seed_and_resolved_n():
     assert mcrates._base.cache_info().currsize == 1
     # the cache keeps the library's (seed, n) semantics
     mcrates._base.cache_clear()
-    mcrates._sd_estimate.cache_clear()
+    mcrates._cm_estimate.cache_clear()
     assert sethuraman_lower(p, model, seed=3) == b
 
 
@@ -249,18 +253,19 @@ def test_timeshare_search_size(monkeypatch):
     final estimate is the scan's own.  Right after its plain call the scan's
     gamma = 1 point is the plain estimate, so it takes 16.  With the
     shortcut off, the same rows take golden section to 1e-4 on a bracket at
-    most 2/15 wide (at most 18 evaluations), and at most one final estimate."""
+    most 2/15 wide (at most 18 evaluations), and at most one final estimate.
+    The rows are ones where both bounds' scans decide (at rect -10 dB
+    sethuraman_lower's does not)."""
     calls = []
     kernel = mcrates._log_mix_psk
     monkeypatch.setattr(mcrates, "_log_mix_psk", lambda *a: calls.append(a) or kernel(*a))
     for spacing in (mcrates._SCAN_DECIDES_SPACING, 0.0):
         monkeypatch.setattr(mcrates, "_SCAN_DECIDES_SPACING", spacing)
-        for psd, snr_db in [("rect", -10.0), ("rc:0.2", 10.0), ("jakes", 30.0)]:
+        for psd, snr_db in [("rect", -5.0), ("rc:0.2", 10.0), ("jakes", 30.0)]:
             p, model, peak = _case(psd, 0.01, snr_db, 2.0)
             for bound in (rate_lower_cm, sethuraman_lower):
                 for plain_first in (False, True):
                     mcrates._cm_estimate.cache_clear()
-                    mcrates._sd_estimate.cache_clear()
                     if plain_first:
                         bound(p, model, seed=1, n=400)
                     calls.clear()
@@ -367,6 +372,72 @@ def test_sethuraman_lower_vanishes_at_low_snr():
     b = sethuraman_lower(p, Rectangular(0.1), seed=7, n=N_SMALL)
     assert not b.clamped  # reported raw, zero only up to sampling noise
     assert abs(b.value) <= 4.0 * b.stderr + 1e-5
+
+
+def _sd_entropy_bound(params, model, seed, n):
+    # (mean, stderr) of sethuraman_lower in its entropy form: the conditional
+    # output entropy h(y | h_hat) estimated on base (seed, n), minus the noise
+    # entropy and the Szego term
+    z, w = mcrates._base(seed, n)
+    power, sigma_n2 = params.sigma_x2, params.sigma_n2
+    s2 = pred_error_cm_infinite(model, power, sigma_n2)
+    sigma_eff2 = power * s2 + sigma_n2
+    centers = np.sqrt(max(params.sigma_h2 - s2, 0.0) * z) * math.sqrt(power)
+    y = centers + w * math.sqrt(sigma_eff2)
+    log_norm = math.log(100) + math.log(math.pi * sigma_eff2)
+    vals = np.concatenate([log_norm - _log_mix_psk(y[lo:lo + 4096], centers[lo:lo + 4096], 100,
+                                                   sigma_eff2) for lo in range(0, n, 4096)])
+    mean, stderr = _mean_stderr(vals)
+    return mean - noise_entropy(sigma_n2) - szego_log_integral(model, params.rho), stderr
+
+
+def test_sethuraman_lower_is_the_coherent_information_at_the_prediction_snr():
+    """Given h_hat the output's entropy is log(pi e sigma_eff2) plus the m-PSK
+    information at the prediction's SNR, and the Szego identity takes
+    log(sigma_eff2 / sigma_n2) out exactly; so on the same base the entropy
+    form differs from sethuraman_lower by the sample mean of |w|^2 - 1, the
+    sampling noise of a variate whose mean is exactly 1.  Without it the
+    stderr is 6.0x smaller at rect 0.1, -10 dB (3.16e-3 -> 5.25e-4)."""
+    for psd, f_d in (("rect", 0.1), ("jakes", 0.01), ("rc:0.2", 0.1)):
+        for snr_db in (-10.0, 10.0, 30.0):
+            p, model, _ = _case(psd, f_d, snr_db, 1.0)
+            for seed, n in ((3, 10**5), (0, 400)):
+                old, _ = _sd_entropy_bound(p, model, seed, n)
+                new = sethuraman_lower(p, model, seed=seed, n=n).value
+                _, w = mcrates._base(seed, n)
+                shift = float(np.mean(np.abs(w) ** 2)) - 1.0
+                assert old - new == pytest.approx(shift, abs=1e-13), (psd, snr_db, seed)
+    p, model, _ = _case("rect", 0.1, -10.0, 1.0)
+    _, old_stderr = _sd_entropy_bound(p, model, 3, 10**5)
+    assert sethuraman_lower(p, model, seed=3, n=10**5).stderr <= old_stderr / 4.0
+    for peak in (None, PeakConstraint(2.0)):
+        zero = sethuraman_lower(ChannelParams(f_d=0.1, sigma_x2=0.0), model, peak, seed=3, n=400)
+        assert (zero.value, zero.stderr) == (0.0, 0.0)
+
+
+def test_stderr_covers_the_rounding_of_the_samples():
+    """Each sample rounds terms of size log m, so at an SNR whose information
+    is below ulp(log m) the plain stderr claimed digits the samples lack:
+    coherent_mi_cm(1e-32) printed -9.71e-17 +- 1.09e-18, -89 stderr.  The
+    stderr is now at least ulp(log m) for snr > 0."""
+    for rho in (1e-31, 1e-32, 1e-33):
+        est = coherent_mi_cm(rho, seed=0, n=10**5)
+        assert abs(est.value) <= 4.0 * est.stderr, rho
+    for snr_db in (-140.0, -160.0, -180.0):
+        p, model, _ = _case("rect", 0.1, snr_db, 1.0)
+        est = sethuraman_lower(p, model, seed=0, n=10**5)
+        assert abs(est.value) <= 4.0 * est.stderr, snr_db
+
+
+def test_results_are_python_floats():
+    """The search's gamma comes from np.linspace and golden section; every
+    field is a float at beta 1 and 2 alike."""
+    p, model = ChannelParams(f_d=0.1, sigma_x2=1.0), Rectangular(0.1)
+    for bound in (rate_lower_cm, sethuraman_lower):
+        for beta in (1.0, 2.0):
+            b = bound(p, model, PeakConstraint(beta), seed=2, n=400)
+            for field in (b.value, b.stderr, b.alpha_used, b.unclamped):
+                assert type(field) is float, (bound.__name__, beta)
 
 
 def test_sethuraman_lower_below_coherent():
