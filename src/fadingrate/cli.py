@@ -48,6 +48,11 @@ _LN2 = math.log(2.0)
 _MAX_ROWS = 100_000
 # largest --mc-n: the base draws z and w of a grid point take 24 bytes a sample
 _MAX_MC_N = 100_000_000
+# largest pilot spacing the sd bound may search (sd_max_spacing, about
+# 1/(2 f_d)): the search keeps a table of every spacing, about 370 bytes
+# each, so at the cap (f_d about 5e-6) one sd cell takes about 1.2 s and the
+# sweep peaks near 93 MiB RSS, against 56 MiB at f_d 0.1
+_MAX_SPACINGS = 100_000
 # largest simulate request: at the cap, Jakes n 2^20 peaks at 524 MiB RSS and
 # rect at 508 MiB, about 450-470 bytes per sample above the import, set by the
 # m = 8n transform their set-up tries: one complex m-array transformed in
@@ -241,6 +246,10 @@ def _evaluate_grid(bound_names, psd_kind, rolloff, fds, snrs, betas, seed, mc_n)
     beta_axis = len(betas) > 1
     bounds = [BOUNDS[name] for name in bound_names]
     models = {f_d: _make_model(psd_kind, rolloff, f_d) for f_d in fds}
+    # sd_max_spacing(f_d) > _MAX_SPACINGS, in floats: 1/(2 f_d) may be inf
+    if "sd" in bound_names and 1.0 / (2.0 * min(fds)) + 1e-9 >= _MAX_SPACINGS + 2:
+        raise _UsageError(f"bound 'sd' at f_d {min(fds):g} searches pilot spacings up to "
+                          f"1/(2 f_d), over the cap of {_MAX_SPACINGS}")
     columns = [("f_d", False), ("snr_db", False)]
     if beta_axis:
         columns.append(("beta", False))

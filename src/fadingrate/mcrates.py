@@ -15,6 +15,7 @@ instead of returning a non-finite value with a numpy warning.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -42,8 +43,10 @@ _NOISE_ROUNDING_SHARE = 2.0**-8
 
 
 def _sample_count(n):
-    # n, or the package default for None
-    return int(n) if n is not None else QuadratureConfig().mc_default_n
+    # n, or the package default for None; as --mc-n, n >= 2 for a stderr
+    if n is not None and not (isinstance(n, numbers.Integral) and n >= 2):
+        raise ValueError(f"need an integer sample count n >= 2, got {n!r}")
+    return QuadratureConfig().mc_default_n if n is None else int(n)
 
 
 # a grid's cells all draw from one (seed, n), so one base (24 n bytes) is
@@ -73,7 +76,7 @@ def _cm_estimate(seed, n, count, snr, m):
     for lo in range(0, count, _PSK_BLOCK):
         hi = min(lo + _PSK_BLOCK, count)
         h = np.sqrt(snr * z[lo:hi])
-        vals[lo:hi] = log_m - np.abs(w[lo:hi]) ** 2 - _log_mix_psk(h + w[lo:hi], h, m, 1.0)
+        vals[lo:hi] = log_m - np.abs(w[lo:hi]) ** 2 - _log_mix_psk(h + w[lo:hi], h, m)
     mean, stderr = _mean_stderr(vals)
     amp = math.sqrt(snr * z[:count].max())
     if amp * 2.0**-53 > _NOISE_ROUNDING_SHARE:
@@ -91,14 +94,14 @@ def coherent_mi_cm(rho, m_points=_M_POINTS, seed=0, n=None) -> BoundValue:
     constellation over the coherent channel, in nats.
 
     Monte Carlo over the fading magnitude and noise; the estimate sits
-    below both coherent capacity and log(m_points).
+    below both coherent capacity and log(m_points).  m_points is an integer
+    >= 2 and n an integer >= 2 or None; anything else raises ValueError.
     """
     rho = _finite_nonnegative(rho, "rho")
-    m = int(m_points)
-    if m < 2:
-        raise ValueError("need at least 2 constellation points")
+    if not (isinstance(m_points, numbers.Integral) and m_points >= 2):
+        raise ValueError(f"need an integer m_points >= 2, got {m_points!r}")
     n = _sample_count(n)
-    mean, stderr = _cm_estimate(seed, n, n, rho, m)
+    mean, stderr = _cm_estimate(seed, n, n, rho, int(m_points))
     return BoundValue(value=mean, stderr=stderr)
 
 
@@ -132,30 +135,38 @@ def _golden_max(fun, lo, hi, best):
 _SCAN_DECIDES_SPACING = 1.0
 
 
-def _timeshared(estimate, rate, beta, n):
-    """Time-sharing estimate over the boost gamma in [1, beta].
+def _timeshared(snr, penalty, peak, seed, n):
+    """Time-shared constant-modulus rate over the boost gamma in [1, beta].
 
-    estimate(gamma, count) gives the cached (mean, stderr) of the first count
-    common random numbers at boost gamma, and rate(gamma, mean) the rate over
-    a 1/gamma duty cycle.  A 16-point scan guards against non-unimodal
-    objectives and golden section refines within the bracket of its best
-    point to 1e-4, both on min(n, 10^4) samples; at beta = 1 there is no
-    search.  When the scan's best point is an end of [1, beta], the spacing
-    (beta - 1) / 15 is at most _SCAN_DECIDES_SPACING and a probe 1e-4 inward
-    is not better, that end is kept (Brent 1973): at beta = 2 a search takes
-    16 + 1 estimates, 15 + 1 after the plain bound's (1, n).  The search's
-    gamma then meets gamma = 1 on all n samples (the plain bound's estimate),
-    keeping the search's on a tie, so the rate is never below the plain one.
+    The rate over a 1/gamma duty cycle is (J - penalty(gamma)) / gamma, J
+    the cached _cm_estimate at SNR snr(gamma) on base (seed, n), common to
+    every gamma; beta is peak's ratio (1 for None).  A 16-point scan guards
+    against non-unimodal objectives and golden section refines within the
+    bracket of its best point to 1e-4, both on min(n, 10^4) samples; at
+    beta = 1 there is no search.  When the scan's best point is an end of
+    [1, beta], the spacing (beta - 1) / 15 is at most _SCAN_DECIDES_SPACING
+    and a probe 1e-4 inward is not better, that end is kept (Brent 1973):
+    at beta = 2 a search takes 16 + 1 estimates, 15 + 1 after the plain
+    bound's (1, n).  The search's gamma then meets gamma = 1 on all n
+    samples (the plain bound's estimate), keeping the search's on a tie, so
+    the rate is never below the plain one.
     Returns (gamma_opt, raw, stderr): the rate from all n samples at
     gamma_opt and its standard error, which at n <= 10^4 omits the choice
     of gamma on those samples (the optimizer's curse).
     """
+    n = _sample_count(n)
+    beta = 1.0 if peak is None else peak.beta
+
+    def rate(gamma, count):
+        mean, stderr = _cm_estimate(seed, n, count, snr(gamma), _M_POINTS)
+        return (mean - penalty(gamma)) / gamma, stderr / gamma
+
     gamma_opt = 1.0
     if beta > 1.0:
         n_small = min(n, 10_000)
 
         def objective(gamma):
-            return rate(gamma, estimate(gamma, n_small)[0])
+            return rate(gamma, n_small)[0]
 
         # as Python floats, so gamma_opt and every result field are floats
         gammas = np.linspace(1.0, beta, 16).tolist()
@@ -168,39 +179,31 @@ def _timeshared(estimate, rate, beta, n):
             lo = gammas[max(k - 1, 0)]
             hi = gammas[min(k + 1, len(gammas) - 1)]
             gamma_opt = _golden_max(objective, lo, hi, (values[k], gamma_opt))
-    mean, stderr = estimate(gamma_opt, n)
-    raw = rate(gamma_opt, mean)
+    raw, stderr = rate(gamma_opt, n)
     if gamma_opt != 1.0:
-        mean_1, stderr_1 = estimate(1.0, n)
-        raw_1 = rate(1.0, mean_1)
+        raw_1, stderr_1 = rate(1.0, n)
         if raw_1 > raw:
             return 1.0, raw_1, stderr_1
-    return gamma_opt, raw, stderr / gamma_opt
+    return gamma_opt, raw, stderr
 
 
 @np.errstate(over="raise")
 def rate_lower_cm(params: ChannelParams, model: PsdModel, peak: PeakConstraint | None = None,
                   seed=0, n=None) -> BoundValue:
     """Achievable rate with i.i.d. constant-modulus inputs: the coherent
-    constellation information minus the spectral log integral, clamped at 0.
+    constellation information at SNR gamma rho minus the spectral log
+    integral at gamma rho, over a 1/gamma duty cycle, clamped at 0.
 
-    With a peak ratio beta > 1 the bound time-shares: it transmits a
-    fraction 1/gamma of the time at power gamma sigma_x2, maximized over
-    gamma in [1, beta] (common random numbers keep the search smooth).
-    Without a peak constraint, or at beta = 1, there is no search.
-    alpha_used records the duty cycle 1/gamma_opt.
+    With a peak ratio beta > 1, _timeshared maximizes it over the boost
+    gamma in [1, beta] (common random numbers keep the search smooth);
+    without a peak constraint, or at beta = 1, gamma = 1.  alpha_used
+    records the duty cycle 1/gamma_opt; n is an integer >= 2 or None.
     """
     _check_model(params, model)
-    n = _sample_count(n)
     rho = params.rho
-
-    def estimate(gamma, count):
-        return _cm_estimate(seed, n, count, gamma * rho, _M_POINTS)
-
-    def rate(gamma, mean):
-        return (mean - szego_log_integral(model, gamma * rho)) / gamma
-
-    gamma_opt, raw, stderr = _timeshared(estimate, rate, 1.0 if peak is None else peak.beta, n)
+    gamma_opt, raw, stderr = _timeshared(lambda gamma: gamma * rho,
+                                         lambda gamma: szego_log_integral(model, gamma * rho),
+                                         peak, seed, n)
     return BoundValue(value=max(0.0, raw), clamped=raw < 0.0, alpha_used=1.0 / gamma_opt,
                       unclamped=raw, stderr=stderr)
 
@@ -215,26 +218,23 @@ def sethuraman_lower(params: ChannelParams, model: PsdModel, peak: PeakConstrain
     plus CN(0, P s2 + sigma_n2), s2 the prediction error, and the
     Kolmogorov-Szego identity log((P s2 + sigma_n2) / sigma_n2) = the
     spectral log integral makes the bound the coherent m-PSK information at
-    SNR P (sigma_h2 - s2) / (P s2 + sigma_n2): coherent_mi_cm's estimate.
-    With a peak ratio beta > 1 the bound time-shares: it boosts the power
-    by gamma in [1, beta] during a 1/gamma duty cycle and maximizes the
-    rate, never below the plain one at the same seed and n; without a peak
-    constraint, or at beta = 1, there is no search.  The raw
-    value is reported without clamping: exactly 0 at sigma_x2 = 0, and near
-    it zero up to Monte Carlo noise.  timeshare only labels the call:
-    perfbench/spans.py reports timeshare=True as sethuraman_lower_ts.
+    SNR P (sigma_h2 - s2) / (P s2 + sigma_n2) (coherent_mi_cm's estimate),
+    with no penalty.  With a peak ratio beta > 1, _timeshared boosts the
+    power to P = gamma sigma_x2 during a 1/gamma duty cycle and maximizes
+    the rate over gamma in [1, beta], never below the plain one at the same
+    seed and n (an integer >= 2 or None); without a peak constraint, or at
+    beta = 1, gamma = 1.  The raw value is reported without clamping:
+    exactly 0 at sigma_x2 = 0, and near it zero up to Monte Carlo noise.
+    timeshare only labels the call: perfbench/spans.py reports
+    timeshare=True as sethuraman_lower_ts.
     """
     _check_model(params, model)
-    n = _sample_count(n)
 
-    def estimate(gamma, count):
+    def snr(gamma):
+        # the prediction's SNR at power gamma sigma_x2
         power = gamma * params.sigma_x2
         s2 = pred_error_cm_infinite(model, power, params.sigma_n2)
-        snr = power * max(params.sigma_h2 - s2, 0.0) / (power * s2 + params.sigma_n2)
-        return _cm_estimate(seed, n, count, snr, _M_POINTS)
+        return power * max(params.sigma_h2 - s2, 0.0) / (power * s2 + params.sigma_n2)
 
-    def rate(gamma, mean):
-        return mean / gamma
-
-    gamma_opt, raw, stderr = _timeshared(estimate, rate, 1.0 if peak is None else peak.beta, n)
+    gamma_opt, raw, stderr = _timeshared(snr, lambda gamma: 0.0, peak, seed, n)
     return BoundValue(value=raw, alpha_used=1.0 / gamma_opt, unclamped=raw, stderr=stderr)

@@ -102,6 +102,8 @@ def _check_model(params: ChannelParams, model: PsdModel):
         raise ValueError(
             f"model power {model.sigma_h2} does not match channel sigma_h2 {params.sigma_h2}"
         )
+    if not math.isclose(model.f_d, params.f_d, rel_tol=1e-9):
+        raise ValueError(f"model Doppler {model.f_d} does not match channel f_d {params.f_d}")
 
 
 def _finite_integral(val):
@@ -171,8 +173,11 @@ class PsdModel:
     @cached_property
     def rule(self):
         """Density values S_k and weights w_k of the model's quadrature rule:
-        the band nodes plus one zero node of weight 1 - 2 support_edge."""
-        s, w = self._band_rule()
+        the band nodes plus one zero node of weight 1 - 2 support_edge.  A
+        density that overflows (Jakes below f_d about 1e-295) leaves an inf
+        node, which transform refuses."""
+        with np.errstate(over="ignore", divide="ignore"):
+            s, w = self._band_rule()
         return np.append(s, 0.0), np.append(w, 1.0 - 2.0 * self.support_edge)
 
     def transform(self, phi):
@@ -180,7 +185,7 @@ class PsdModel:
         array of density values elementwise.  Raises OverflowError when the
         sum is not finite (phi overflowed at a node near a singular edge)."""
         s, w = self.rule
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return _finite_integral(float(w @ phi(s)))
 
     def spectral_l2(self):

@@ -323,13 +323,13 @@ def _psk_window(m):
     return cut, cos_k, sin_k, partial(_psk_log_i0e, *_psk_log_i0e_table(cut))
 
 
-def _log_mix_psk(y, centers, m, scale):
-    """Per row i, log sum_j exp(-|y_i - centers_i x_j|^2 / scale) over the
-    m-PSK phases x_j = e^(2 pi i j / m), without the sum over all m.
+def _log_mix_psk(y, h, m):
+    """Per row i, log sum_j exp(-|y_i - h_i x_j|^2) over the m-PSK phases
+    x_j = e^(2 pi i j / m) for real h_i >= 0, without the sum over all m.
 
-    With kappa = 2 |y| |c| / scale and phi = arg(y conj(c)), each distance is
-    |y - c x_j|^2 / scale = (|y| - |c|)^2 / scale + 2 kappa sin^2((phi - 2 pi j / m) / 2),
-    so a row is -(|y| - |c|)^2 / scale plus the log of a sum over phases
+    With kappa = 2 |y| h and phi = arg y, each distance is
+    |y - h x_j|^2 = (|y| - h)^2 + 2 kappa sin^2((phi - 2 pi j / m) / 2),
+    so a row is -(|y| - h)^2 plus the log of a sum over phases
     (Abramowitz & Stegun 9.6):
     - kappa up to the cut of _psk_window: log m + log i0e(kappa), the first
       term of the Jacobi-Anger series m [I_0 + 2 sum_k I_km cos(k m phi)] e^-kappa;
@@ -354,26 +354,26 @@ def _log_mix_psk(y, centers, m, scale):
     g, up to 1.2e-14 at m = 1000; q is flat in v, so v q(v) keeps 4.4e-15.
 
     A row whose distances all overflow gives -inf, a NaN input gives NaN,
-    and centers_i = 0 gives log m - |y_i|^2 / scale.  The window buffer is
-    rows x (2J) floats, so callers pass a block of rows at a time.
+    and h_i = 0 gives log m - |y_i|^2.  The window buffer is rows x (2J)
+    floats, so callers pass a block of rows at a time.
     """
     cut, cos_k, sin_k, log_i0e = _psk_window(m)
     step = 2.0 * math.pi / m
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ay, ac = np.abs(y), np.abs(centers)
-        d = ay - ac
-        d2 = d * d / scale
-        kappa = 2.0 * ay * ac / scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        ay = np.abs(y)
+        d = ay - h
+        d2 = d * d
+        kappa = 2.0 * ay * h
         # the series' first term on every row, then the window rows redone
         row = log_i0e(kappa)
         row += math.log(m)
         big = np.flatnonzero(~(kappa <= cut))
         if big.size:
-            phi = np.angle(y[big]) - np.angle(centers[big])
+            phi = np.angle(y[big])
             half = 0.5 * (phi - step * np.rint(phi / step))
             # t_k = sqrt(2 kappa) sin((phi - 2 pi (j0 + k) / m) / 2), j0 the
             # nearest phase, through the angle sum; |t_0| is the smallest
-            root = 2.0 * np.sqrt(ay[big]) * np.sqrt(ac[big] / scale)
+            root = 2.0 * np.sqrt(ay[big]) * np.sqrt(h[big])
             t0 = root * np.sin(half)
             t = np.multiply.outer(t0, cos_k)
             t -= np.multiply.outer(root * np.cos(half), sin_k)
@@ -388,6 +388,6 @@ def _log_mix_psk(y, centers, m, scale):
             np.copyto(t, 0.0, where=low)
             row[big] = np.log1p(t.sum(axis=1)) - t0
         row -= d2
-        # |y - c x_j| >= ||y| - |c||, so the row is -inf with d^2
+        # |y - h x_j| >= ||y| - h|, so the row is -inf with d^2
         row[d2 == math.inf] = -math.inf
     return row

@@ -262,7 +262,7 @@ def _sd_table(params, model, spacings):
     table = {}
     for start in range(0, len(spacings), _SD_BLOCK):
         block = spacings[start:start + _SD_BLOCK]
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             rows = s / ((rho / np.array(block, dtype=float)[:, None]) * s / s_h2 + 1.0)
             sums = [float(w @ row) for row in rows]
         for L, total in zip(block, sums):

@@ -78,6 +78,10 @@ ROWS = [
         "peak", 150,
         "a Cholesky product spans at most 4 traces: over a whole 1024-trace block, 2048 "
         "traces at n 2048 peaked at 182 MiB"),
+    Row("sd-cap", "sweep --psd jakes --fd 4.99995e-6 --snr-db 0 --bounds sd", "peak", 110,
+        "the largest pilot-spacing search the sd cap accepts, 100000 spacings whose table is "
+        "all kept, peaked at 93 MiB (56 MiB at f_d 0.1), so the table takes about 370 bytes a "
+        "spacing; twice the cap (f_d 2.5e-6) peaked at 129 MiB"),
 ]
 
 

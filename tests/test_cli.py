@@ -271,6 +271,9 @@ def test_out_file_matches_stdout(tmp_path, capsys):
          "lower_cm", "--mc-n", "20000"],
         *(["sweep", "--psd", "rect", "--fd", "0.1", "--snr-db", db, "--bounds",
            "sethuraman_lower", "--mc-n", "20000"] for db in ("400", "450")),
+        *(["sweep", "--psd", "jakes", "--fd", fd, "--snr-db", "0", "--bounds", "sd"]
+          for fd in ("1e-9", "1e-100")),
+        ["sweep", "--psd", "jakes", "--fd", "1e-300", "--snr-db", "0", "--bounds", "lower_pg"],
     ],
     ids=["rect-only-bound", "peak-needs-beta", "bad-psd", "bad-rolloff", "bad-grid",
          "unknown-bound", "bad-fd", "bad-figure", "predict-both-pasts",
@@ -289,7 +292,8 @@ def test_out_file_matches_stdout(tmp_path, capsys):
          "sim-seed-overflow", "figure-seed-negative", "jakes-spectral-arg-inf",
          "rect-spectral-arg-inf", "lower_cm-overflow", "lower_cm_ts-overflow",
          "sethuraman_lower-overflow", "sethuraman_lower_ts-overflow", "lower_cm-noise-lost",
-         "sethuraman_lower-noise-lost-400", "sethuraman_lower-noise-lost-450"],
+         "sethuraman_lower-noise-lost-400", "sethuraman_lower-noise-lost-450",
+         "sd-spacings-over-cap", "sd-spacings-overflow", "jakes-tiny-fd"],
 )
 # a numpy warning would print to stderr beside the error line
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -335,6 +339,9 @@ USAGE_REASONS = {
     "lower_cm-noise-lost": "the noise is lost to rounding",
     "sethuraman_lower-noise-lost-400": "the noise is lost to rounding",
     "sethuraman_lower-noise-lost-450": "the noise is lost to rounding",
+    "sd-spacings-over-cap": "searches pilot spacings up to 1/(2 f_d), over the cap of 100000",
+    "sd-spacings-overflow": "searches pilot spacings up to 1/(2 f_d), over the cap of 100000",
+    "jakes-tiny-fd": "spectral integral overflows double precision",
 }
 
 

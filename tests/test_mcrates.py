@@ -121,9 +121,24 @@ def test_sits_below_coherent_capacity():
         assert est.value < g_logmoment(rho) + 4.0 * est.stderr
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_constellation_size_validation():
+    """m_points and n are integers of at least 2: n = 0 used to overflow
+    with two numpy warnings, n = 1 to return a stderr of 8.9e-16 from one
+    sample, and n = 2.7 or m_points = 2.9 to be cut to 2."""
     with pytest.raises(ValueError):
         coherent_mi_cm(1.0, m_points=1)
+    with pytest.raises(ValueError, match="integer m_points"):
+        coherent_mi_cm(1.0, m_points=2.9, n=N_SMALL)
+    for n in (0, 1, 2.7, -5, True, 2.0):
+        with pytest.raises(ValueError, match="integer sample count"):
+            coherent_mi_cm(1.0, n=n)
+    p, model = ChannelParams(f_d=0.1, sigma_x2=1.0), Rectangular(0.1)
+    for bound in (rate_lower_cm, sethuraman_lower):
+        for peak in (None, PeakConstraint(2.0)):
+            with pytest.raises(ValueError, match="integer sample count"):
+                bound(p, model, peak, n=1)
+    assert coherent_mi_cm(1.0, m_points=np.int64(4), n=np.int64(2)).stderr > 0.0
     with pytest.raises(ValueError, match="nonnegative"):
         coherent_mi_cm(-1.0)
     for rho in (math.nan, math.inf):
@@ -277,8 +292,16 @@ def test_timeshare_search_size(monkeypatch):
 
 
 
-def _timeshared_golden(estimate, rate, beta, n):
+def _timeshared_golden(snr, penalty, peak, seed, n):
     # the search before the scan could decide: golden section after every scan
+    beta = 1.0 if peak is None else peak.beta
+
+    def estimate(gamma, count):
+        return mcrates._cm_estimate(seed, n, count, snr(gamma), mcrates._M_POINTS)
+
+    def rate(gamma, mean):
+        return (mean - penalty(gamma)) / gamma
+
     gamma_opt = 1.0
     if beta > 1.0:
         n_small = min(n, 10_000)
@@ -327,9 +350,9 @@ def test_timeshare_search_finds_grid_maximum(monkeypatch):
     searches = []
     timeshared = mcrates._timeshared
 
-    def spy(estimate, rate, beta, n):
-        out = timeshared(estimate, rate, beta, n)
-        searches.append((estimate, rate, beta, n, out[0]))
+    def spy(snr, penalty, peak, seed, n):
+        out = timeshared(snr, penalty, peak, seed, n)
+        searches.append((snr, penalty, peak.beta, seed, n, out[0]))
         return out
 
     monkeypatch.setattr(mcrates, "_timeshared", spy)
@@ -340,9 +363,10 @@ def test_timeshare_search_finds_grid_maximum(monkeypatch):
         rate_lower_cm(p, model, peak, seed=seed, n=400)
         sethuraman_lower(p, model, peak, seed=seed, n=400)
     assert len(searches) == 8
-    for estimate, rate, beta, n, gamma_opt in searches:
+    for snr, penalty, beta, seed, n, gamma_opt in searches:
         def objective(gamma):
-            return rate(gamma, estimate(gamma, min(n, 10_000))[0])
+            mean = mcrates._cm_estimate(seed, n, min(n, 10_000), snr(gamma), mcrates._M_POINTS)[0]
+            return (mean - penalty(gamma)) / gamma
 
         best = max(objective(g) for g in np.linspace(1.0, beta, 1025))
         assert objective(gamma_opt) >= best - 1e-9 * abs(best)
@@ -385,8 +409,11 @@ def _sd_entropy_bound(params, model, seed, n):
     centers = np.sqrt(max(params.sigma_h2 - s2, 0.0) * z) * math.sqrt(power)
     y = centers + w * math.sqrt(sigma_eff2)
     log_norm = math.log(100) + math.log(math.pi * sigma_eff2)
-    vals = np.concatenate([log_norm - _log_mix_psk(y[lo:lo + 4096], centers[lo:lo + 4096], 100,
-                                                   sigma_eff2) for lo in range(0, n, 4096)])
+    # the kernel is at unit noise: rows and centers in units of sqrt(sigma_eff2)
+    unit = math.sqrt(sigma_eff2)
+    vals = np.concatenate([log_norm - _log_mix_psk(y[lo:lo + 4096] / unit,
+                                                   centers[lo:lo + 4096] / unit, 100)
+                           for lo in range(0, n, 4096)])
     mean, stderr = _mean_stderr(vals)
     return mean - noise_entropy(sigma_n2) - szego_log_integral(model, params.rho), stderr
 

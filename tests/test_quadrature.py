@@ -251,9 +251,12 @@ PSK_KAPPAS = [0.0] + [10.0 ** e for e in np.arange(-12.0, 6.01, 1.5)]
 def _psk_rows(m, rng):
     # rows of modulus gap d (in units of sqrt(scale)) and offset r from the
     # nearest phase, at every kappa of PSK_KAPPAS and one part in 1e9 each
-    # side of m's cut; real centers (the estimators) and complex ones
+    # side of m's cut; real centers (the estimators) and complex ones at
+    # scale 2.5, which the kernel takes as the real center |c| / sqrt(scale)
+    # at unit scale for the row rotated by conj(c) / |c| and divided by
+    # sqrt(scale) (exact in exact arithmetic)
     cut = _psk_window(m)[0]
-    y, c, s = [], [], []
+    y, c = [], []
     for kappa in PSK_KAPPAS + [cut * (1.0 - 1e-9), cut * (1.0 + 1e-9)]:
         near = 0.5 / math.sqrt(1.0 + kappa)
         anywhere = rng.uniform(-1.0, 1.0) * math.pi / m
@@ -263,18 +266,22 @@ def _psk_rows(m, rng):
             v = kappa / (d + math.sqrt(d * d + 2.0 * kappa)) if kappa else 0.0
             alpha = 0.0 if real else rng.uniform(-math.pi, math.pi)
             theta = alpha + 2.0 * math.pi * rng.integers(m) / m + r
-            c.append(v * math.sqrt(scale) * complex(math.cos(alpha), math.sin(alpha)))
-            y.append((v + d) * math.sqrt(scale) * complex(math.cos(theta), math.sin(theta)))
-            s.append(scale)
-    return np.array(y), np.array(c), np.array(s)
+            center = v * math.sqrt(scale) * complex(math.cos(alpha), math.sin(alpha))
+            row = (v + d) * math.sqrt(scale) * complex(math.cos(theta), math.sin(theta))
+            if not real:
+                turn = center.conjugate() / abs(center) if center else 1.0
+                row, center = row * turn / math.sqrt(scale), abs(center) / math.sqrt(scale)
+            c.append(center.real)
+            y.append(row)
+    return np.array(y), np.array(c)
 
 
-def _psk_reference(y, c, m, scale):
+def _psk_reference(y, c, m):
     # (L, S) of one row from the direct sum over all m phases in 40 digits
     with mpmath.workdps(40):
-        y, c, scale = mpmath.mpc(y), mpmath.mpc(c), mpmath.mpf(scale)
+        y, c = mpmath.mpc(y), mpmath.mpc(c)
         cx = [c * mpmath.expjpi(mpmath.mpf(2 * j) / m) for j in range(m)]
-        a = [-abs(y - p) ** 2 / scale for p in cx]
+        a = [-abs(y - p) ** 2 for p in cx]
         top = max(a)
         weights = [mpmath.exp(t - top) for t in a]
         total = mpmath.fsum(weights)
@@ -283,9 +290,9 @@ def _psk_reference(y, c, m, scale):
         def slope(f):
             return abs(mpmath.fsum(w * f(p) for w, p in zip(weights, cx)) / total)
 
-        sens = (slope(lambda p: -2 * mpmath.re(mpmath.conj(1j * y) * (y - p)) / scale)
-                + slope(lambda p: -2 * mpmath.re(mpmath.conj(y) * (y - p)) / scale)
-                + slope(lambda p: -2 * mpmath.re(mpmath.conj(p) * (p - y)) / scale))
+        sens = (slope(lambda p: -2 * mpmath.re(mpmath.conj(1j * y) * (y - p)))
+                + slope(lambda p: -2 * mpmath.re(mpmath.conj(y) * (y - p)))
+                + slope(lambda p: -2 * mpmath.re(mpmath.conj(p) * (p - y))))
         return float(row), float(sens)
 
 
@@ -293,12 +300,11 @@ def _psk_reference(y, c, m, scale):
 def test_log_mix_psk_matches_mpmath(m):
     """Over kappa in [0, 1e6] and both sides of m's cut, at the nearest
     phase, near it, half way between two phases and anywhere between."""
-    y, c, scale = _psk_rows(m, np.random.default_rng(m))
-    got = np.array([_log_mix_psk(y[i:i + 1], c[i:i + 1], m, scale[i])[0]
-                    for i in range(len(y))])
+    y, c = _psk_rows(m, np.random.default_rng(m))
+    got = np.array([_log_mix_psk(y[i:i + 1], c[i:i + 1], m)[0] for i in range(len(y))])
     for i in range(len(y)):
-        want, sens = _psk_reference(y[i], c[i], m, scale[i])
-        assert abs(got[i] - want) <= 1e-13 + 2e-15 * sens, (m, y[i], c[i], scale[i])
+        want, sens = _psk_reference(y[i], c[i], m)
+        assert abs(got[i] - want) <= 1e-13 + 2e-15 * sens, (m, y[i], c[i])
 
 
 @pytest.mark.parametrize("m", PSK_POINTS)
@@ -337,15 +343,15 @@ def test_psk_log_i0e_matches_mpmath(m):
     assert log_i0e(np.zeros(1))[0] == 0.0
 
 
-def _psk_window_rows_unfloored(y, centers, m, scale):
+def _psk_window_rows_unfloored(y, h, m):
     # the kernel's window rows as they were before terms below e^-700 were
     # set to 0: exp over every window column
     _, cos_k, sin_k, _ = _psk_window(m)
     step = 2.0 * math.pi / m
-    ay, ac = np.abs(y), np.abs(centers)
-    phi = np.angle(y) - np.angle(centers)
+    ay = np.abs(y)
+    phi = np.angle(y)
     half = 0.5 * (phi - step * np.rint(phi / step))
-    root = 2.0 * np.sqrt(ay) * np.sqrt(ac / scale)
+    root = 2.0 * np.sqrt(ay) * np.sqrt(h)
     t0 = root * np.sin(half)
     t = np.multiply.outer(t0, cos_k)
     t -= np.multiply.outer(root * np.cos(half), sin_k)
@@ -354,8 +360,8 @@ def _psk_window_rows_unfloored(y, centers, m, scale):
     with np.errstate(under="ignore"):
         np.subtract(np.minimum(t0, np.finfo(float).max)[:, None], t, out=t)
         np.exp(t, out=t)
-    d = ay - ac
-    return np.log1p(t.sum(axis=1)) - t0 - d * d / scale
+    d = ay - h
+    return np.log1p(t.sum(axis=1)) - t0 - d * d
 
 
 @pytest.mark.parametrize("m", [100, 256])
@@ -378,18 +384,21 @@ def test_log_mix_psk_window_floor_keeps_the_bits(m):
         theta = alpha + 2.0 * math.pi * rng.integers(m, size=kappa.size) / m + offset
         c = v * math.sqrt(scale) * np.exp(1j * alpha)
         y = (v + gap) * math.sqrt(scale) * np.exp(1j * theta)
-        assert np.array_equal(_log_mix_psk_quiet(y, c, m, scale),
-                              _psk_window_rows_unfloored(y, c, m, scale))
+        # a complex center at scale 2.5 is the real one |c| / sqrt(scale) at
+        # unit scale for the row rotated by conj(c) / |c|
+        y, h = y * (np.conj(c) / np.abs(c)) / math.sqrt(scale), np.abs(c) / math.sqrt(scale)
+        assert np.array_equal(_log_mix_psk_quiet(y, h, m), _psk_window_rows_unfloored(y, h, m))
 
 
 def test_log_mix_psk_overflowing_rows_give_minus_inf():
     # every distance overflows (as |y| or as the phase gap at huge moduli),
     # or y is infinite against a finite center: -inf, as the direct sum
-    # gives; a nearest phase at distance 0 among overflowing ones gives 0
+    # gives; a nearest phase at distance 0 among overflowing ones gives 0,
+    # also where kappa = 2 |y| h itself overflows
     tilt = np.exp(0.5j * math.pi / 100)
-    y = np.array([1e200, 1e200 * tilt, np.inf, np.inf, 1e200, 1e200 * tilt], dtype=complex)
-    c = np.array([0.0, 1e200, 1.0, 0.0, 1e200, 1e200 * tilt], dtype=complex)
-    got = _log_mix_psk_quiet(y, c, 100, 1.0)
+    y = np.array([1e200, 1e200 * tilt, np.inf, np.inf, 1e200, 1e300], dtype=complex)
+    c = np.array([0.0, 1e200, 1.0, 0.0, 1e200, 1e300])
+    got = _log_mix_psk_quiet(y, c, 100)
     assert np.array_equal(got, [-np.inf] * 4 + [0.0, 0.0])
 
 
@@ -397,12 +406,12 @@ def test_log_mix_psk_nan_in_gives_nan():
     y = np.array([np.nan, 1.0, np.nan, 30.0 + 1j, complex(np.nan, 1.0), np.inf])
     c = np.array([1.0, np.nan, 0.0, np.nan, 30.0, np.inf])
     for m in (2, 100):
-        assert np.isnan(_log_mix_psk_quiet(y, c, m, 1.0)).all()
+        assert np.isnan(_log_mix_psk_quiet(y, c, m)).all()
 
 
 def test_log_mix_psk_zero_center_is_log_m_minus_energy():
     y = np.array([0.0, 0.5 - 1.5j, 3.0 + 0.25j, 1e5 + 0j, 1e-160j])
     for m in PSK_POINTS:
         for scale in (1.0, 0.37, 2.0):
-            got = _log_mix_psk_quiet(y, np.zeros(5), m, scale)
-            assert np.array_equal(got, math.log(m) + -np.abs(y) ** 2 / scale)
+            got = _log_mix_psk_quiet(y / math.sqrt(scale), np.zeros(5), m)
+            assert np.array_equal(got, math.log(m) + -np.abs(y / math.sqrt(scale)) ** 2)

@@ -76,6 +76,16 @@ class TestGaussianInputBounds:
         with pytest.raises(ValueError):
             rate_lower_pg(_params(0.1, 1.0), Rectangular(0.1, sigma_h2=2.0))
 
+    def test_model_doppler_mismatch(self):
+        # a spacing-4 pilot grid aliases a 0.3 Doppler: with the channel's
+        # f_d 0.1 and the model's 0.3, sd_optimal_L used to return 4
+        p = ChannelParams(f_d=0.1, sigma_x2=10.0)
+        with pytest.raises(ValueError, match="does not match channel f_d"):
+            sd_optimal_L(p, Rectangular(0.3))
+        with pytest.raises(ValueError, match="does not match channel f_d"):
+            rate_lower_pg(p, Jakes(0.2))
+        assert sd_optimal_L(p, Rectangular(0.1))[0] == 4
+
 
 def _lower_pg_flat(p):
     return rate_lower_pg(p, Rectangular(p.f_d)).value
